@@ -589,8 +589,6 @@ def build_parser():
         description="Exact per-position statistics on Catalan-like families.",
     )
     p.add_argument("--config", help="JSON config file (or $COMBSTAT_CONFIG)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="reserved; execution is sequential")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):

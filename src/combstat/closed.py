@@ -85,13 +85,6 @@ def harmonic(n: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 
 
-SEQUENCES = {
-    "catalan": catalan_number,
-    "little-schroeder": little_schroeder,
-    "noncrossing-t": ternary_count,
-    "noncrossing-t-prime": ternary_edge,
-}
-
 AVG_IDS = {
     "binary-leaf": ("binary", "leaf-depth"),
     "binary-abscissa": ("binary", "leaf-abscissa"),

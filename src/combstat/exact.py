@@ -185,10 +185,6 @@ def scalar_div(x, y):
     return Fraction(x, 1) / y
 
 
-def scalar_float(s) -> float:
-    return float(s)
-
-
 def render_scalar(s) -> str:
     """Exact text form: "p/q" (or "p") for rationals, "a+b*rt2" for Quad2."""
     if isinstance(s, Quad2):
@@ -301,10 +297,6 @@ def yp_deriv1(p):
         if k:
             acc = acc + k * v
     return acc
-
-
-def yp_is_zero(p):
-    return all(v == 0 for v in p)
 
 
 def ypoly_mean(p, total):

@@ -1,7 +1,7 @@
 """Catalog of the multivariate generating functions.
 
 Nine families, each with a closed form, an independent functional
-equation (solved by iteration or a graded linear solve), and for most a
+equation (a graded linear solve, or for I and J an ODE in z), and for most a
 product identity for the y-derivative at y = 1.  Cells are y-polynomials
 whose coefficient of y^d counts objects whose marked position has
 depth/height d; x marks the position, z the size, v (for P) the leaf
@@ -24,6 +24,7 @@ ids, statistic counted, and field of coefficients:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from .series import (
     ps_monomial,
     ps_mul,
     ps_mul_ypoly,
+    ps_ode_solve,
     ps_one,
     ps_retrunc,
     ps_shift,
@@ -118,7 +120,7 @@ def _log_geom(t, powx):
 
 
 def _drop_top_z(s: Series) -> Series:
-    """Forget the top z-slice (used by the ODE residuals, where d/dz
+    """Forget the top z-slice (used by the ODE residual, where d/dz
     genuinely loses one order)."""
     nz = s.trunc.nz
     return Series(
@@ -242,20 +244,24 @@ def gf_closed(family: str, trunc: Truncation, alt: bool = False) -> Series:
     raise AssertionError  # pragma: no cover
 
 
-# ------------------------------------------- functional-equation solves
+# ------------------------------------------------ functional equations
 
-def gf_solve(family: str, trunc: Truncation) -> Series:
-    """Solve the family's functional equation directly -- an expansion
-    path independent of the closed form."""
+def _system(family: str, t: Truncation):
+    """The family's functional equation, written once: gf_solve and
+    gf_residual are both derived from it.
+
+    Returns (a0, factors, init), where m is the product of the factors.
+    With init None the equation is S = a0 + S*m; otherwise it is
+    dS/dz = a0 + S*m with S = init at z = 0.  The residual multiplies S
+    through the factors in order, so a sparse factor goes first."""
     _check_family(family)
-    t = trunc
     one = ps_one(t)
 
     if family == "B":
         c = _catalan(t)
         cx = _sub_x(c, 1)
         m = ps_add(ps_mul(_z(t), c), ps_mul(ps_mul(_z(t), _x(t)), cx))
-        return ps_linear_solve(one, m)
+        return one, (m,), None
 
     if family == "Babs":
         c = _catalan(t)
@@ -264,7 +270,7 @@ def gf_solve(family: str, trunc: Truncation) -> Series:
             ps_mul(ps_monomial(t, (1, 0, 0, -1), Y), c),
             ps_mul(ps_monomial(t, (1, 1, 0, 1), Y), cx),
         )
-        return ps_linear_solve(one, m)
+        return one, (m,), None
 
     if family == "D":
         c = _catalan(t)
@@ -273,7 +279,7 @@ def gf_solve(family: str, trunc: Truncation) -> Series:
             ps_mul(ps_mul(_z(t), _x(t)), c),
             ps_mul(ps_monomial(t, (1, 2, 0, 0), [1]), cxx),
         )
-        return ps_linear_solve(c, m)
+        return c, (m,), None
 
     if family == "U":
         c = _catalan(t)
@@ -283,7 +289,7 @@ def gf_solve(family: str, trunc: Truncation) -> Series:
             ps_mul(ps_mul(_z(t), _x(t)), c),
             ps_mul(ps_monomial(t, (1, 1, 0, 0), [1]), cx),
         )
-        return ps_linear_solve(a0, m)
+        return a0, (m,), None
 
     if family == "P":
         if t.nv < 1:
@@ -293,19 +299,13 @@ def gf_solve(family: str, trunc: Truncation) -> Series:
         zmono = ps_monomial(t, (1, 0, 0, 0), [1])
         inv1 = ps_inv(ps_sub(one, ps_mul(zmono, narx)))
         inv2 = ps_inv(ps_sub(one, ps_mul(zmono, nar)))
-        m = ps_mul(_z(t), ps_mul(inv1, inv2))
-        return ps_linear_solve(_v(t), m)
+        return _v(t), (_z(t), ps_mul(inv1, inv2)), None
 
     if family == "A":
-        # solve for zA one order higher, then divide out the z
-        t1 = Truncation(t.nz + 1, t.nx, t.ny, t.nv, t.u_range)
-        one1 = ps_one(t1)
-        st = _schroeder_tilde(t1)
+        st = _schroeder_tilde(t)
         stx = _sub_x(st, 1)
-        r = ps_inv(ps_mul(ps_sub(one1, st), ps_sub(one1, stx)))
-        m = ps_mul_ypoly(ps_sub(r, one1), Y)
-        za = ps_linear_solve(ps_monomial(t1, (1, 0, 0, 0), [1]), m)
-        return ps_retrunc(ps_shift(za, -1), t)
+        r = ps_inv(ps_mul(ps_sub(one, st), ps_sub(one, stx)))
+        return one, (ps_mul_ypoly(ps_sub(r, one), Y),), None
 
     if family == "G":
         tt = _ternary(t)
@@ -316,128 +316,42 @@ def gf_solve(family: str, trunc: Truncation) -> Series:
             ps_mul(_z(t), ps_mul(ps_mul(tt, tt), ttx)),
             ps_mul(ps_mul(_z(t), _x(t)), ps_mul(tt, ps_mul(ttx, ttx))),
         )
-        return ps_linear_solve(a0, m)
+        return a0, (m,), None
 
     if family == "I":
         # d/dz I = y I (F(z) + x F(xz)), I(x,y,0) = 1
         f = ps_add(_geom(t, 0), ps_mul(_x(t), _geom(t, 1)))
-        cur = one
-        for _ in range(t.nz + 1):
-            cur = ps_add(one, ps_integrate_z(ps_mul_ypoly(ps_mul(cur, f), Y)))
-        return cur
+        return Series(t), (ps_mul_ypoly(f, Y),), one
 
     if family == "J":
         # d/dz J = F(z)F(xz) + J (y F(z) + xy F(xz)), J(x,y,0) = 0
         f0 = _geom(t, 0)
         fx = _geom(t, 1)
-        drive = ps_mul(f0, fx)
         m = ps_mul_ypoly(ps_add(f0, ps_mul(_x(t), fx)), Y)
-        cur = Series(t)
-        for _ in range(t.nz + 1):
-            cur = ps_integrate_z(ps_add(drive, ps_mul(cur, m)))
-        return cur
+        return ps_mul(f0, fx), (m,), Series(t)
 
     raise AssertionError  # pragma: no cover
 
 
-# ------------------------------------------------------------ residuals
+def gf_solve(family: str, trunc: Truncation) -> Series:
+    """Solve the family's functional equation directly -- an expansion
+    path independent of the closed form."""
+    a0, factors, init = _system(family, trunc)
+    m = functools.reduce(ps_mul, factors)
+    if init is None:
+        return ps_linear_solve(a0, m)
+    return ps_ode_solve(init, a0, m)
+
 
 def gf_residual(family: str, s: Series) -> Series:
-    """Residual of the family's registered functional equation at s
-    (zero exactly when s satisfies it inside the truncation box)."""
-    _check_family(family)
-    t = s.trunc
-    one = ps_one(t, s.field)
-
-    if family == "B":
-        c = _catalan(t)
-        cx = _sub_x(c, 1)
-        rhs = ps_add(
-            one,
-            ps_add(
-                ps_mul(ps_mul(_z(t), s), c),
-                ps_mul(ps_mul(ps_mul(_z(t), _x(t)), cx), s),
-            ),
-        )
+    """Residual of the family's functional equation at s (zero exactly
+    when s satisfies it inside the truncation box; an ODE loses its top
+    z-slice to d/dz)."""
+    a0, factors, init = _system(family, s.trunc)
+    rhs = ps_add(a0, functools.reduce(ps_mul, factors, s))
+    if init is None:
         return ps_sub(s, rhs)
-
-    if family == "Babs":
-        c = _catalan(t)
-        cx = _sub_x(c, 1)
-        rhs = ps_add(
-            one,
-            ps_add(
-                ps_mul(ps_mul(ps_monomial(t, (1, 0, 0, -1), Y), s), c),
-                ps_mul(ps_mul(ps_monomial(t, (1, 1, 0, 1), Y), cx), s),
-            ),
-        )
-        return ps_sub(s, rhs)
-
-    if family == "D":
-        c = _catalan(t)
-        cxx = _sub_x(c, 2)
-        rhs = ps_add(
-            c,
-            ps_add(
-                ps_mul(ps_mul(ps_mul(_z(t), _x(t)), s), c),
-                ps_mul(ps_mul(ps_monomial(t, (1, 2, 0, 0), [1]), cxx), s),
-            ),
-        )
-        return ps_sub(s, rhs)
-
-    if family == "U":
-        c = _catalan(t)
-        cx = _sub_x(c, 1)
-        rhs = ps_add(
-            ps_mul(ps_mul(_z(t), _x(t)), ps_mul(c, c)),
-            ps_add(
-                ps_mul(ps_mul(ps_mul(_z(t), _x(t)), s), c),
-                ps_mul(ps_mul(ps_monomial(t, (1, 1, 0, 0), [1]), cx), s),
-            ),
-        )
-        return ps_sub(s, rhs)
-
-    if family == "P":
-        nar = _narayana_v(t)
-        narx = ps_subst_scale(nar, t, {"v": (1, (0, 1, 1, 0))})
-        zmono = ps_monomial(t, (1, 0, 0, 0), [1])
-        inv1 = ps_inv(ps_sub(one, ps_mul(zmono, narx)))
-        inv2 = ps_inv(ps_sub(one, ps_mul(zmono, nar)))
-        rhs = ps_add(_v(t), ps_mul(ps_mul(_z(t), s), ps_mul(inv1, inv2)))
-        return ps_sub(s, rhs)
-
-    if family == "A":
-        st = _schroeder_tilde(t)
-        stx = _sub_x(st, 1)
-        r = ps_inv(ps_mul(ps_sub(one, st), ps_sub(one, stx)))
-        rhs = ps_add(one, ps_mul_ypoly(ps_mul(s, ps_sub(r, one)), Y))
-        return ps_sub(s, rhs)
-
-    if family == "G":
-        tt = _ternary(t)
-        ttx = _sub_x(tt, 1)
-        inner = ps_add(
-            ps_mul(_z(t), ps_mul(ps_sub(s, tt), tt)),
-            ps_mul(ps_mul(_z(t), _x(t)), ps_mul(ttx, s)),
-        )
-        rhs = ps_add(tt, ps_mul(ps_mul(ttx, tt), inner))
-        return ps_sub(s, rhs)
-
-    if family == "I":
-        f = ps_add(_geom(t, 0), ps_mul(_x(t), _geom(t, 1)))
-        rhs = ps_mul_ypoly(ps_mul(s, f), Y)
-        return _drop_top_z(ps_sub(ps_diff_z(s), rhs))
-
-    if family == "J":
-        f0 = _geom(t, 0)
-        fx = _geom(t, 1)
-        rhs = ps_add(
-            ps_mul(f0, fx),
-            ps_mul(s, ps_mul_ypoly(ps_add(f0, ps_mul(_x(t), fx)), Y)),
-        )
-        return _drop_top_z(ps_sub(ps_diff_z(s), rhs))
-
-    raise AssertionError  # pragma: no cover
+    return _drop_top_z(ps_sub(ps_diff_z(s), rhs))
 
 
 # --------------------------------------- y-derivative product identities

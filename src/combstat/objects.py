@@ -44,17 +44,6 @@ BUDGETS = {
     "dissection": 9,
 }
 
-FAMILY_STATISTICS = {
-    "binary": ("leaf-depth", "leaf-abscissa"),
-    "plane": ("leaf-depth", "node-depth"),
-    "schroeder": ("leaf-depth",),
-    "dyck": ("vertex-height", "upstep-height", "downstep-height"),
-    "noncrossing": ("node-depth",),
-    "increasing": ("leaf-depth", "internal-depth"),
-    "triangulation": ("separating-diagonals",),
-    "dissection": ("separating-diagonals",),
-}
-
 # statistics whose position index r is 1-based (r-th step of the walk)
 ONE_BASED = {"upstep-height", "downstep-height"}
 

@@ -44,6 +44,15 @@ class Truncation:
     nv: int = 0
     u_range: int = 0
 
+    def __post_init__(self):
+        for name in ("nz", "nx", "ny", "nv", "u_range"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(
+                    "truncation bound %s must be a non-negative int, got %r"
+                    % (name, value)
+                )
+
     @property
     def grade_bound(self) -> int:
         return self.nz + self.nx + self.nv
@@ -60,10 +69,6 @@ class Truncation:
 
 def _grade(key) -> int:
     return key[0] + key[1] + key[2]
-
-
-def _key_add(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
 
 class Series:
@@ -232,11 +237,31 @@ def ps_coeff(a: Series, dz, dx=0, dv=0, du=0):
 
 # -------------------------------------------------------- graded solves
 
-def _by_grade(cells):
+def _by_grade(cells, grade=_grade):
     out = defaultdict(list)
     for k, p in cells.items():
-        out[_grade(k)].append((k, p))
+        out[grade(k)].append((k, p))
     return out
+
+
+def _push(layer, g, m_layers, bound, pending, t):
+    """One step of the one-pass solvers: add layer (slice g of S) times
+    each slice (h, cells) of m, h rising, into pending[g + h] up to bound."""
+    ny = t.ny
+    for h, m_cells in m_layers:
+        if g + h > bound:
+            break
+        tgt = pending[g + h]
+        for mk, mp in m_cells:
+            for sk, sp in layer.items():
+                nk = (sk[0] + mk[0], sk[1] + mk[1], sk[2] + mk[2], sk[3] + mk[3])
+                if not t.contains(nk):
+                    continue
+                prod = yp_mul(sp, mp, ny)
+                if not prod:
+                    continue
+                cur = tgt.get(nk)
+                tgt[nk] = prod if cur is None else yp_add(cur, prod)
 
 
 def ps_linear_solve(a: Series, m: Series) -> Series:
@@ -251,9 +276,7 @@ def ps_linear_solve(a: Series, m: Series) -> Series:
         if _grade(k) == 0:
             raise ValueError("linear solve needs m with no grade-0 part")
     t = a.trunc
-    ny = t.ny
-    m_layers = _by_grade(m.cells)
-    m_grades = sorted(m_layers)
+    m_layers = sorted(_by_grade(m.cells).items())
     pending = defaultdict(dict)
     for k, p in a.cells.items():
         pending[_grade(k)][k] = list(p)
@@ -264,21 +287,41 @@ def ps_linear_solve(a: Series, m: Series) -> Series:
             continue
         layer = {k: p for k, p in layer.items() if yp_trim(p)}
         out.update(layer)
-        for h in m_grades:
-            if g + h > t.grade_bound:
-                break
-            tgt = pending[g + h]
-            for mk, mp in m_layers[h]:
-                for sk, sp in layer.items():
-                    nk = (sk[0] + mk[0], sk[1] + mk[1], sk[2] + mk[2], sk[3] + mk[3])
-                    if not t.contains(nk):
-                        continue
-                    prod = yp_mul(sp, mp, ny)
-                    if not prod:
-                        continue
-                    cur = tgt.get(nk)
-                    tgt[nk] = prod if cur is None else yp_add(cur, prod)
+        _push(layer, g, m_layers, t.grade_bound, pending, t)
     return Series(t, a.field, out)
+
+
+def ps_ode_solve(init: Series, drive: Series, m: Series) -> Series:
+    """The unique S with dS/dz = drive + S*m and S = init at z = 0.
+
+    Solved slice by slice in z: the z^k slice of drive + S*m only
+    involves slices of S up to k, and integrating it gives slice k+1,
+    so one pass from k = 0 up costs about a single multiplication.
+    """
+    _check_compat(init, drive)
+    _check_compat(init, m)
+    for k in init.cells:
+        if k[0]:
+            raise ValueError("ode solve needs an initial value free of z")
+    t = init.trunc
+    m_slices = sorted(_by_grade(m.cells, lambda k: k[0]).items())
+    pending = defaultdict(dict)  # dz -> the z^dz slice of drive + S*m
+    for k, p in drive.cells.items():
+        pending[k[0]][k] = list(p)
+    layer = dict(init.cells)
+    out = {}
+    for dz in range(t.nz + 1):
+        if dz:
+            inv_dz = Fraction(1, dz)
+            layer = {}
+            for (_, dx, dv, du), p in pending.pop(dz - 1, {}).items():
+                p = yp_scale(p, inv_dz)
+                if p:
+                    layer[(dz, dx, dv, du)] = p
+        out.update(layer)
+        # slice nz - 1 of drive + S*m is the last one that gets integrated
+        _push(layer, dz, m_slices, t.nz - 1, pending, t)
+    return Series(t, init.field, out)
 
 
 def ps_inv(a: Series, y_unit: bool = False) -> Series:
@@ -308,7 +351,8 @@ def ps_inv(a: Series, y_unit: bool = False) -> Series:
     c0i = yp_inv(c0, t.ny)
     n = ps_mul_ypoly(a, c0i)
     # yp_inv is the exact truncated inverse, so the constant cancels exactly
-    assert yp_add(n.cells.pop(ZERO_KEY), [-1]) == []
+    if yp_add(n.cells.pop(ZERO_KEY), [-1]):
+        raise ArithmeticError("y-unit inverse left a constant other than 1")
     x = ps_linear_solve(ps_one(t, a.field), ps_neg(n))
     return ps_mul_ypoly(x, c0i)
 
@@ -575,57 +619,47 @@ def ps_to_json(a: Series) -> dict:
 
 # ---------------------------------------------------- fixed-point bases
 
+def _iterate(step, start: Series) -> Series:
+    """Apply step nz+1 times from start (each pass fixes at least one
+    more order in z), then check that the result is a fixed point."""
+    s = start
+    for _ in range(start.trunc.nz + 1):
+        s = step(s)
+    if not ps_is_zero(ps_sub(s, step(s))):
+        raise ArithmeticError("fixed-point iteration did not converge")
+    return s
+
+
 def solve_fixed_point(eq_id: str, trunc: Truncation, field: str = "rational") -> Series:
     """Solve one of the registered algebraic fixed-point equations by
-    plain iteration (nz+1 passes reach the truncation order; each pass
-    is checked nowhere -- the final residual is asserted instead).
+    plain iteration, checked once at the end.
 
     * "catalan":   C = 1 + z C^2
     * "ternary":   T = 1 + z T^3
     * "schroeder": St = z + St^2/(1-St), returned divided by z
     * "narayana":  N = 1/(1 - z N) - 1 + v   (bivariate in v, z)
     """
-    if eq_id == "catalan":
-        s = ps_one(trunc, field)
-        z = ps_monomial(trunc, (1, 0, 0, 0), [1], field)
-        for _ in range(trunc.nz + 1):
-            s = ps_add(ps_one(trunc, field), ps_mul(z, ps_mul(s, s)))
-        assert ps_is_zero(ps_sub(s, ps_add(ps_one(trunc, field), ps_mul(z, ps_mul(s, s)))))
-        return s
-    if eq_id == "ternary":
-        s = ps_one(trunc, field)
-        z = ps_monomial(trunc, (1, 0, 0, 0), [1], field)
-        for _ in range(trunc.nz + 1):
-            s = ps_add(ps_one(trunc, field), ps_mul(z, ps_mul(s, ps_mul(s, s))))
-        assert ps_is_zero(
-            ps_sub(s, ps_add(ps_one(trunc, field), ps_mul(z, ps_mul(s, ps_mul(s, s)))))
-        )
-        return s
     if eq_id == "schroeder":
         # solve for St(z) = z*S(z) one order higher, then divide by z
         t1 = Truncation(trunc.nz + 1, trunc.nx, trunc.ny, trunc.nv, trunc.u_range)
         z = ps_monomial(t1, (1, 0, 0, 0), [1], field)
-        st = ps_zero(t1, field)
-        for _ in range(t1.nz + 1):
-            st = ps_add(z, ps_mul(ps_mul(st, st), ps_inv(ps_sub(ps_one(t1, field), st))))
-        assert ps_is_zero(
-            ps_sub(
-                st,
-                ps_add(z, ps_mul(ps_mul(st, st), ps_inv(ps_sub(ps_one(t1, field), st)))),
-            )
+        one = ps_one(t1, field)
+        st = _iterate(
+            lambda s: ps_add(z, ps_mul(ps_mul(s, s), ps_inv(ps_sub(one, s)))),
+            ps_zero(t1, field),
         )
         return ps_retrunc(ps_shift(st, -1), trunc)
+    one = ps_one(trunc, field)
+    z = ps_monomial(trunc, (1, 0, 0, 0), [1], field)
+    if eq_id == "catalan":
+        return _iterate(lambda s: ps_add(one, ps_mul(z, ps_mul(s, s))), one)
+    if eq_id == "ternary":
+        return _iterate(lambda s: ps_add(one, ps_mul(z, ps_mul(s, ps_mul(s, s)))), one)
     if eq_id == "narayana":
         if trunc.nv < 1:
             raise ValueError("narayana needs a truncation with nv >= 1")
         v = ps_monomial(trunc, (0, 0, 1, 0), [1], field)
-        z = ps_monomial(trunc, (1, 0, 0, 0), [1], field)
-        one = ps_one(trunc, field)
-        s = v
-        for _ in range(trunc.nz + 1):
-            s = ps_add(ps_sub(ps_inv(ps_sub(one, ps_mul(z, s))), one), v)
-        assert ps_is_zero(
-            ps_sub(s, ps_add(ps_sub(ps_inv(ps_sub(one, ps_mul(z, s))), one), v))
+        return _iterate(
+            lambda s: ps_add(ps_sub(ps_inv(ps_sub(one, ps_mul(z, s))), one), v), v
         )
-        return s
     raise ValueError("no fixed-point equation registered under %r" % (eq_id,))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,19 +139,21 @@ def test_usage_errors(capsys):
     assert main(["average", "binary", "leaf-depth", "--n", "3"]) == 2
     assert main(["distribution", "plane", "leaf-depth", "--n", "3"]) == 2
     assert main(["convert", "binary-to-triangulation", "0-2", "--inverse"]) == 2
+    capsys.readouterr()
+    assert main(["expand", "B", "--trunc-z", "-1", "--trunc-x", "2",
+                 "--trunc-y", "2"]) == 2
+    assert "truncation bound nz" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
 
 
-def test_config_and_workers(capsys, tmp_path):
+def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"digits": 4}')
     code, out = run(capsys, "--config", str(cfg), "average", "binary",
                     "leaf-depth", "--n", "20", "--r", "0", "--decimal")
     assert (code, out) == (0, "2.727")
-    code, out = run(capsys, "--workers", "4", "count", "binary", "--n", "3")
-    assert (code, out) == (0, "5")
 
 
 def test_config_env(capsys, monkeypatch, tmp_path):
@@ -157,3 +163,17 @@ def test_config_env(capsys, monkeypatch, tmp_path):
     code, out = run(capsys, "average", "binary", "leaf-depth",
                     "--n", "20", "--r", "0", "--decimal")
     assert (code, out) == (0, "2.73")
+
+
+def test_same_output_under_optimize():
+    # python -O strips assert statements; no result may depend on them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["-m", "combstat", "limit", "binary", "leaf-depth", "--r", "0", "--dmax", "5"]
+    plain = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True,
+                               text=True, env=env)
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout

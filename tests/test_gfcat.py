@@ -17,6 +17,7 @@ from combstat.gfcat import (
 )
 from combstat.series import (
     Truncation,
+    ps_add,
     ps_coeff,
     ps_diff_y1,
     ps_inv,
@@ -96,6 +97,13 @@ def test_closed_equals_equation_solution(family):
 def test_functional_equation_residual_vanishes(family):
     t = TRUNCS[family]
     assert ps_is_zero(gf_residual(family, gf_closed(family, t)))
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_functional_equation_residual_sees_a_bump(family):
+    t = TRUNCS[family]
+    bumped = ps_add(gf_closed(family, t), ps_monomial(t, (1, 0, 0, 0), [1]))
+    assert not ps_is_zero(gf_residual(family, bumped))
 
 
 @pytest.mark.parametrize("family", ["B", "D", "U"])

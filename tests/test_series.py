@@ -21,6 +21,7 @@ from combstat.series import (
     ps_linear_solve,
     ps_monomial,
     ps_mul,
+    ps_ode_solve,
     ps_one,
     ps_retrunc,
     ps_shift,
@@ -50,6 +51,12 @@ def test_truncation_contains():
     assert not t.contains((0, 0, 2, 0))
     assert not t.contains((0, 0, 0, 3))
     assert t.grade_bound == 6
+    with pytest.raises(ValueError):
+        Truncation(-1, 2, 2)
+    with pytest.raises(ValueError):
+        Truncation(2, 2, 2, u_range=-1)
+    with pytest.raises(ValueError):
+        Truncation(2, 1.5, 2)
 
 
 def test_mul_and_mismatch():
@@ -155,6 +162,33 @@ def test_exp_log_roundtrip():
     t = Truncation(7, 0, 0)
     log = Series(t, cells={(k, 0, 0, 0): [Fraction(1, k)] for k in range(1, 8)})
     assert all(ps_coeff(ps_exp(log), k) == [1] for k in range(8))
+
+
+T_ODE = Truncation(6, 3, 4, nv=1, u_range=6)  # |du| <= dz: nothing clipped in u
+A_ODE = Series(T_ODE, cells={
+    (1, 0, 0, 0): [0, 1],
+    (1, 1, 0, -1): [2],
+    (2, 1, 1, 0): [Fraction(1, 3), 0, 1],
+    (3, 0, 0, 1): [-1],
+})
+
+
+def test_ode_solve_is_exp():
+    # E = exp(a) solves E' = E a' with E = 1 at z = 0
+    got = ps_ode_solve(ps_one(T_ODE), ps_zero(T_ODE), ps_diff_z(A_ODE))
+    assert got == ps_exp(A_ODE)
+
+
+def test_ode_solve_without_m_integrates():
+    init = Series(T_ODE, cells={(0, 0, 0, 0): [1, 2], (0, 2, 1, -1): [3]})
+    drive = ps_add(A_ODE, Series(T_ODE, cells={(0, 1, 0, 0): [5], (6, 0, 0, 0): [7]}))
+    got = ps_ode_solve(init, drive, ps_zero(T_ODE))
+    assert got == ps_add(init, ps_integrate_z(drive))
+
+
+def test_ode_solve_rejects_z_in_init():
+    with pytest.raises(ValueError):
+        ps_ode_solve(A_ODE, ps_zero(T_ODE), ps_zero(T_ODE))
 
 
 def test_diff_integrate_z():
