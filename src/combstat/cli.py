@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -21,85 +20,8 @@ from . import closed, gfcat, maps, objects
 from .exact import Quad2, render_decimal, render_scalar
 from .series import Truncation, ps_is_zero, ps_to_json
 
-# (family, statistic) -> closed-form average id
-FORMULAS = {pair: fid for fid, pair in closed.AVG_IDS.items()}
-
-UNIFORM_IDS = {
-    ("binary", "leaf-depth"): "binary-leaf",
-    ("dyck", "vertex-height"): "dyck-area",
-    ("dyck", "upstep-height"): "dyck-upstep",
-    ("noncrossing", "node-depth"): "noncrossing-node",
-    ("increasing", "leaf-depth"): "increasing-leaf",
-}
-
-CLOSED_COUNTS = {
-    "binary": closed.catalan_number,
-    "plane": closed.catalan_number,
-    "dyck": closed.catalan_number,
-    "triangulation": closed.catalan_number,
-    "schroeder": lambda n: closed.little_schroeder(n - 1),
-    "dissection": closed.little_schroeder,
-    "noncrossing": closed.ternary_count,
-    "increasing": math.factorial,
-}
-
-
 class UsageError(Exception):
     pass
-
-
-def _positions(family, statistic, n, k=None):
-    """Valid r values for one statistic at size n."""
-    key = (family, statistic)
-    if key == ("plane", "leaf-depth"):
-        if k is None:
-            raise UsageError("plane leaf-depth needs --k")
-        return range(k)
-    if key == ("dyck", "vertex-height"):
-        return range(2 * n + 1)
-    if key in (("dyck", "upstep-height"), ("dyck", "downstep-height")):
-        return range(1, n + 1)
-    if key in (("schroeder", "leaf-depth"), ("increasing", "internal-depth")):
-        return range(n)
-    if key in objects._STATISTICS:
-        return range(n + 1)
-    raise UsageError("no statistic %r on family %r" % (statistic, family))
-
-
-def _encode(family, obj) -> str:
-    if family == "binary":
-        return objects.binary_to_text(obj)
-    if family in ("plane", "schroeder"):
-        return objects.plane_to_text(obj)
-    if family == "dyck":
-        return obj
-    if family in ("triangulation", "dissection"):
-        return objects.pairs_to_text(obj.diagonals)
-    if family == "noncrossing":
-        return objects.pairs_to_text(obj)
-    if family == "increasing":
-        return objects.permutation_to_text(objects.increasing_to_perm(obj))
-    if family == "permutation":
-        return objects.permutation_to_text(obj)
-    raise UsageError("unknown family %r" % (family,))
-
-
-def _decode(family, text, n=None):
-    if family == "binary":
-        return objects.binary_from_text(text)
-    if family in ("plane", "schroeder"):
-        return objects.plane_from_text(text)
-    if family == "dyck":
-        return objects.dyck_from_text(text)
-    if family in ("triangulation", "dissection"):
-        if n is None:
-            raise UsageError("parsing a %s needs --n (the polygon has n+2 sides)" % family)
-        return objects.subdivision_from_text(text, n, family)
-    if family == "increasing":
-        return objects.perm_to_increasing(objects.permutation_from_text(text))
-    if family == "permutation":
-        return objects.permutation_from_text(text)
-    raise UsageError("unknown family %r" % (family,))
 
 
 def _scalar_str(value, decimal=False, digits=10):
@@ -124,9 +46,7 @@ def _load_config(path):
 
 def cmd_count(args, cfg, out):
     fam = args.family
-    if fam not in CLOSED_COUNTS:
-        raise UsageError("unknown family %r" % (fam,))
-    want = CLOSED_COUNTS[fam](args.n)
+    want = closed.family_count(fam, args.n)
     if args.source in ("enum", "both"):
         budget = cfg.get("budgets", {}).get(fam, args.budget)
         got = objects.count_family(fam, args.n, budget=budget)
@@ -141,38 +61,28 @@ def cmd_count(args, cfg, out):
 def cmd_enumerate(args, cfg, out):
     budget = cfg.get("budgets", {}).get(args.family, args.budget)
     for obj in objects.enumerate_family(args.family, args.n, budget=budget):
-        print(_encode(args.family, obj), file=out)
+        print(objects.FAMILIES[args.family].to_text(obj), file=out)
     return 0
 
 
-def _one_distribution(args, cfg, n, r):
-    """(counts, total) from the requested source; raises on mismatch."""
-    budget = cfg.get("budgets", {}).get(args.family, args.budget)
-    if args.source in ("enum", "both"):
-        enum = objects.distribution(
-            args.family, args.statistic, n, r, k=args.k, budget=budget
-        )
-    if args.source in ("gf", "both"):
-        gf = gfcat.distribution_via_gf(args.family, args.statistic, n, r, k=args.k)
-    if args.source == "enum":
-        return enum, None
-    if args.source == "gf":
-        return gf, None
-    agree = dict(enum[0]) == dict(gf[0]) and enum[1] == gf[1]
-    return enum, agree
-
-
 def cmd_distribution(args, cfg, out):
+    family, statistic, n, k = args.family, args.statistic, args.n, args.k
     rs = [args.r] if args.r is not None else list(
-        _positions(args.family, args.statistic, args.n, args.k)
-    )
+        objects.positions(family, statistic, n, k))
+    budget = cfg.get("budgets", {}).get(family, args.budget)
+    if args.source in ("enum", "both"):
+        enum = objects.distribution_columns(family, statistic, n, rs, k, budget)
+    if args.source in ("gf", "both"):
+        gf = gfcat.columns_via_gf(family, statistic, n, rs, k)
+    served = gf if args.source == "gf" else enum
     columns = []
-    status = 0
     for r in rs:
-        (counts, total), agree = _one_distribution(args, cfg, args.n, r)
+        counts, total = served[r]
+        agree = None
+        if args.source == "both":
+            agree = dict(counts) == dict(gf[r][0]) and total == gf[r][1]
         columns.append((r, counts, total, agree))
-        if agree is False:
-            status = 1
+    status = 1 if any(col[3] is False for col in columns) else 0
 
     fmt = args.format or cfg.get("format", "text")
     if fmt == "json":
@@ -216,21 +126,24 @@ def cmd_distribution(args, cfg, out):
 def cmd_average(args, cfg, out):
     digits = cfg.get("digits", 10)
     pair = (args.family, args.statistic)
+    st = objects.statistic_entry(*pair)
+    if args.k is not None and st.leaf_counts is None:
+        raise UsageError("%s %s takes no --k" % pair)
     if args.uniform:
-        if pair not in UNIFORM_IDS:
+        if st.uniform_id is None:
             raise UsageError("no uniform average for %s %s" % pair)
         if args.n is None:
             raise UsageError("--uniform needs --n")
-        value = closed.uniform_average(UNIFORM_IDS[pair], args.n)
+        value = closed.uniform_average(st.uniform_id, args.n)
         print(_scalar_str(value, args.decimal, digits), file=out)
         return 0
 
     if args.method == "asymptotic-fixed-r":
-        if pair not in FORMULAS:
+        if st.avg_id is None:
             raise UsageError("no fixed-r limit for %s %s" % pair)
         if args.r is None:
             raise UsageError("--r is required")
-        value = closed.fixed_r_limit_average(FORMULAS[pair], args.r)
+        value = closed.fixed_r_limit_average(st.avg_id, args.r)
         print(_scalar_str(value, args.decimal, digits), file=out)
         return 0
 
@@ -238,9 +151,9 @@ def cmd_average(args, cfg, out):
         raise UsageError("--n and --r are required for --method %s" % args.method)
 
     if args.method == "asymptotic":
-        if pair not in FORMULAS:
+        if st.avg_id is None:
             raise UsageError("no asymptotic form for %s %s" % pair)
-        print("%.*g" % (digits, closed.asymptotic_average(FORMULAS[pair], args.n, args.r)),
+        print("%.*g" % (digits, closed.asymptotic_average(st.avg_id, args.n, args.r)),
               file=out)
         return 0
 
@@ -248,12 +161,12 @@ def cmd_average(args, cfg, out):
         budget = cfg.get("budgets", {}).get(args.family, args.budget)
         value = objects.average(args.family, args.statistic, args.n, args.r,
                                 k=args.k, budget=budget)
-    elif pair == ("plane", "leaf-depth"):
+    elif st.leaf_counts is not None:
         if args.k is None:
-            raise UsageError("plane leaf-depth needs --k")
+            raise UsageError("%s %s needs --k" % pair)
         value = closed.plane_leaf_average(args.n, args.k, args.r)
-    elif pair in FORMULAS:
-        value = closed.exact_average(FORMULAS[pair], args.n, args.r)
+    elif st.avg_id is not None:
+        value = closed.exact_average(st.avg_id, args.n, args.r)
     else:
         raise UsageError("no closed form for %s %s; use --method exact" % pair)
     print(_scalar_str(value, args.decimal, digits), file=out)
@@ -263,9 +176,9 @@ def cmd_average(args, cfg, out):
 def cmd_limit(args, cfg, out):
     digits = cfg.get("digits", 10)
     pair = (args.family, args.statistic)
-    if pair not in FORMULAS:
+    fid = objects.statistic_entry(*pair).avg_id
+    if fid is None:
         raise UsageError("no limit law for %s %s" % pair)
-    fid = FORMULAS[pair]
 
     if args.mean:
         rmax = args.rmax if args.rmax is not None else 7
@@ -315,9 +228,8 @@ def cmd_convert(args, cfg, out):
     src, dst, fwd, inv = maps.BIJECTIONS[args.map]
     if args.inverse:
         src, dst, fwd = dst, src, inv
-    obj = _decode(src, args.text, n=args.n)
-    image = fwd(obj)
-    print(_encode(dst, image), file=out)
+    obj = objects.FAMILIES[src].from_text(args.text, args.n)
+    print(objects.FAMILIES[dst].to_text(fwd(obj)), file=out)
     return 0
 
 
@@ -375,10 +287,10 @@ def _suite_identities(max_n):
         family, statistic = closed.AVG_IDS[fid]
         bad = None
         for n in range(1, n_cap + 1):
-            for r in _positions(family, statistic, n):
+            for r in objects.positions(family, statistic, n):
                 try:
                     closed.exact_average(fid, n, r)
-                except AssertionError:
+                except closed.ClosedFormMismatch:
                     bad = {"n": n, "r": r}
                     break
             if bad:
@@ -450,7 +362,7 @@ def _suite_bijections(max_n):
     rows = []
     for name in sorted(maps.BIJECTIONS):
         src, dst, fwd, inv = maps.BIJECTIONS[name]
-        lo = 1 if src == "schroeder" else 0
+        lo = objects.FAMILIES[src].min_n
         cap = min(max_n, objects.BUDGETS.get(src, max_n))
         for n in range(lo, cap + 1):
             seen = set()
@@ -458,9 +370,9 @@ def _suite_bijections(max_n):
             for obj in objects.enumerate_family(src, n, budget=cap):
                 image = fwd(obj)
                 if inv(image) != obj:
-                    bad = {"object": _encode(src, obj)}
+                    bad = {"object": objects.FAMILIES[src].to_text(obj)}
                     break
-                seen.add(_encode(dst, image))
+                seen.add(objects.FAMILIES[dst].to_text(image))
             count = objects.count_family(src, n, budget=cap)
             if bad is None and len(seen) != count:
                 bad = {"distinct_images": len(seen), "objects": count}
@@ -503,7 +415,7 @@ def _transport_check(name, src, fwd, lo, cap):
             else:
                 return None
             if want != got:
-                return {"n": n, "object": _encode(src, obj),
+                return {"n": n, "object": objects.FAMILIES[src].to_text(obj),
                         "want": want, "got": got}
     return None
 
@@ -526,26 +438,17 @@ def _suite_gf(max_n):
         ok = s == gfcat.gf_solve(fam, tt)
         rows.append(_row("gf-closed-vs-solve", fam, 8, "PASS" if ok else "FAIL"))
 
+    # every column of each pair at one size, from both routes; the
+    # families that enumerate slowest stop at size 5
     n = min(max_n, 6)
-    spots = [
-        ("binary", "leaf-depth", n, 2, None),
-        ("binary", "leaf-abscissa", n, 1, None),
-        ("plane", "leaf-depth", n, 1, 3),
-        ("plane", "node-depth", n, 2, None),
-        ("schroeder", "leaf-depth", n, 1, None),
-        ("dyck", "vertex-height", n, 3, None),
-        ("dyck", "upstep-height", n, 2, None),
-        ("dyck", "downstep-height", n, 2, None),
-        ("noncrossing", "node-depth", min(n, 5), 2, None),
-        ("increasing", "leaf-depth", min(n, 5), 2, None),
-        ("increasing", "internal-depth", min(n, 5), 2, None),
-        ("triangulation", "separating-diagonals", n, 2, None),
-        ("dissection", "separating-diagonals", min(n, 5), 2, None),
-    ]
-    for family, statistic, nn, r, k in spots:
-        got = gfcat.distribution_via_gf(family, statistic, nn, r, k=k)
-        want = objects.distribution(family, statistic, nn, r, k=k)
-        ok = dict(got[0]) == dict(want[0]) and got[1] == want[1]
+    for (family, statistic), st in objects.STATISTICS.items():
+        nn = min(n, 5) if family in ("noncrossing", "increasing", "dissection") else n
+        k = 3 if st.leaf_counts else None
+        rs = objects.positions(family, statistic, nn, k)
+        got = gfcat.columns_via_gf(family, statistic, nn, rs, k)
+        want = objects.distribution_columns(family, statistic, nn, rs, k)
+        ok = all(dict(got[r][0]) == dict(want[r][0]) and got[r][1] == want[r][1]
+                 for r in rs)
         rows.append(_row("gf-vs-enumeration", "%s/%s" % (family, statistic), nn,
                          "PASS" if ok else "FAIL"))
     return rows

@@ -5,8 +5,8 @@ except the explicitly-named asymptotic helpers, which return floats.
 
 Most totals are implemented in every printed shape (a min-kernel
 convolution, a partial-sum form, a subtracted form, a binomial form);
-the public function computes all of them and insists they agree, so a
-formula typo cannot slip through silently.
+the public function computes all of them and raises ClosedFormMismatch
+unless they agree, so a formula typo cannot slip through silently.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import objects
 from .exact import (
     Quad2,
     RHO,
@@ -64,6 +65,8 @@ _SCHROEDER = [1, 1]
 
 def little_schroeder(n: int) -> int:
     """1, 1, 3, 11, 45, ...: series-parallel counts (s_n)."""
+    if n < 0:
+        raise ValueError("little Schroeder number s_%d is undefined" % n)
     while len(_SCHROEDER) <= n:
         m = len(_SCHROEDER)
         val = (3 * (2 * m - 1) * _SCHROEDER[m - 1] - (m - 2) * _SCHROEDER[m - 2]) // (m + 1)
@@ -85,23 +88,43 @@ def harmonic(n: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 
 
-AVG_IDS = {
-    "binary-leaf": ("binary", "leaf-depth"),
-    "binary-abscissa": ("binary", "leaf-abscissa"),
-    "dyck-vertex": ("dyck", "vertex-height"),
-    "dyck-upstep": ("dyck", "upstep-height"),
-    "dyck-downstep": ("dyck", "downstep-height"),
-    "schroeder-leaf": ("schroeder", "leaf-depth"),
-    "noncrossing-node": ("noncrossing", "node-depth"),
-    "increasing-leaf": ("increasing", "leaf-depth"),
-    "increasing-internal": ("increasing", "internal-depth"),
+_COUNTS = {
+    "binary": catalan_number,
+    "plane": catalan_number,
+    "dyck": catalan_number,
+    "triangulation": catalan_number,
+    "schroeder": lambda n: little_schroeder(n - 1),
+    "dissection": little_schroeder,
+    "noncrossing": ternary_count,
+    "increasing": math.factorial,
 }
+
+
+def family_count(family: str, n: int) -> int:
+    """The number of objects of size n in the family."""
+    if family not in _COUNTS:
+        raise ValueError("unknown family %r" % (family,))
+    objects.check_size(family, n)
+    return _COUNTS[family](n)
+
+
+# average id -> (family, statistic)
+AVG_IDS = {st.avg_id: pair for pair, st in objects.STATISTICS.items() if st.avg_id}
+
+
+class ClosedFormMismatch(ArithmeticError):
+    """Two printed forms of one closed form gave different values."""
+
+
+def _agree(*forms):
+    if any(f != forms[0] for f in forms[1:]):
+        raise ClosedFormMismatch("closed forms disagree: %s" % (forms,))
 
 
 def _as_int(x) -> int:
     if isinstance(x, Fraction):
         if x.denominator != 1:
-            raise AssertionError("expected an integer, got %s" % x)
+            raise ClosedFormMismatch("expected an integer, got %s" % x)
         return x.numerator
     return x
 
@@ -109,6 +132,11 @@ def _as_int(x) -> int:
 def _check_formula(formula_id):
     if formula_id not in AVG_IDS:
         raise ValueError("unknown average id %r" % (formula_id,))
+
+
+def _check_position(formula_id, n, r):
+    _check_formula(formula_id)
+    objects.check_positions(*AVG_IDS[formula_id], n, [r])
 
 
 # ------------------------------------------------------------ exact totals
@@ -134,7 +162,7 @@ def _total_binary_leaf(n, r):
         * math.comb(2 * r, r)
         * math.comb(2 * (n - r), n - r)
     )
-    assert mins == partial == subtracted == binom
+    _agree(mins, partial, subtracted, binom)
     return mins
 
 
@@ -154,7 +182,7 @@ def _total_dyck_vertex(n, r):
         (r - 2 * i - 1) * c(i) * c(n - i - 1) for i in range(h)
     )
     if n == 0:
-        assert mins == partial == subtracted == 0
+        _agree(mins, partial, subtracted, 0)
         return 0
     delta = n if r % 2 == 0 else 2 * n + 1
     binom = -c(n) + _as_int(
@@ -162,7 +190,7 @@ def _total_dyck_vertex(n, r):
         * math.comb(r, r // 2)
         * math.comb(2 * n - r, n - r // 2)
     )
-    assert mins == partial == subtracted == binom
+    _agree(mins, partial, subtracted, binom)
     return mins
 
 
@@ -176,9 +204,9 @@ def _total_dyck_upstep(n, r):
         * math.comb(2 * r, r)
         * math.comb(2 * (n - r), n - r)
     )
-    assert primary == binom
+    _agree(primary, binom)
     # height sums of up-steps and leaves are tied together linearly
-    assert 2 * primary - _total_binary_leaf(n, r) == (4 * r + 1) * c(n) - (r + 1) * c(n + 1)
+    _agree(2 * primary - _total_binary_leaf(n, r), (4 * r + 1) * c(n) - (r + 1) * c(n + 1))
     return primary
 
 
@@ -206,7 +234,7 @@ def _total_noncrossing_node(n, r):
     small = rr * (tp(n) - ternary_count(n)) - 2 * sum(
         (rr - i) * tp(i - 1) * tp(n - i) for i in range(1, rr)
     )
-    assert mins == partial == small
+    _agree(mins, partial, small)
     return mins
 
 
@@ -228,8 +256,7 @@ def exact_total(formula_id: str, n: int, r: int):
     For "schroeder-leaf" n is the number of leaves (size n means n-1 in
     the z-grading, matching the enumerator); elsewhere n is the usual
     size.  Abscissa totals may be negative."""
-    _check_formula(formula_id)
-    _check_range(formula_id, n, r)
+    _check_position(formula_id, n, r)
 
     if formula_id == "binary-leaf":
         return _total_binary_leaf(n, r)
@@ -254,50 +281,15 @@ def exact_total(formula_id: str, n: int, r: int):
     raise AssertionError  # pragma: no cover
 
 
-def family_count(formula_id: str, n: int) -> int:
-    if formula_id in ("binary-leaf", "binary-abscissa", "dyck-vertex",
-                      "dyck-upstep", "dyck-downstep"):
-        return catalan_number(n)
-    if formula_id == "schroeder-leaf":
-        return little_schroeder(n - 1)
-    if formula_id == "noncrossing-node":
-        return ternary_count(n)
-    if formula_id in ("increasing-leaf", "increasing-internal"):
-        return math.factorial(n)
-    raise ValueError("unknown average id %r" % (formula_id,))
-
-
-def _check_range(formula_id, n, r):
-    ok = True
-    if formula_id in ("binary-leaf", "binary-abscissa", "increasing-leaf"):
-        ok = 0 <= r <= n
-    elif formula_id == "dyck-vertex":
-        ok = 0 <= r <= 2 * n
-    elif formula_id in ("dyck-upstep", "dyck-downstep"):
-        ok = 1 <= r <= n
-    elif formula_id == "schroeder-leaf":
-        ok = n >= 1 and 0 <= r <= n - 1
-    elif formula_id == "noncrossing-node":
-        ok = 0 <= r <= n
-    elif formula_id == "increasing-internal":
-        ok = 0 <= r <= n - 1
-    if not ok:
-        raise ValueError(
-            "position r=%d out of range for %s at n=%d" % (r, formula_id, n)
-        )
-
-
 def exact_average(formula_id: str, n: int, r: int) -> Fraction:
     """Average of the statistic at position r, size n, as a Fraction."""
-    _check_formula(formula_id)
+    _check_position(formula_id, n, r)
     if formula_id == "increasing-leaf":
-        _check_range(formula_id, n, r)
         return harmonic(r) + harmonic(n - r)
     if formula_id == "increasing-internal":
-        _check_range(formula_id, n, r)
         return harmonic(r + 1) + harmonic(n - r) - 2
     total = exact_total(formula_id, n, r)
-    avg = Fraction(total, family_count(formula_id, n))
+    avg = Fraction(total, family_count(AVG_IDS[formula_id][0], n))
     if formula_id == "binary-leaf":
         direct = (
             Fraction(2 * (2 * r + 1) * (2 * (n - r) + 1), n + 2)
@@ -306,9 +298,9 @@ def exact_average(formula_id: str, n: int, r: int) -> Fraction:
             / math.comb(2 * n, n)
             - 1
         )
-        assert avg == direct
+        _agree(avg, direct)
         if r == 0:
-            assert avg == Fraction(3 * n, n + 2)
+            _agree(avg, Fraction(3 * n, n + 2))
     elif formula_id == "dyck-vertex" and n > 0:
         delta = n if r % 2 == 0 else 2 * n + 1
         direct = (
@@ -318,7 +310,7 @@ def exact_average(formula_id: str, n: int, r: int) -> Fraction:
             / math.comb(2 * n, n)
             - 1
         )
-        assert avg == direct
+        _agree(avg, direct)
     elif formula_id == "dyck-upstep":
         direct = (
             Fraction((2 * r + 1) * (2 * (n - r) + 1), n + 2)
@@ -328,9 +320,9 @@ def exact_average(formula_id: str, n: int, r: int) -> Fraction:
             + Fraction(3 * (r + 1), n + 2)
             - 2
         )
-        assert avg == direct
+        _agree(avg, direct)
         if r == n:
-            assert avg == Fraction(3 * n, n + 2)
+            _agree(avg, Fraction(3 * n, n + 2))
     elif formula_id == "schroeder-leaf":
         m = n - 1
         s = little_schroeder
@@ -339,7 +331,7 @@ def exact_average(formula_id: str, n: int, r: int) -> Fraction:
             + Fraction(r - 1, 2)
             - Fraction(2, s(m)) * sum((r - i) * s(i) * s(m - i) for i in range(r))
         )
-        assert avg == direct
+        _agree(avg, direct)
     return avg
 
 
@@ -414,7 +406,7 @@ def fixed_r_limit_average(formula_id: str, r: int):
         )
         if r >= 1:
             form2 = form2 + RHO ** (r + 1) * Fraction(math.comb(r, 2), 2) * sch(r - 1)
-        assert form1 == form2
+        _agree(form1, form2)
         return form1
     if formula_id == "noncrossing-node":
         return Fraction(2 * r) - 6 * sum(
@@ -671,8 +663,7 @@ def limit_mean_series(formula_id: str, rmax: int) -> Series:
 
 def asymptotic_average(formula_id: str, n: int, r: int) -> float:
     """Growing-r regime: the average for r ~ alpha * n, as a float."""
-    _check_formula(formula_id)
-    _check_range(formula_id, n, r)
+    _check_position(formula_id, n, r)
     pi = math.pi
     if formula_id == "binary-leaf":
         return 8 / math.sqrt(pi) * math.sqrt(r * (1 - r / n))

@@ -28,6 +28,7 @@ import functools
 import math
 from fractions import Fraction
 
+from . import closed, objects
 from .exact import yp_eval1
 from .series import (
     Series,
@@ -58,9 +59,15 @@ FAMILY_IDS = ("B", "Babs", "D", "U", "P", "A", "G", "I", "J")
 Y = [0, 1]  # the ypoly "y"
 
 
-def _check_family(family):
+def _check(family, t):
     if family not in FAMILY_IDS:
         raise ValueError("unknown generating-function family %r" % (family,))
+    if family == "P" and t.nv < 1:
+        raise ValueError("P needs a truncation with nv >= 1")
+    # every z-step moves u by at most one, so u_range >= nz keeps each
+    # u-cell a product could carry back into the box
+    if family == "Babs" and t.u_range < max(t.nz, 1):
+        raise ValueError("Babs needs a truncation with u_range >= max(nz, 1)")
 
 
 # ------------------------------------------------------- base builders
@@ -147,7 +154,7 @@ def gf_closed(family: str, trunc: Truncation, alt: bool = False) -> Series:
     (B via the Catalan kernel, D in its manifestly symmetric shape, U
     with the pooled denominator); the pair must agree coefficientwise.
     """
-    _check_family(family)
+    _check(family, trunc)
     t = trunc
     one = ps_one(t)
 
@@ -168,8 +175,6 @@ def gf_closed(family: str, trunc: Truncation, alt: bool = False) -> Series:
         return ps_mul_ypoly(ps_inv(den, y_unit=True), [2])
 
     if family == "Babs":
-        if t.u_range < 1:
-            raise ValueError("Babs needs a truncation with u_range >= 1")
         c = _catalan(t)
         cx = _sub_x(c, 1)
         m = ps_add(
@@ -207,8 +212,6 @@ def gf_closed(family: str, trunc: Truncation, alt: bool = False) -> Series:
         return ps_mul(ps_mul(xyz_c2, cx), ps_inv(den))
 
     if family == "P":
-        if t.nv < 1:
-            raise ValueError("P needs a truncation with nv >= 1")
         nar = _narayana_v(t)
         narx = ps_subst_scale(nar, t, {"v": (1, (0, 1, 1, 0))})
         r2 = ps_add(ps_sub(nar, _v(t)), one)
@@ -254,7 +257,7 @@ def _system(family: str, t: Truncation):
     With init None the equation is S = a0 + S*m; otherwise it is
     dS/dz = a0 + S*m with S = init at z = 0.  The residual multiplies S
     through the factors in order, so a sparse factor goes first."""
-    _check_family(family)
+    _check(family, t)
     one = ps_one(t)
 
     if family == "B":
@@ -292,8 +295,6 @@ def _system(family: str, t: Truncation):
         return a0, (m,), None
 
     if family == "P":
-        if t.nv < 1:
-            raise ValueError("P needs a truncation with nv >= 1")
         nar = _narayana_v(t)
         narx = ps_subst_scale(nar, t, {"v": (1, (0, 1, 1, 0))})
         zmono = ps_monomial(t, (1, 0, 0, 0), [1])
@@ -389,7 +390,7 @@ def gf_dy1_closed(family: str, trunc: Truncation) -> Series:
     """d/dy at y = 1 of the family's series, by its product identity
     (families with one; J has no product form -- differentiate the
     series itself instead)."""
-    _check_family(family)
+    _check(family, trunc)
     t = trunc
     one = ps_one(t)
 
@@ -456,120 +457,40 @@ def egf_cell_counts(s: Series, dz: int, dx: int):
 
 # ---------------------------------------- per-statistic distributions
 
+def columns_via_gf(family, statistic, n, rs, k=None):
+    """Distributions at every requested position r for size n, read off
+    the generating function: {r: (dict value -> count, total)}.  The
+    series is built once, in the box of the largest x-degree read, and
+    every column is cut out of it.  Mirrors objects.distribution_columns.
+    """
+    objects.check_positions(family, statistic, n, rs, k)
+    st = objects.statistic_entry(family, statistic)
+    xs = {r: n + 1 - r if st.reversed else r for r in rs if not (st.root and r == 0)}
+    if xs:
+        s = gf_closed(st.gf, Truncation(*st.box(n, max(xs.values()), k)))
+    out = {}
+    for r in rs:
+        if r in xs:
+            out[r] = _cell_counts(st, s, (n + st.z_offset, xs[r], k or 0))
+        else:
+            total = closed.family_count(family, n)
+            out[r] = {0: total}, total
+    return out
+
+
+def _cell_counts(st, s, key):
+    """One cell of the series as counts by value (see objects.Statistic)."""
+    if st.cell == "u":
+        u = s.trunc.u_range
+        counts = {du: yp_eval1(ps_coeff(s, *key, du)) for du in range(-u, u + 1)}
+    else:
+        p = egf_cell_counts(s, *key[:2]) if st.cell == "egf" else ps_coeff(s, *key)
+        counts = {max(d - st.shift, 0): c for d, c in enumerate(p)}
+    counts = {d: c for d, c in counts.items() if c}
+    return counts, sum(counts.values())
+
+
 def distribution_via_gf(family, statistic, n, r, k=None):
     """Distribution of the statistic at position r for size n, read off
-    the generating functions: a (dict value -> count, total) pair.
-    Mirrors objects.distribution exactly."""
-    key = (family, statistic)
-
-    # several closed forms write bare z (or v*x) monomials, so their
-    # truncations are clamped to nz >= 1 / nx >= 1 even for tiny n, r
-    if key == ("binary", "leaf-depth"):
-        if not 0 <= r <= n:
-            raise ValueError("leaf position r=%d out of range" % r)
-        t = Truncation(max(n, 1), r, n)
-        cell = ps_coeff(gf_closed("B", t), n, r)
-        return _ypoly_counts(cell)
-
-    if key == ("binary", "leaf-abscissa"):
-        if not 0 <= r <= n:
-            raise ValueError("leaf position r=%d out of range" % r)
-        t = Truncation(max(n, 1), max(r, 1), n, u_range=max(n, 1))
-        b = gf_closed("Babs", t)
-        counts = {}
-        for du in range(-t.u_range, t.u_range + 1):
-            tot = yp_eval1(ps_coeff(b, n, r, 0, du))
-            if tot:
-                counts[du] = tot
-        return counts, sum(counts.values())
-
-    if key == ("plane", "leaf-depth"):
-        if k is None:
-            raise ValueError("plane leaf-depth needs the leaf count k")
-        if not (1 <= k <= n + 1 and 0 <= r < k):
-            raise ValueError("no plane tree of size %d with k=%d, r=%d" % (n, k, r))
-        t = Truncation(max(n, 1), max(r, 1), n, nv=k)
-        cell = ps_coeff(gf_closed("P", t), n, r, k)
-        return _ypoly_counts(cell)
-
-    if key == ("plane", "node-depth"):
-        if r == 0:
-            total = math.comb(2 * n, n) // (n + 1)
-            return {0: total}, total
-        if not 1 <= r <= n:
-            raise ValueError("preorder position r=%d out of range" % r)
-        t = Truncation(n, r, n)
-        cell = ps_coeff(gf_closed("U", t), n, r)
-        return _ypoly_counts(cell)
-
-    if key == ("schroeder", "leaf-depth"):
-        if not 0 <= r <= n - 1:
-            raise ValueError("leaf position r=%d out of range" % r)
-        t = Truncation(n - 1, r, max(n - 1, 0))
-        cell = ps_coeff(gf_closed("A", t), n - 1, r)
-        return _ypoly_counts(cell)
-
-    if key == ("dyck", "vertex-height"):
-        if not 0 <= r <= 2 * n:
-            raise ValueError("vertex r=%d out of range" % r)
-        # the walk system couples x and x^2 columns, so nx >= 2
-        t = Truncation(max(n, 1), max(r, 2), n)
-        cell = ps_coeff(gf_closed("D", t), n, r)
-        return _ypoly_counts(cell)
-
-    if key == ("dyck", "upstep-height"):
-        if not 1 <= r <= n:
-            raise ValueError("up-step r=%d out of range" % r)
-        t = Truncation(n, r, n)
-        cell = ps_coeff(gf_closed("U", t), n, r)
-        return _ypoly_counts(cell)
-
-    if key == ("dyck", "downstep-height"):
-        # reversal pairs the r-th down-step with up-step n+1-r
-        if not 1 <= r <= n:
-            raise ValueError("down-step r=%d out of range" % r)
-        return distribution_via_gf("dyck", "upstep-height", n, n + 1 - r)
-
-    if key == ("noncrossing", "node-depth"):
-        if not 0 <= r <= n:
-            raise ValueError("vertex r=%d out of range" % r)
-        t = Truncation(max(n, 1), max(r, 1), n)
-        cell = ps_coeff(gf_closed("G", t), n, r)
-        return _ypoly_counts(cell)
-
-    if key == ("increasing", "leaf-depth"):
-        if not 0 <= r <= n:
-            raise ValueError("leaf position r=%d out of range" % r)
-        t = Truncation(n, r, n)
-        cell = egf_cell_counts(gf_closed("I", t), n, r)
-        return _ypoly_counts(cell)
-
-    if key == ("increasing", "internal-depth"):
-        if not 0 <= r <= n - 1:
-            raise ValueError("inorder position r=%d out of range" % r)
-        t = Truncation(n, r, max(n - 1, 0))
-        cell = egf_cell_counts(gf_closed("J", t), n, r)
-        return _ypoly_counts(cell)
-
-    if key == ("triangulation", "separating-diagonals"):
-        if n == 0:  # the 2-gon: no diagonals at all
-            if r != 0:
-                raise ValueError("side r=%d out of range" % r)
-            return {0: 1}, 1
-        counts, total = distribution_via_gf("binary", "leaf-depth", n, r)
-        return {d - 1: c for d, c in counts.items()}, total
-
-    if key == ("dissection", "separating-diagonals"):
-        if n == 0:
-            if r != 0:
-                raise ValueError("side r=%d out of range" % r)
-            return {0: 1}, 1
-        counts, total = distribution_via_gf("schroeder", "leaf-depth", n + 1, r)
-        return {d - 1: c for d, c in counts.items()}, total
-
-    raise ValueError("no generating function for %s/%s" % (family, statistic))
-
-
-def _ypoly_counts(p):
-    counts = {d: c for d, c in enumerate(p) if c}
-    return counts, sum(counts.values())
+    the generating functions: a (dict value -> count, total) pair."""
+    return columns_via_gf(family, statistic, n, [r], k)[r]

@@ -6,6 +6,11 @@ statistics off them by walking the object.  It is the ground truth that
 the generating-function machinery elsewhere is checked against, so it
 shares no code with that machinery.
 
+It also holds the registry every other module reads: ``FAMILIES`` (the
+smallest size and the text codec of each family) and ``STATISTICS`` (one
+entry per (family, statistic) pair).  What a registry entry says about
+generating functions is plain data, which gfcat interprets.
+
 Representations:
 
 * binary tree       -- ``None`` for a leaf, ``(left, right)`` otherwise;
@@ -30,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 # default caps on exhaustive enumeration, keyed by family; the schroeder
 # entry is a leaf count, everything else the usual size parameter
@@ -43,10 +49,6 @@ BUDGETS = {
     "triangulation": 11,
     "dissection": 9,
 }
-
-# statistics whose position index r is 1-based (r-th step of the walk)
-ONE_BASED = {"upstep-height", "downstep-height"}
-
 
 @dataclass(frozen=True)
 class PolygonSubdivision:
@@ -253,8 +255,7 @@ _ENUMERATORS = {
 def enumerate_family(family: str, n: int, budget=None):
     if family not in _ENUMERATORS:
         raise ValueError("unknown family %r" % (family,))
-    if n < 0 or (family == "schroeder" and n < 1):
-        raise ValueError("size %d out of range for %s" % (n, family))
+    check_size(family, n)
     cap = BUDGETS[family] if budget is None else budget
     if n > cap:
         raise ValueError(
@@ -424,58 +425,34 @@ def separating_diagonal_counts(sub: PolygonSubdivision):
     ]
 
 
-_STATISTICS = {
-    ("binary", "leaf-depth"): binary_leaf_depths,
-    ("binary", "leaf-abscissa"): binary_leaf_abscissas,
-    ("plane", "leaf-depth"): plane_leaf_depths,
-    ("plane", "node-depth"): plane_node_depths_preorder,
-    ("schroeder", "leaf-depth"): plane_leaf_depths,
-    ("dyck", "vertex-height"): dyck_vertex_heights,
-    ("dyck", "upstep-height"): dyck_upstep_heights,
-    ("dyck", "downstep-height"): dyck_downstep_heights,
-    ("noncrossing", "node-depth"): noncrossing_node_depths,
-    ("increasing", "leaf-depth"): increasing_leaf_depths,
-    ("increasing", "internal-depth"): increasing_internal_depths_inorder,
-    ("triangulation", "separating-diagonals"): separating_diagonal_counts,
-    ("dissection", "separating-diagonals"): separating_diagonal_counts,
-}
-
-
 def statistic_vector(family: str, statistic: str, obj):
-    try:
-        fn = _STATISTICS[(family, statistic)]
-    except KeyError:
-        raise ValueError(
-            "no statistic %r on family %r" % (statistic, family)
-        ) from None
-    return fn(obj)
+    return statistic_entry(family, statistic).walker(obj)
+
+
+def distribution_columns(family, statistic, n, rs, k=None, budget=None):
+    """Exhaustive distributions at every requested position r, from one
+    walk of each size-n object: {r: (Counter value -> #objects, total)}.
+
+    For the plane leaf statistic the leaf count ``k`` restricts to trees
+    with exactly k leaves (the position r then runs over 0..k-1).
+    """
+    first = check_positions(family, statistic, n, rs, k).start
+    counts = {r: Counter() for r in rs}
+    total = 0
+    for obj in enumerate_family(family, n, budget):
+        vec = statistic_vector(family, statistic, obj)
+        if k is not None and len(vec) != k:
+            continue
+        for r, column in counts.items():
+            column[vec[r - first]] += 1
+        total += 1
+    return {r: (column, total) for r, column in counts.items()}
 
 
 def distribution(family, statistic, n, r, k=None, budget=None):
     """Exhaustive distribution of the statistic at position r over all
-    size-n objects: a (Counter value -> #objects, total) pair.
-
-    For the plane leaf statistic a leaf count ``k`` restricts to trees
-    with exactly k leaves (the position r then runs over 0..k-1); other
-    statistics ignore k.  r is 1-based for the walk-step statistics.
-    """
-    counts = Counter()
-    total = 0
-    offset = 1 if statistic in ONE_BASED else 0
-    want_k = k if (family, statistic) == ("plane", "leaf-depth") else None
-    for obj in enumerate_family(family, n, budget):
-        if want_k is not None and plane_leaf_count(obj) != want_k:
-            continue
-        vec = statistic_vector(family, statistic, obj)
-        idx = r - offset
-        if idx < 0 or idx >= len(vec):
-            raise ValueError(
-                "position r=%d out of range for %s/%s at size %d"
-                % (r, family, statistic, n)
-            )
-        counts[vec[idx]] += 1
-        total += 1
-    return counts, total
+    size-n objects: a (Counter value -> #objects, total) pair."""
+    return distribution_columns(family, statistic, n, [r], k, budget)[r]
 
 
 def average(family, statistic, n, r, k=None, budget=None) -> Fraction:
@@ -586,6 +563,9 @@ def _crossing(d1, d2) -> bool:
 
 
 def subdivision_from_text(s: str, n: int, kind: str) -> PolygonSubdivision:
+    if n is None:
+        raise ValueError("parsing a %s needs its size n (the polygon has n+2 sides)"
+                         % kind)
     diags = pairs_from_text(s)
     for a, b in diags:
         if not (0 <= a < b <= n + 1) or b - a < 2 or (a, b) == (0, n + 1):
@@ -599,3 +579,185 @@ def subdivision_from_text(s: str, n: int, kind: str) -> PolygonSubdivision:
             % (n + 2, max(n - 1, 0), len(diags))
         )
     return PolygonSubdivision(n, diags, kind)
+
+
+def schroeder_from_text(s: str):
+    t = plane_from_text(s)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if len(node) == 1:
+            raise ValueError("a Schroeder tree has no unary node")
+        stack.extend(node)
+    return t
+
+
+# ------------------------------------------------------------- registry
+
+@dataclass(frozen=True)
+class Family:
+    min_n: int             # the smallest size
+    to_text: Callable      # object -> text
+    from_text: Callable    # (text, n) -> object; only polygons need n
+
+
+FAMILIES = {
+    "binary": Family(0, binary_to_text, lambda s, n: binary_from_text(s)),
+    "plane": Family(0, plane_to_text, lambda s, n: plane_from_text(s)),
+    "dyck": Family(0, str, lambda s, n: dyck_from_text(s)),
+    "schroeder": Family(1, plane_to_text, lambda s, n: schroeder_from_text(s)),
+    "noncrossing": Family(0, pairs_to_text, lambda s, n: pairs_from_text(s)),
+    "increasing": Family(
+        0, lambda t: permutation_to_text(increasing_to_perm(t)),
+        lambda s, n: perm_to_increasing(permutation_from_text(s))),
+    "permutation": Family(0, permutation_to_text, lambda s, n: permutation_from_text(s)),
+    "triangulation": Family(0, lambda sub: pairs_to_text(sub.diagonals),
+                            lambda s, n: subdivision_from_text(s, n, "triangulation")),
+    "dissection": Family(0, lambda sub: pairs_to_text(sub.diagonals),
+                         lambda s, n: subdivision_from_text(s, n, "dissection")),
+}
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """One (family, statistic) pair, described once.
+
+    ``walker(obj)`` lists the statistic at every position of one object,
+    in order; ``positions(n, k)`` is the range of valid r, so position r
+    is entry ``r - positions(n, k).start`` of the walk.  ``leaf_counts(n)``
+    is the range of valid k for the one pair restricted to k leaves;
+    every other pair takes no k.
+
+    The generating-function fields are plain data read by gfcat: the
+    series ``gf`` is built in the box ``box(n, x, k)`` = (nz, nx, ny,
+    nv, u_range), where x is the largest x-degree read, and position r
+    is the cell z^(n + z_offset) x^r v^k (v^0 without k), or x^(n+1-r)
+    when ``reversed``.  ``cell`` says how the cell reads as counts by
+    value: "y" (coefficient of y^d), "egf" (the same times n!) or "u"
+    (the signed abscissa u^d, summed over y).  A value d reads as
+    ``max(d - shift, 0)``.  With ``root`` set, position 0 is the root,
+    at depth 0 in every object, and is not read from the series.
+    """
+    walker: Callable
+    positions: Callable
+    gf: str
+    box: Callable
+    avg_id: str | None = None      # closed-form average id
+    uniform_id: str | None = None  # uniform-position average id
+    leaf_counts: Callable | None = None
+    cell: str = "y"
+    z_offset: int = 0
+    reversed: bool = False
+    shift: int = 0
+    root: bool = False
+
+
+def _zero_to_n(n, k):
+    return range(n + 1)
+
+
+def _one_to_n(n, k):
+    return range(1, n + 1)
+
+
+def _zero_to_n_minus_1(n, k):
+    return range(n)
+
+
+# several closed forms write bare z (or v*x) monomials, so their boxes
+# are clamped to nz >= 1 / nx >= 1 even for tiny n and x
+STATISTICS = {
+    ("binary", "leaf-depth"): Statistic(
+        binary_leaf_depths, _zero_to_n, "B", lambda n, x, k: (max(n, 1), x, n),
+        avg_id="binary-leaf", uniform_id="binary-leaf"),
+    ("binary", "leaf-abscissa"): Statistic(
+        binary_leaf_abscissas, _zero_to_n, "Babs",
+        lambda n, x, k: (max(n, 1), max(x, 1), n, 0, max(n, 1)),
+        avg_id="binary-abscissa", cell="u"),
+    ("plane", "leaf-depth"): Statistic(
+        plane_leaf_depths, lambda n, k: range(k), "P",
+        lambda n, x, k: (max(n, 1), max(x, 1), n, k),
+        leaf_counts=lambda n: range(1, n + 2)),
+    # preorder node r >= 1 is the r-th up-step of the walk
+    ("plane", "node-depth"): Statistic(
+        plane_node_depths_preorder, _zero_to_n, "U", lambda n, x, k: (n, x, n),
+        root=True),
+    # sized by leaves, so the series' z-degree is one less
+    ("schroeder", "leaf-depth"): Statistic(
+        plane_leaf_depths, _zero_to_n_minus_1, "A",
+        lambda n, x, k: (n - 1, x, max(n - 1, 0)),
+        avg_id="schroeder-leaf", z_offset=-1),
+    # the walk system couples x and x^2 columns, so nx >= 2
+    ("dyck", "vertex-height"): Statistic(
+        dyck_vertex_heights, lambda n, k: range(2 * n + 1), "D",
+        lambda n, x, k: (max(n, 1), max(x, 2), n),
+        avg_id="dyck-vertex", uniform_id="dyck-area"),
+    ("dyck", "upstep-height"): Statistic(
+        dyck_upstep_heights, _one_to_n, "U", lambda n, x, k: (n, x, n),
+        avg_id="dyck-upstep", uniform_id="dyck-upstep"),
+    # reversal pairs the r-th down-step with up-step n+1-r
+    ("dyck", "downstep-height"): Statistic(
+        dyck_downstep_heights, _one_to_n, "U", lambda n, x, k: (n, x, n),
+        avg_id="dyck-downstep", reversed=True),
+    ("noncrossing", "node-depth"): Statistic(
+        noncrossing_node_depths, _zero_to_n, "G",
+        lambda n, x, k: (max(n, 1), max(x, 1), n),
+        avg_id="noncrossing-node", uniform_id="noncrossing-node"),
+    ("increasing", "leaf-depth"): Statistic(
+        increasing_leaf_depths, _zero_to_n, "I", lambda n, x, k: (n, x, n),
+        avg_id="increasing-leaf", uniform_id="increasing-leaf", cell="egf"),
+    ("increasing", "internal-depth"): Statistic(
+        increasing_internal_depths_inorder, _zero_to_n_minus_1, "J",
+        lambda n, x, k: (n, x, max(n - 1, 0)),
+        avg_id="increasing-internal", cell="egf"),
+    # side r of the polygon is d - 1 diagonals away from the root side,
+    # where d is the depth of leaf r of the dual tree: a binary tree of
+    # size n, or a Schroeder tree with n+1 leaves; the 2-gon's lone leaf
+    # has depth 0 and no diagonals either
+    ("triangulation", "separating-diagonals"): Statistic(
+        separating_diagonal_counts, _zero_to_n, "B",
+        lambda n, x, k: (max(n, 1), x, n), shift=1),
+    ("dissection", "separating-diagonals"): Statistic(
+        separating_diagonal_counts, _zero_to_n, "A", lambda n, x, k: (n, x, n),
+        shift=1),
+}
+
+
+def check_size(family, n):
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % (family,))
+    if n < FAMILIES[family].min_n:
+        raise ValueError("size %d out of range for %s" % (n, family))
+
+
+def statistic_entry(family, statistic) -> Statistic:
+    try:
+        return STATISTICS[(family, statistic)]
+    except KeyError:
+        raise ValueError(
+            "no statistic %r on family %r" % (statistic, family)
+        ) from None
+
+
+def positions(family, statistic, n, k=None) -> range:
+    """The valid positions r at size n (and leaf count k)."""
+    entry = statistic_entry(family, statistic)
+    check_size(family, n)
+    if entry.leaf_counts is None:
+        if k is not None:
+            raise ValueError("%s %s takes no leaf count k" % (family, statistic))
+    elif k is None:
+        raise ValueError("%s %s needs the leaf count k" % (family, statistic))
+    elif k not in entry.leaf_counts(n):
+        raise ValueError("no %s tree of size %d with k=%d leaves" % (family, n, k))
+    return entry.positions(n, k)
+
+
+def check_positions(family, statistic, n, rs, k=None) -> range:
+    """Raise ValueError unless every r in rs is a valid position."""
+    valid = positions(family, statistic, n, k)
+    for r in rs:
+        if r not in valid:
+            raise ValueError("position r=%d out of range for %s/%s at size %d"
+                             % (r, family, statistic, n))
+    return valid

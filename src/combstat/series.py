@@ -10,9 +10,14 @@ solvers below.
 
 Everything is truncated: exponents beyond the Truncation bounds are
 dropped on the spot, and y-degrees beyond ny are clipped inside yp_mul.
-All products are lower-triangular in every variable (exponents only ever
+Products are lower-triangular in z, x, v and y (exponents only ever
 grow, and y-degree d of a product needs only y-degrees <= d of the
-factors), so the retained box of a clipped series is still exact.
+factors), so in those variables the retained box of a clipped series is
+exact, and a smaller box can be cut out of a larger one.  The Laurent u
+is not: a cell dropped at u^-(u_range+1) comes back into the box when
+multiplied by a u^+1 cell.  The box is exact in u only when no dropped
+cell can come back, e.g. when every u-step comes with a z-step and
+u_range >= nz, which is what gfcat requires of Babs.
 """
 
 from __future__ import annotations

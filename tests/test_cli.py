@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from combstat import closed
 from combstat.cli import main
 
 
@@ -139,6 +140,19 @@ def test_usage_errors(capsys):
     assert main(["average", "binary", "leaf-depth", "--n", "3"]) == 2
     assert main(["distribution", "plane", "leaf-depth", "--n", "3"]) == 2
     assert main(["convert", "binary-to-triangulation", "0-2", "--inverse"]) == 2
+    # Schroeder trees start at one leaf
+    assert main(["count", "schroeder", "--n", "0"]) == 2
+    assert main(["count", "schroeder", "--n", "-1"]) == 2
+    assert main(["distribution", "schroeder", "leaf-depth", "--n", "0"]) == 2
+    # only plane leaf-depth takes a leaf count
+    assert main(["distribution", "binary", "leaf-depth", "--n", "3", "--k", "2"]) == 2
+    assert main(["average", "dyck", "upstep-height", "--n", "3", "--r", "1",
+                 "--k", "2"]) == 2
+    # a unary node would map to a side of the polygon, not a diagonal
+    assert main(["convert", "schroeder-to-dissection", "((()))"]) == 2
+    # a Laurent u-range below nz would corrupt cells inside the box
+    assert main(["expand", "Babs", "--trunc-z", "3", "--trunc-x", "2",
+                 "--trunc-y", "2", "--u-range", "1"]) == 2
     capsys.readouterr()
     assert main(["expand", "B", "--trunc-z", "-1", "--trunc-x", "2",
                  "--trunc-y", "2"]) == 2
@@ -165,15 +179,30 @@ def test_config_env(capsys, monkeypatch, tmp_path):
     assert (code, out) == (0, "2.73")
 
 
+def test_verify_fails_on_a_disagreeing_form(capsys, monkeypatch):
+    # the binomial forms go through _as_int; off by one, they disagree
+    # with the other printed forms
+    as_int = closed._as_int
+    monkeypatch.setattr(closed, "_as_int", lambda x: as_int(x) + 1)
+    code, out = run(capsys, "verify", "--suite", "identities", "--max-n", "4")
+    assert code == 1
+    row = next(l for l in out.splitlines()
+               if "closed-form-multiform" in l and "binary-leaf" in l)
+    assert row.startswith("FAIL")
+
+
 def test_same_output_under_optimize():
     # python -O strips assert statements; no result may depend on them
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["-m", "combstat", "limit", "binary", "leaf-depth", "--r", "0", "--dmax", "5"]
-    plain = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
-    optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True,
-                               text=True, env=env)
-    assert plain.returncode == 0, plain.stderr
-    assert optimized.returncode == 0, optimized.stderr
-    assert optimized.stdout == plain.stdout
+    for argv in (["limit", "binary", "leaf-depth", "--r", "0", "--dmax", "5"],
+                 ["verify", "--suite", "identities", "--max-n", "4"]):
+        argv = ["-m", "combstat", *argv]
+        plain = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                               env=env)
+        optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True,
+                                   text=True, env=env)
+        assert plain.returncode == 0, plain.stderr
+        assert optimized.returncode == 0, optimized.stderr
+        assert optimized.stdout == plain.stdout

@@ -40,6 +40,8 @@ def test_sequences():
     assert [catalan_number(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
     assert [little_schroeder(n) for n in range(10)] == [
         1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049]
+    with pytest.raises(ValueError):
+        little_schroeder(-1)
     assert [ternary_count(n) for n in range(6)] == [1, 1, 3, 12, 55, 273]
     assert [ternary_edge(n) for n in range(5)] == [1, 2, 7, 30, 143]
     assert [narayana_number(4, k) for k in range(1, 5)] == [1, 6, 6, 1]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from combstat import objects
+from combstat import gfcat, objects
 from combstat.exact import yp_eval1
 from combstat.gfcat import (
     FAMILY_IDS,
@@ -119,6 +119,9 @@ def test_unknown_family_rejected():
         gf_closed("P", Truncation(3, 3, 3))  # nv missing
     with pytest.raises(ValueError):
         gf_closed("Babs", Truncation(3, 3, 3))  # u_range missing
+    for build in (gf_closed, gf_solve):
+        with pytest.raises(ValueError):
+            build("Babs", Truncation(5, 5, 5, u_range=1))  # u_range < nz
 
 
 # ----------------------------------------------------- structure facts
@@ -279,6 +282,26 @@ def test_distribution_matches_enumeration(family, statistic, n, r, k):
     want_counts, want_total = objects.distribution(family, statistic, n, r, k=k)
     assert got_total == want_total
     assert dict(want_counts) == got_counts
+
+
+@pytest.mark.parametrize("family,statistic", list(objects.STATISTICS))
+def test_sweep_matches_single_reads(family, statistic, monkeypatch):
+    n = 4
+    entry = objects.STATISTICS[family, statistic]
+    k = 2 if entry.leaf_counts else None
+    rs = list(objects.positions(family, statistic, n, k))
+    builds = []
+    build = gfcat.gf_closed
+    monkeypatch.setattr(gfcat, "gf_closed",
+                        lambda fam, t: builds.append(fam) or build(fam, t))
+    swept = gfcat.columns_via_gf(family, statistic, n, rs, k)
+    assert builds.count(entry.gf) == 1  # J's closed form also builds I
+    monkeypatch.undo()
+    walked = objects.distribution_columns(family, statistic, n, rs, k)
+    for r in rs:
+        assert swept[r] == distribution_via_gf(family, statistic, n, r, k=k)
+        assert walked[r] == objects.distribution(family, statistic, n, r, k=k)
+        assert dict(walked[r][0]) == swept[r][0]
 
 
 def test_distribution_via_gf_range_errors():
