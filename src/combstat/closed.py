@@ -664,17 +664,19 @@ def limit_mean_series(formula_id: str, rmax: int) -> Series:
 def asymptotic_average(formula_id: str, n: int, r: int) -> float:
     """Growing-r regime: the average for r ~ alpha * n, as a float."""
     _check_position(formula_id, n, r)
+    if formula_id == "binary-abscissa":
+        return float(Fraction(6 * r - 3 * n, n + 2))
+    m = n - 1 if formula_id == "schroeder-leaf" else n  # the forms divide by m
+    if m == 0:
+        raise ValueError("no growing-r asymptotics for %s at size %d" % (formula_id, n))
     pi = math.pi
     if formula_id == "binary-leaf":
         return 8 / math.sqrt(pi) * math.sqrt(r * (1 - r / n))
-    if formula_id == "binary-abscissa":
-        return float(Fraction(6 * r - 3 * n, n + 2))
     if formula_id == "dyck-vertex":
         return 2 / math.sqrt(pi) * math.sqrt(r * (2 - r / n))
     if formula_id in ("dyck-upstep", "dyck-downstep"):
         return 4 / math.sqrt(pi) * math.sqrt(r * (1 - r / n))
     if formula_id == "schroeder-leaf":
-        m = n - 1
         rho = float(RHO)
         coef = math.sqrt(1 - rho * rho) / (rho * math.sqrt(pi))
         return coef * math.sqrt(r * (1 - r / m))

@@ -169,12 +169,18 @@ RHO_INV = Quad2(3, 2)
 # scalar protocol: "scalar" below means int | Fraction | Quad2.
 # ints and Fractions mix natively; Quad2 interoperates via its dunders.
 
+def exact_int(q):
+    """q as an int if it is an integral Fraction: the rule inverses and scalings
+    keep.  scalar_div does not, so no quotient meets ``/`` as an int."""
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
 def scalar_inv(s):
     if isinstance(s, Quad2):
         return s.inv()
     if s == 0:
         raise ZeroDivisionError("inverse of zero")
-    return Fraction(1, 1) / s
+    return exact_int(Fraction(1, 1) / s)
 
 
 def scalar_div(x, y):
@@ -237,7 +243,7 @@ def yp_sub(p, q):
 def yp_scale(p, c):
     if c == 0:
         return []
-    return yp_trim([c * v for v in p])
+    return yp_trim([exact_int(c * v) for v in p])
 
 
 def yp_mul(p, q, ny=None):
@@ -246,6 +252,8 @@ def yp_mul(p, q, ny=None):
     top = len(p) + len(q) - 2
     if ny is not None:
         top = min(top, ny)
+    if len(q) == 1:  # a scaling, which keeps integral entries int (exact_int)
+        return yp_scale(p[: top + 1], q[0])
     out = [0] * (top + 1)
     for i, a in enumerate(p):
         if a == 0:

@@ -458,7 +458,7 @@ def distribution(family, statistic, n, r, k=None, budget=None):
 def average(family, statistic, n, r, k=None, budget=None) -> Fraction:
     counts, total = distribution(family, statistic, n, r, k=k, budget=budget)
     if total == 0:
-        raise ZeroDivisionError("no objects to average over")
+        raise ValueError("no objects to average over")
     return Fraction(sum(d * c for d, c in counts.items()), total)
 
 

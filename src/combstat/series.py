@@ -366,7 +366,8 @@ def ps_sqrt(a: Series) -> Series:
     """Square root of a series with constant cell exactly 1, by Newton.
 
     t <- (t + a / t) / 2 doubles the correct grade range each pass, so
-    ceil(log2(G+1)) + 1 passes cover grade bound G with margin.
+    ceil(log2(G+1)) + 1 passes cover grade bound G with margin.  Halving
+    keeps integral cells int (exact.exact_int): sqrt(1 - 4z) is over int.
     """
     c0 = a.cells.get(ZERO_KEY)
     if c0 != [1]:
@@ -637,22 +638,21 @@ def _iterate(step, start: Series) -> Series:
 
 def solve_fixed_point(eq_id: str, trunc: Truncation, field: str = "rational") -> Series:
     """Solve one of the registered algebraic fixed-point equations by
-    plain iteration, checked once at the end.
+    plain iteration, checked once at the end.  Denominators are cleared,
+    so each pass is one or two products and no series inverse.
 
     * "catalan":   C = 1 + z C^2
     * "ternary":   T = 1 + z T^3
-    * "schroeder": St = z + St^2/(1-St), returned divided by z
-    * "narayana":  N = 1/(1 - z N) - 1 + v   (bivariate in v, z)
+    * "schroeder": St = z - z St + 2 St^2, i.e. St = z + St^2/(1-St),
+      returned divided by z
+    * "narayana":  N = v + z N (N + 1 - v), i.e. N = 1/(1 - z N) - 1 + v
     """
     if eq_id == "schroeder":
         # solve for St(z) = z*S(z) one order higher, then divide by z
         t1 = Truncation(trunc.nz + 1, trunc.nx, trunc.ny, trunc.nv, trunc.u_range)
         z = ps_monomial(t1, (1, 0, 0, 0), [1], field)
-        one = ps_one(t1, field)
-        st = _iterate(
-            lambda s: ps_add(z, ps_mul(ps_mul(s, s), ps_inv(ps_sub(one, s)))),
-            ps_zero(t1, field),
-        )
+        st = _iterate(lambda s: ps_add(z, ps_mul(s, ps_sub(ps_scale(s, 2), z))),
+                      ps_zero(t1, field))
         return ps_retrunc(ps_shift(st, -1), trunc)
     one = ps_one(trunc, field)
     z = ps_monomial(trunc, (1, 0, 0, 0), [1], field)
@@ -664,7 +664,6 @@ def solve_fixed_point(eq_id: str, trunc: Truncation, field: str = "rational") ->
         if trunc.nv < 1:
             raise ValueError("narayana needs a truncation with nv >= 1")
         v = ps_monomial(trunc, (0, 0, 1, 0), [1], field)
-        return _iterate(
-            lambda s: ps_add(ps_sub(ps_inv(ps_sub(one, ps_mul(z, s))), one), v), v
-        )
+        one_v = ps_sub(one, v)
+        return _iterate(lambda s: ps_add(v, ps_mul(z, ps_mul(s, ps_add(s, one_v)))), v)
     raise ValueError("no fixed-point equation registered under %r" % (eq_id,))

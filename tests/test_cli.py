@@ -153,6 +153,17 @@ def test_usage_errors(capsys):
     # a Laurent u-range below nz would corrupt cells inside the box
     assert main(["expand", "Babs", "--trunc-z", "3", "--trunc-x", "2",
                  "--trunc-y", "2", "--u-range", "1"]) == 2
+    # the growing-r asymptotics divide by the size (leaves-1 for Schroeder)
+    for family, statistic, n in (("binary", "leaf-depth", "0"),
+                                 ("dyck", "vertex-height", "0"),
+                                 ("noncrossing", "node-depth", "0"),
+                                 ("increasing", "leaf-depth", "0"),
+                                 ("schroeder", "leaf-depth", "1")):
+        assert main(["average", family, statistic, "--n", n, "--r", "0",
+                     "--method", "asymptotic"]) == 2
+    # no plane tree has more leaves than nodes: nothing to average over
+    assert main(["average", "plane", "leaf-depth", "--n", "3", "--k", "4", "--r", "0",
+                 "--method", "exact"]) == 2
     capsys.readouterr()
     assert main(["expand", "B", "--trunc-z", "-1", "--trunc-x", "2",
                  "--trunc-y", "2"]) == 2

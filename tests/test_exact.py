@@ -108,6 +108,10 @@ def test_scalar_helpers():
     assert scalar_div(RT2, 2) == Quad2(0, Fraction(1, 2))
     with pytest.raises(ZeroDivisionError):
         scalar_inv(0)
+    # integral inverses and scalings are int; a quotient stays a Fraction
+    assert [type(scalar_inv(u)) for u in (1, -1, Fraction(-1))] == [int] * 3
+    assert [type(c) for c in yp_scale([2, 4], Fraction(1, 2))] == [int, int]
+    assert type(scalar_div(1, 3)) is Fraction and scalar_div(1, 3) == Fraction(1, 3)
 
 
 quads = st.builds(

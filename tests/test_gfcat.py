@@ -106,6 +106,16 @@ def test_functional_equation_residual_sees_a_bump(family):
     assert not ps_is_zero(gf_residual(family, bumped))
 
 
+@pytest.mark.parametrize("family", ["B", "Babs", "D", "U", "P", "A", "G"])
+def test_ordinary_gf_cells_are_int(family):
+    # every cell of an ordinary GF counts objects, so it is kept in int
+    t = Truncation(8, 8, 8, nv=9 if family == "P" else 0,
+                   u_range=8 if family == "Babs" else 0)
+    for build in (gf_closed, gf_solve):
+        cells = build(family, t).cells.values()
+        assert all(type(c) is int for p in cells for c in p)
+
+
 @pytest.mark.parametrize("family", ["B", "D", "U"])
 def test_alternate_closed_forms_agree(family):
     t = TRUNCS[family]

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from combstat import series
 from combstat.exact import Quad2
 from combstat.series import (
     Series,
@@ -290,6 +291,29 @@ def test_fixed_point_narayana():
     assert [ps_coeff(n, 3, 0, k) for k in (1, 2, 3)] == [[1], [3], [1]]
     with pytest.raises(ValueError):
         solve_fixed_point("narayana", Truncation(3, 0, 0))
+
+
+@pytest.mark.parametrize("eq_id", ["schroeder", "narayana"])
+def test_fixed_point_matches_inverse_form(eq_id):
+    # the equations are solved with their denominators cleared; iterating
+    # the printed forms, one series inverse per pass, gives the same series
+    for nz in range(1, 10):
+        t = Truncation(nz, 0, 0, nv=nz + 1)
+        if eq_id == "schroeder":
+            t1 = Truncation(nz + 1, 0, 0, nv=nz + 1)
+            z, one = zmono(t1, 1), ps_one(t1)
+            st = series._iterate(
+                lambda s: ps_add(z, ps_mul(ps_mul(s, s), ps_inv(ps_sub(one, s)))),
+                ps_zero(t1),
+            )
+            want = ps_retrunc(ps_shift(st, -1), t)
+        else:
+            z, one = zmono(t, 1), ps_one(t)
+            v = ps_monomial(t, (0, 0, 1, 0), [1])
+            want = series._iterate(
+                lambda s: ps_add(ps_sub(ps_inv(ps_sub(one, ps_mul(z, s))), one), v), v
+            )
+        assert solve_fixed_point(eq_id, t) == want
 
 
 def test_fixed_point_unknown():
