@@ -170,8 +170,8 @@ RHO_INV = Quad2(3, 2)
 # ints and Fractions mix natively; Quad2 interoperates via its dunders.
 
 def exact_int(q):
-    """q as an int if it is an integral Fraction: the rule inverses and scalings
-    keep.  scalar_div does not, so no quotient meets ``/`` as an int."""
+    """q as an int if it is an integral Fraction.  Inverses and scalings apply
+    this rule; scalar_div does not, so no quotient meets ``/`` as an int."""
     return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
