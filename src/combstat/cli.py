@@ -281,15 +281,15 @@ def _suite_identities(max_n):
         rows.append(_row("ternary-edge-convolution", "noncrossing", n,
                          "PASS" if ok else "FAIL"))
 
-    # every exact_total call cross-checks its alternate algebraic forms
-    # internally, so sweeping them IS the multi-form identity check
+    # the served closed forms compute one printed form each; cross_check
+    # evaluates every other form (and special value) against it
     for fid in sorted(closed.AVG_IDS):
         family, statistic = closed.AVG_IDS[fid]
         bad = None
         for n in range(1, n_cap + 1):
             for r in objects.positions(family, statistic, n):
                 try:
-                    closed.exact_average(fid, n, r)
+                    closed.cross_check(fid, n, r)
                 except closed.ClosedFormMismatch:
                     bad = {"n": n, "r": r}
                     break

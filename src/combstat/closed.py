@@ -3,10 +3,14 @@
 Everything here is exact (ints, Fractions, or a + b*sqrt(2) pairs)
 except the explicitly-named asymptotic helpers, which return floats.
 
-Most totals are implemented in every printed shape (a min-kernel
-convolution, a partial-sum form, a subtracted form, a binomial form);
-the public function computes all of them and raises ClosedFormMismatch
-unless they agree, so a formula typo cannot slip through silently.
+Most totals are printed in several shapes (a min-kernel convolution,
+a partial-sum form, a subtracted form, a binomial form).  The public
+functions serve one shape per answer -- the binomial form where there
+is one, a few bigint products -- and cross_check(formula_id, n, r)
+evaluates all the others and raises ClosedFormMismatch unless they
+agree with it, so a formula typo cannot slip through silently.  Only
+`verify --suite identities` and the tests call it; nothing on the
+serving path does.
 """
 
 from __future__ import annotations
@@ -116,8 +120,10 @@ class ClosedFormMismatch(ArithmeticError):
     """Two printed forms of one closed form gave different values."""
 
 
-def _agree(*forms):
-    if any(f != forms[0] for f in forms[1:]):
+def _agree(forms):
+    """forms maps a form's name to its value; raise unless all are equal."""
+    values = list(forms.values())
+    if any(v != values[0] for v in values[1:]):
         raise ClosedFormMismatch("closed forms disagree: %s" % (forms,))
 
 
@@ -141,101 +147,160 @@ def _check_position(formula_id, n, r):
 
 # ------------------------------------------------------------ exact totals
 
-def _total_binary_leaf(n, r):
+def exact_total(formula_id: str, n: int, r: int):
+    """Statistic summed over the whole family at size n, position r.
+
+    For "schroeder-leaf" n is the number of leaves (size n means n-1 in
+    the z-grading, matching the enumerator); elsewhere n is the usual
+    size.  Abscissa totals may be negative."""
+    _check_position(formula_id, n, r)
     c = catalan_number
-    mins = sum(
-        c(i) * c(n - i) * min(r + 1, n + 1 - r, i + 1, n + 1 - i)
-        for i in range(1, n + 1)
-    )
-    rr = min(r, n - r)  # the partial-sum form wants the small side
-    partial = (
-        c(n + 1) - c(n)
-        + 2 * sum(i * c(i) * c(n - i) for i in range(rr))
-        + rr * sum(c(i) * c(n - i) for i in range(rr, n - rr + 1))
-    )
-    subtracted = (
-        (r + 1) * c(n + 1) - c(n)
-        - 2 * sum((r - i) * c(i) * c(n - i) for i in range(r))
-    )
-    binom = -c(n) + _as_int(
-        Fraction(2 * (2 * r + 1) * (2 * (n - r) + 1), (n + 1) * (n + 2))
-        * math.comb(2 * r, r)
-        * math.comb(2 * (n - r), n - r)
-    )
-    _agree(mins, partial, subtracted, binom)
-    return mins
+    if formula_id == "dyck-downstep":
+        formula_id, r = "dyck-upstep", n + 1 - r  # reversal: up-step n+1-r
+
+    if formula_id == "binary-leaf":
+        return -c(n) + _as_int(
+            Fraction(2 * (2 * r + 1) * (2 * (n - r) + 1), (n + 1) * (n + 2))
+            * math.comb(2 * r, r) * math.comb(2 * (n - r), n - r))
+    if formula_id == "binary-abscissa":
+        return _as_int(Fraction(3 * c(n) * (2 * r - n), n + 2))
+    if formula_id == "dyck-vertex":
+        if n == 0:
+            return 0
+        delta = n if r % 2 == 0 else 2 * n + 1
+        return -c(n) + _as_int(
+            Fraction(delta + r * (2 * n - r), n * (n + 1))
+            * math.comb(r, r // 2) * math.comb(2 * n - r, n - r // 2))
+    if formula_id == "dyck-upstep":
+        return _as_int(
+            2 * r * c(n) - Fraction(r + 1, 2) * c(n + 1)
+            + Fraction((2 * r + 1) * (2 * (n - r) + 1), (n + 1) * (n + 2))
+            * math.comb(2 * r, r) * math.comb(2 * (n - r), n - r))
+    if formula_id == "schroeder-leaf":
+        s, m = little_schroeder, n - 1
+        return (
+            (r + 1) * (s(m + 1) + s(m)) // 2
+            - s(m)
+            - 2 * sum((r - i) * s(i) * s(m - i) for i in range(r))
+        )
+    if formula_id == "noncrossing-node":
+        tp = ternary_edge
+        rr = min(r, n + 1 - r)  # columns r and n+1-r agree; 0 at the root
+        return rr * (tp(n) - ternary_count(n)) - 2 * sum(
+            (rr - i) * tp(i - 1) * tp(n - i) for i in range(1, rr)
+        )
+    # increasing trees: n! times the average, which is served directly
+    return _as_int(math.factorial(n) * exact_average(formula_id, n, r))
 
 
-def _total_dyck_vertex(n, r):
-    c = catalan_number
-    mins = sum(
-        c(i) * c(n - i - 1) * min(r, 2 * n - r, 2 * i + 1, 2 * n - 2 * i - 1)
-        for i in range(n)
-    )
-    rr = min(r, 2 * n - r)
-    h = rr // 2
-    partial = 2 * sum((2 * i + 1) * c(i) * c(n - i - 1) for i in range(h)) + rr * sum(
-        c(i) * c(n - i - 1) for i in range(h, n - h)
-    )
-    h = r // 2
-    subtracted = r * c(n) - 2 * sum(
-        (r - 2 * i - 1) * c(i) * c(n - i - 1) for i in range(h)
-    )
-    if n == 0:
-        _agree(mins, partial, subtracted, 0)
-        return 0
-    delta = n if r % 2 == 0 else 2 * n + 1
-    binom = -c(n) + _as_int(
-        Fraction(delta + r * (2 * n - r), n * (n + 1))
-        * math.comb(r, r // 2)
-        * math.comb(2 * n - r, n - r // 2)
-    )
-    _agree(mins, partial, subtracted, binom)
-    return mins
+def exact_average(formula_id: str, n: int, r: int) -> Fraction:
+    """Average of the statistic at position r, size n, as a Fraction."""
+    _check_position(formula_id, n, r)
+    if formula_id == "increasing-leaf":
+        return harmonic(r) + harmonic(n - r)
+    if formula_id == "increasing-internal":
+        return harmonic(r + 1) + harmonic(n - r) - 2
+    total = exact_total(formula_id, n, r)
+    return Fraction(total, family_count(AVG_IDS[formula_id][0], n))
 
 
-def _total_dyck_upstep(n, r):
-    c = catalan_number
-    primary = 2 * r * c(n) - sum((r - i) * c(i) * c(n - i) for i in range(r))
-    binom = _as_int(
-        2 * r * c(n)
-        - Fraction(r + 1, 2) * c(n + 1)
-        + Fraction((2 * r + 1) * (2 * (n - r) + 1), (n + 1) * (n + 2))
-        * math.comb(2 * r, r)
-        * math.comb(2 * (n - r), n - r)
-    )
-    _agree(primary, binom)
-    # height sums of up-steps and leaves are tied together linearly
-    _agree(2 * primary - _total_binary_leaf(n, r), (4 * r + 1) * c(n) - (r + 1) * c(n + 1))
-    return primary
+def _printed_forms(formula_id, n, r):
+    """Every printed form of the position-r total that exact_total does
+    not serve, by name; averages come multiplied by the family count."""
+    if formula_id == "dyck-downstep":
+        formula_id, r = "dyck-upstep", n + 1 - r
+    c, s, tp = catalan_number, little_schroeder, ternary_edge
+    forms = {}
+
+    if formula_id == "binary-leaf":
+        forms["mins"] = sum(
+            c(i) * c(n - i) * min(r + 1, n + 1 - r, i + 1, n + 1 - i)
+            for i in range(1, n + 1)
+        )
+        rr = min(r, n - r)  # the partial-sum form wants the small side
+        forms["partial"] = (
+            c(n + 1) - c(n)
+            + 2 * sum(i * c(i) * c(n - i) for i in range(rr))
+            + rr * sum(c(i) * c(n - i) for i in range(rr, n - rr + 1))
+        )
+        forms["subtracted"] = (
+            (r + 1) * c(n + 1) - c(n)
+            - 2 * sum((r - i) * c(i) * c(n - i) for i in range(r))
+        )
+        forms["direct"] = c(n) * (
+            Fraction(2 * (2 * r + 1) * (2 * (n - r) + 1), n + 2)
+            * math.comb(2 * r, r) * math.comb(2 * (n - r), n - r)
+            / math.comb(2 * n, n) - 1)
+        if r == 0:
+            forms["r=0"] = c(n) * Fraction(3 * n, n + 2)
+
+    elif formula_id == "dyck-vertex":
+        forms["mins"] = sum(
+            c(i) * c(n - i - 1) * min(r, 2 * n - r, 2 * i + 1, 2 * n - 2 * i - 1)
+            for i in range(n)
+        )
+        rr = min(r, 2 * n - r)
+        h = rr // 2
+        forms["partial"] = 2 * sum(
+            (2 * i + 1) * c(i) * c(n - i - 1) for i in range(h)
+        ) + rr * sum(c(i) * c(n - i - 1) for i in range(h, n - h))
+        forms["subtracted"] = r * c(n) - 2 * sum(
+            (r - 2 * i - 1) * c(i) * c(n - i - 1) for i in range(r // 2)
+        )
+        if n > 0:
+            delta = n if r % 2 == 0 else 2 * n + 1
+            forms["direct"] = c(n) * (
+                Fraction(delta + r * (2 * n - r), n)
+                * math.comb(r, r // 2) * math.comb(2 * n - r, n - r // 2)
+                / math.comb(2 * n, n) - 1)
+
+    elif formula_id == "dyck-upstep":
+        forms["sum"] = 2 * r * c(n) - sum((r - i) * c(i) * c(n - i) for i in range(r))
+        forms["direct"] = c(n) * (
+            Fraction((2 * r + 1) * (2 * (n - r) + 1), n + 2)
+            * math.comb(2 * r, r) * math.comb(2 * (n - r), n - r)
+            / math.comb(2 * n, n) + Fraction(3 * (r + 1), n + 2) - 2)
+        # height sums of up-steps and leaves are tied together linearly
+        forms["leaf-tie"] = Fraction(
+            exact_total("binary-leaf", n, r) + (4 * r + 1) * c(n) - (r + 1) * c(n + 1), 2
+        )
+        if r == n:
+            forms["r=n"] = c(n) * Fraction(3 * n, n + 2)
+
+    elif formula_id == "schroeder-leaf":
+        m = n - 1
+        forms["direct"] = s(m) * (
+            Fraction((r + 1) * s(m + 1), 2 * s(m)) + Fraction(r - 1, 2)
+            - Fraction(2, s(m)) * sum((r - i) * s(i) * s(m - i) for i in range(r)))
+
+    elif formula_id == "noncrossing-node":
+        forms["mins"] = sum(
+            tp(i) * tp(n - 1 - i) * min(r, n + 1 - r, i + 1, n - i) for i in range(n)
+        )
+        if r > 0:
+            rr = min(r, n + 1 - r)
+            forms["partial"] = 2 * sum(
+                i * tp(i - 1) * tp(n - i) for i in range(1, rr)
+            ) + rr * sum(tp(i - 1) * tp(n - i) for i in range(rr, n - rr + 2))
+    return forms
 
 
-def _total_schroeder_leaf(m, r):
-    s = little_schroeder
-    total = (
-        (r + 1) * (s(m + 1) + s(m)) // 2
-        - s(m)
-        - 2 * sum((r - i) * s(i) * s(m - i) for i in range(r))
-    )
-    return total
-
-
-def _total_noncrossing_node(n, r):
-    tp = ternary_edge
-    if r == 0:
-        return 0  # the root contributes depth zero
-    mins = sum(
-        tp(i) * tp(n - 1 - i) * min(r, n + 1 - r, i + 1, n - i) for i in range(n)
-    )
-    rr = min(r, n + 1 - r)  # columns r and n+1-r agree (r >= 1)
-    partial = 2 * sum(i * tp(i - 1) * tp(n - i) for i in range(1, rr)) + rr * sum(
-        tp(i - 1) * tp(n - i) for i in range(rr, n - rr + 2)
-    )
-    small = rr * (tp(n) - ternary_count(n)) - 2 * sum(
-        (rr - i) * tp(i - 1) * tp(n - i) for i in range(1, rr)
-    )
-    _agree(mins, partial, small)
-    return mins
+def cross_check(formula_id: str, n: int, r: int) -> None:
+    """Raise ClosedFormMismatch unless every printed form of the
+    position-r total, and for "schroeder-leaf" both forms of its fixed-r
+    limit, equal the values that exact_total, exact_average and
+    fixed_r_limit_average serve."""
+    _check_position(formula_id, n, r)
+    count = family_count(AVG_IDS[formula_id][0], n)
+    forms = {
+        "served": exact_total(formula_id, n, r),
+        "average": exact_average(formula_id, n, r) * count,
+    }
+    forms.update(_printed_forms(formula_id, n, r))
+    _agree(forms)
+    if formula_id == "schroeder-leaf":
+        _agree({"limit": fixed_r_limit_average(formula_id, r),
+                "limit-alt": _schroeder_limit_alt(r)})
 
 
 def plane_leaf_total(n, k, r):
@@ -248,91 +313,6 @@ def plane_leaf_total(n, k, r):
         for j in range(1, n)
         for i in range(1, k + 1)
     )
-
-
-def exact_total(formula_id: str, n: int, r: int):
-    """Statistic summed over the whole family at size n, position r.
-
-    For "schroeder-leaf" n is the number of leaves (size n means n-1 in
-    the z-grading, matching the enumerator); elsewhere n is the usual
-    size.  Abscissa totals may be negative."""
-    _check_position(formula_id, n, r)
-
-    if formula_id == "binary-leaf":
-        return _total_binary_leaf(n, r)
-    if formula_id == "binary-abscissa":
-        return _as_int(Fraction(3 * catalan_number(n) * (2 * r - n), n + 2))
-    if formula_id == "dyck-vertex":
-        return _total_dyck_vertex(n, r)
-    if formula_id == "dyck-upstep":
-        return _total_dyck_upstep(n, r)
-    if formula_id == "dyck-downstep":
-        return _total_dyck_upstep(n, n + 1 - r)
-    if formula_id == "schroeder-leaf":
-        return _total_schroeder_leaf(n - 1, r)
-    if formula_id == "noncrossing-node":
-        return _total_noncrossing_node(n, r)
-    if formula_id == "increasing-leaf":
-        return _as_int(math.factorial(n) * (harmonic(r) + harmonic(n - r)))
-    if formula_id == "increasing-internal":
-        return _as_int(
-            math.factorial(n) * (harmonic(r + 1) + harmonic(n - r) - 2)
-        )
-    raise AssertionError  # pragma: no cover
-
-
-def exact_average(formula_id: str, n: int, r: int) -> Fraction:
-    """Average of the statistic at position r, size n, as a Fraction."""
-    _check_position(formula_id, n, r)
-    if formula_id == "increasing-leaf":
-        return harmonic(r) + harmonic(n - r)
-    if formula_id == "increasing-internal":
-        return harmonic(r + 1) + harmonic(n - r) - 2
-    total = exact_total(formula_id, n, r)
-    avg = Fraction(total, family_count(AVG_IDS[formula_id][0], n))
-    if formula_id == "binary-leaf":
-        direct = (
-            Fraction(2 * (2 * r + 1) * (2 * (n - r) + 1), n + 2)
-            * math.comb(2 * r, r)
-            * math.comb(2 * (n - r), n - r)
-            / math.comb(2 * n, n)
-            - 1
-        )
-        _agree(avg, direct)
-        if r == 0:
-            _agree(avg, Fraction(3 * n, n + 2))
-    elif formula_id == "dyck-vertex" and n > 0:
-        delta = n if r % 2 == 0 else 2 * n + 1
-        direct = (
-            Fraction(delta + r * (2 * n - r), n)
-            * math.comb(r, r // 2)
-            * math.comb(2 * n - r, n - r // 2)
-            / math.comb(2 * n, n)
-            - 1
-        )
-        _agree(avg, direct)
-    elif formula_id == "dyck-upstep":
-        direct = (
-            Fraction((2 * r + 1) * (2 * (n - r) + 1), n + 2)
-            * math.comb(2 * r, r)
-            * math.comb(2 * (n - r), n - r)
-            / math.comb(2 * n, n)
-            + Fraction(3 * (r + 1), n + 2)
-            - 2
-        )
-        _agree(avg, direct)
-        if r == n:
-            _agree(avg, Fraction(3 * n, n + 2))
-    elif formula_id == "schroeder-leaf":
-        m = n - 1
-        s = little_schroeder
-        direct = (
-            Fraction((r + 1) * s(m + 1), 2 * s(m))
-            + Fraction(r - 1, 2)
-            - Fraction(2, s(m)) * sum((r - i) * s(i) * s(m - i) for i in range(r))
-        )
-        _agree(avg, direct)
-    return avg
 
 
 def plane_leaf_average(n, k, r) -> Fraction:
@@ -395,24 +375,29 @@ def fixed_r_limit_average(formula_id: str, r: int):
         s = r - 1
         return Fraction(4 * s + 2, 4**s) * math.comb(2 * s, s) + 1
     if formula_id == "schroeder-leaf":
-        sch = little_schroeder
-        form1 = Quad2(2, 1) * (r + 1) - 1 - 2 * sum(
-            RHO**i * ((r - i) * sch(i)) for i in range(r)
-        )
-        form2 = (
-            RHO ** (r - 1) * Fraction(math.comb(r + 2, 2), 2) * sch(r + 1)
-            - RHO**r * math.comb(r + 1, 2) * sch(r)
-            - Fraction(1, 2)
-        )
-        if r >= 1:
-            form2 = form2 + RHO ** (r + 1) * Fraction(math.comb(r, 2), 2) * sch(r - 1)
-        _agree(form1, form2)
-        return form1
+        # (2 + sqrt 2)(r + 1) - 1 - 2 sum_{i<r} rho^i (r - i) s_i, by Horner
+        acc = Quad2(0)
+        for i in reversed(range(r)):
+            acc = acc * RHO + (r - i) * little_schroeder(i)
+        return Quad2(2, 1) * (r + 1) - 1 - 2 * acc
     if formula_id == "noncrossing-node":
         return Fraction(2 * r) - 6 * sum(
             (r - i) * ternary_edge(i - 1) * Fraction(4, 27) ** i for i in range(1, r)
         )
     raise AssertionError  # pragma: no cover
+
+
+def _schroeder_limit_alt(r):
+    """The second printed form of the schroeder-leaf fixed-r limit."""
+    sch = little_schroeder
+    form = (
+        RHO ** (r - 1) * Fraction(math.comb(r + 2, 2), 2) * sch(r + 1)
+        - RHO**r * math.comb(r + 1, 2) * sch(r)
+        - Fraction(1, 2)
+    )
+    if r >= 1:
+        form = form + RHO ** (r + 1) * Fraction(math.comb(r, 2), 2) * sch(r - 1)
+    return form
 
 
 # ------------------------------------------------- limit distribution GFs

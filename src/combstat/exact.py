@@ -284,9 +284,9 @@ def yp_inv(p, ny):
 
 
 def yp_shift_down(p, k):
-    """Divide by y^k, asserting the low coefficients vanish."""
-    low = p[:k]
-    assert all(v == 0 for v in low), "ypoly not divisible by y^%d" % k
+    """Divide by y^k; the low coefficients must vanish."""
+    if any(p[:k]):
+        raise ArithmeticError("ypoly not divisible by y^%d" % k)
     return yp_trim(list(p[k:]))
 
 

@@ -66,8 +66,8 @@ def _check(family, t):
         raise ValueError("P needs a truncation with nv >= 1")
     # every z-step moves u by at most one, so u_range >= nz keeps each
     # u-cell a product could carry back into the box
-    if family == "Babs" and t.u_range < max(t.nz, 1):
-        raise ValueError("Babs needs a truncation with u_range >= max(nz, 1)")
+    if family == "Babs" and t.u_range < t.nz:
+        raise ValueError("Babs needs a truncation with u_range >= nz")
 
 
 # ------------------------------------------------------- base builders

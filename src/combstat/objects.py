@@ -384,7 +384,8 @@ def noncrossing_node_depths(edges):
                     depth[w] = depth[v] + 1
                     nxt.append(w)
         frontier = nxt
-    assert all(d >= 0 for d in depth), "chord set is not connected"
+    if -1 in depth:
+        raise ValueError("chord set is not connected")
     return depth
 
 
@@ -664,19 +665,17 @@ def _zero_to_n_minus_1(n, k):
     return range(n)
 
 
-# several closed forms write bare z (or v*x) monomials, so their boxes
-# are clamped to nz >= 1 / nx >= 1 even for tiny n and x
 STATISTICS = {
     ("binary", "leaf-depth"): Statistic(
-        binary_leaf_depths, _zero_to_n, "B", lambda n, x, k: (max(n, 1), x, n),
+        binary_leaf_depths, _zero_to_n, "B", lambda n, x, k: (n, x, n),
         avg_id="binary-leaf", uniform_id="binary-leaf"),
     ("binary", "leaf-abscissa"): Statistic(
         binary_leaf_abscissas, _zero_to_n, "Babs",
-        lambda n, x, k: (max(n, 1), max(x, 1), n, 0, max(n, 1)),
+        lambda n, x, k: (n, x, n, 0, n),
         avg_id="binary-abscissa", cell="u"),
     ("plane", "leaf-depth"): Statistic(
         plane_leaf_depths, lambda n, k: range(k), "P",
-        lambda n, x, k: (max(n, 1), max(x, 1), n, k),
+        lambda n, x, k: (n, x, n, k),
         leaf_counts=lambda n: range(1, n + 2)),
     # preorder node r >= 1 is the r-th up-step of the walk
     ("plane", "node-depth"): Statistic(
@@ -687,10 +686,9 @@ STATISTICS = {
         plane_leaf_depths, _zero_to_n_minus_1, "A",
         lambda n, x, k: (n - 1, x, max(n - 1, 0)),
         avg_id="schroeder-leaf", z_offset=-1),
-    # the walk system couples x and x^2 columns, so nx >= 2
     ("dyck", "vertex-height"): Statistic(
         dyck_vertex_heights, lambda n, k: range(2 * n + 1), "D",
-        lambda n, x, k: (max(n, 1), max(x, 2), n),
+        lambda n, x, k: (n, x, n),
         avg_id="dyck-vertex", uniform_id="dyck-area"),
     ("dyck", "upstep-height"): Statistic(
         dyck_upstep_heights, _one_to_n, "U", lambda n, x, k: (n, x, n),
@@ -701,7 +699,7 @@ STATISTICS = {
         avg_id="dyck-downstep", reversed=True),
     ("noncrossing", "node-depth"): Statistic(
         noncrossing_node_depths, _zero_to_n, "G",
-        lambda n, x, k: (max(n, 1), max(x, 1), n),
+        lambda n, x, k: (n, x, n),
         avg_id="noncrossing-node", uniform_id="noncrossing-node"),
     ("increasing", "leaf-depth"): Statistic(
         increasing_leaf_depths, _zero_to_n, "I", lambda n, x, k: (n, x, n),
@@ -716,7 +714,7 @@ STATISTICS = {
     # has depth 0 and no diagonals either
     ("triangulation", "separating-diagonals"): Statistic(
         separating_diagonal_counts, _zero_to_n, "B",
-        lambda n, x, k: (max(n, 1), x, n), shift=1),
+        lambda n, x, k: (n, x, n), shift=1),
     ("dissection", "separating-diagonals"): Statistic(
         separating_diagonal_counts, _zero_to_n, "A", lambda n, x, k: (n, x, n),
         shift=1),

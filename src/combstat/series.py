@@ -152,11 +152,9 @@ def ps_const(trunc, c, field="rational") -> Series:
 
 
 def ps_monomial(trunc, key, ypoly, field="rational") -> Series:
-    """Single-cell series; key must be inside the truncation box."""
-    if not trunc.contains(key):
-        raise ValueError("monomial key %r outside truncation" % (key,))
+    """Single-cell series; a key outside the truncation box is dropped."""
     p = yp_trim(list(ypoly))
-    return Series(trunc, field, {key: p} if p else {})
+    return Series(trunc, field, {key: p} if p and trunc.contains(key) else {})
 
 
 # ----------------------------------------------------------- arithmetic
@@ -539,9 +537,11 @@ def ps_subst_scale(a: Series, out_trunc: Truncation, subs, field=None) -> Series
 
 
 def ps_retrunc(a: Series, new_trunc: Truncation) -> Series:
-    """Reinterpret under another truncation, clipping what falls out."""
-    out = {k: list(p) for k, p in a.cells.items() if new_trunc.contains(k)}
-    return Series(new_trunc, a.field, out)
+    """Reinterpret under another truncation, clipping what falls out:
+    keys outside the box and y-degrees beyond its ny."""
+    out = {k: yp_trim(p[: new_trunc.ny + 1])
+           for k, p in a.cells.items() if new_trunc.contains(k)}
+    return Series(new_trunc, a.field, {k: p for k, p in out.items() if p})
 
 
 def ps_eval_y1(a: Series) -> Series:

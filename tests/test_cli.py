@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from combstat import closed
+from combstat import closed, objects
 from combstat.cli import main
 
 
@@ -200,6 +200,31 @@ def test_verify_fails_on_a_disagreeing_form(capsys, monkeypatch):
     row = next(l for l in out.splitlines()
                if "closed-form-multiform" in l and "binary-leaf" in l)
     assert row.startswith("FAIL")
+
+
+def test_serving_path_runs_no_cross_check(capsys, monkeypatch):
+    commands = []
+    for pair in sorted(closed.AVG_IDS.values()):
+        rs = objects.positions(*pair, 30)
+        commands.append(("average", *pair, "--n", "30", "--r", str(rs[len(rs) // 2])))
+    commands.append(("average", "schroeder", "leaf-depth", "--r", "3",
+                     "--method", "asymptotic-fixed-r"))
+    served = [run(capsys, *argv) for argv in commands]
+    assert all(code == 0 for code, _ in served)
+
+    def refuse(*args):
+        raise AssertionError("a cross-check ran on the serving path")
+
+    for name in ("cross_check", "_printed_forms", "_schroeder_limit_alt"):
+        monkeypatch.setattr(closed, name, refuse)
+    assert [run(capsys, *argv) for argv in commands] == served
+
+
+def test_expand_clips_a_small_box(capsys):
+    code, out = run(capsys, "expand", "D", "--trunc-z", "2", "--trunc-x", "1",
+                    "--trunc-y", "2")
+    assert code == 0
+    assert json.loads(out)["truncation"]["nx"] == 1
 
 
 def test_same_output_under_optimize():

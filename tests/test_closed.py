@@ -97,6 +97,61 @@ def test_formulas_against_oracle(formula_id):
         ), (formula_id, r)
 
 
+def _sizes_and_positions(formula_id, nmax):
+    family, statistic = closed.AVG_IDS[formula_id]
+    for n in range(1 if family == "schroeder" else 0, nmax + 1):
+        for r in objects.positions(family, statistic, n):
+            yield n, r
+
+
+@pytest.mark.parametrize("formula_id", sorted(closed.AVG_IDS))
+def test_cross_check_passes(formula_id):
+    for n, r in _sizes_and_positions(formula_id, 60):
+        closed.cross_check(formula_id, n, r)
+
+
+def _off_by_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+# the abscissa and increasing-tree averages have one printed form each
+@pytest.mark.parametrize("formula_id", sorted(
+    set(closed.AVG_IDS) - {"binary-abscissa", "increasing-leaf", "increasing-internal"}))
+def test_cross_check_catches_any_form_off_by_one(formula_id, monkeypatch):
+    positions = list(_sizes_and_positions(formula_id, 6))
+    # the served total and the served average
+    for name in ("exact_total", "exact_average"):
+        with monkeypatch.context() as m:
+            m.setattr(closed, name, _off_by_one(getattr(closed, name)))
+            with pytest.raises(closed.ClosedFormMismatch):
+                for n, r in positions:
+                    closed.cross_check(formula_id, n, r)
+    # every other printed form, special values included
+    printed = closed._printed_forms
+    names = {key for n, r in positions for key in printed(formula_id, n, r)}
+    assert names
+    for key in names:
+        def bumped(fid, n, r, key=key):
+            forms = printed(fid, n, r)
+            if key in forms:
+                forms[key] += 1
+            return forms
+
+        with monkeypatch.context() as m:
+            m.setattr(closed, "_printed_forms", bumped)
+            with pytest.raises(closed.ClosedFormMismatch):
+                for n, r in positions:
+                    closed.cross_check(formula_id, n, r)
+
+
+def test_cross_check_catches_a_schroeder_limit_off_by_one(monkeypatch):
+    for name in ("fixed_r_limit_average", "_schroeder_limit_alt"):
+        with monkeypatch.context() as m:
+            m.setattr(closed, name, _off_by_one(getattr(closed, name)))
+            with pytest.raises(closed.ClosedFormMismatch):
+                closed.cross_check("schroeder-leaf", 5, 2)
+
+
 def test_plane_formula_against_oracle():
     for k in range(1, 6):
         for r in range(k):

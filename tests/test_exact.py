@@ -162,8 +162,9 @@ def test_yp_inv():
 
 def test_yp_shift_down():
     assert yp_shift_down([0, 0, 3, 1], 2) == [3, 1]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArithmeticError, match="not divisible"):
         yp_shift_down([0, 1, 3], 2)
+    assert yp_shift_down([0, 0], 2) == []
 
 
 def test_yp_eval_deriv():

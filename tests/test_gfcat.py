@@ -25,6 +25,7 @@ from combstat.series import (
     ps_monomial,
     ps_mul,
     ps_one,
+    ps_retrunc,
     ps_sub,
     ps_subst_scale,
     solve_fixed_point,
@@ -132,6 +133,21 @@ def test_unknown_family_rejected():
     for build in (gf_closed, gf_solve):
         with pytest.raises(ValueError):
             build("Babs", Truncation(5, 5, 5, u_range=1))  # u_range < nz
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_small_boxes_clip(family):
+    # a box too small for a monomial of the equation drops it, so the
+    # build is the cut-down of a larger one
+    def box(nz, nx, ny):
+        return Truncation(nz, nx, ny, nv=nz + 1 if family == "P" else 0,
+                          u_range=nz if family == "Babs" else 0)
+
+    for build in (gf_closed, gf_solve):
+        big = build(family, box(5, 5, 5))
+        for nx in (0, 1):
+            small = box(3, nx, 2)
+            assert build(family, small) == ps_retrunc(big, small)
 
 
 # ----------------------------------------------------- structure facts

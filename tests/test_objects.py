@@ -123,6 +123,13 @@ def test_noncrossing_distributions():
     assert dict(counts) == {0: 12}
 
 
+def test_noncrossing_depths_need_a_connected_chord_set():
+    assert ob.noncrossing_node_depths([(0, 1), (1, 2)]) == [0, 1, 2]
+    # two chords on points 0..2 with point 2 never reached
+    with pytest.raises(ValueError, match="not connected"):
+        ob.noncrossing_node_depths([(0, 1), (0, 1)])
+
+
 def _is_spanning_noncrossing(edges, n):
     if len(edges) != n:
         return False

@@ -329,6 +329,16 @@ def test_retrunc():
     assert len(small.cells) == 3
 
 
+def test_out_of_box_cells_are_dropped():
+    t = Truncation(2, 0, 1)
+    assert ps_monomial(t, (0, 1, 0, 0), [1]).cells == {}
+    assert ps_monomial(t, (3, 0, 0, 0), [1]).cells == {}
+    # y-degrees past the new ny go too, and a cell left empty with them
+    s = Series(Truncation(3, 0, 3), cells={(2, 0, 0, 0): [0, 1, 2, 3],
+                                           (1, 0, 0, 0): [0, 0, 5]})
+    assert ps_retrunc(s, t).cells == {(2, 0, 0, 0): [0, 1]}
+
+
 def test_json_dump():
     t = Truncation(2, 1, 3)
     s = Series(t, cells={(1, 0, 0, 0): [0, Fraction(1, 2)], (0, 1, 0, 0): [3]})
