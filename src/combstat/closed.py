@@ -83,9 +83,19 @@ def ternary_count(n: int) -> int:
     return math.comb(3 * n, n) // (2 * n + 1)
 
 
+_TERNARY_EDGE = [1]
+
+
 def ternary_edge(n: int) -> int:
-    """t'_n = (3n+1 choose n)/(n+1): the convolution square of t."""
-    return math.comb(3 * n + 1, n) // (n + 1)
+    """t'_n = (3n+1 choose n)/(n+1): the convolution square of t, by
+    t'_n = t'_(n-1) (3n+1)(3n)(3n-1) / ((n+1)(2n+1)(2n))."""
+    if n < 0:
+        raise ValueError("ternary number t'_%d is undefined" % n)
+    while len(_TERNARY_EDGE) <= n:
+        m = len(_TERNARY_EDGE)
+        num = _TERNARY_EDGE[m - 1] * (3 * m + 1) * (3 * m) * (3 * m - 1)
+        _TERNARY_EDGE.append(num // ((m + 1) * (2 * m + 1) * (2 * m)))
+    return _TERNARY_EDGE[n]
 
 
 def harmonic(n: int) -> Fraction:

@@ -34,12 +34,15 @@ from .series import (
     Series,
     Truncation,
     ps_add,
+    ps_bmul,
+    ps_borel,
     ps_coeff,
     ps_div_1mx,
     ps_diff_z,
     ps_exp,
     ps_integrate_z,
     ps_inv,
+    ps_laplace,
     ps_linear_solve,
     ps_monomial,
     ps_mul,
@@ -107,23 +110,28 @@ def _narayana_v(t):
 
 
 def _geom(t, powx):
-    """1/(1 - x^powx z) laid out directly."""
+    """1/(1 - x^powx z), n!-scaled: the z^k cell is k!."""
     cells = {}
     for k in range(t.nz + 1):
         key = (k, powx * k, 0, 0)
         if t.contains(key):
-            cells[key] = [1]
+            cells[key] = [math.factorial(k)]
     return Series(t, cells=cells)
 
 
 def _log_geom(t, powx):
-    """-log(1 - x^powx z) termwise."""
+    """-log(1 - x^powx z), n!-scaled: the z^k cell is (k-1)!."""
     cells = {}
     for k in range(1, t.nz + 1):
         key = (k, powx * k, 0, 0)
         if t.contains(key):
-            cells[key] = [Fraction(1, k)]
+            cells[key] = [math.factorial(k - 1)]
     return Series(t, cells=cells)
+
+
+def _exp_logs(t, p):
+    """exp(p(y) (L(z) + L(xz))) with L(z) = -log(1 - z), n!-scaled."""
+    return ps_exp(ps_mul_ypoly(ps_add(_log_geom(t, 0), _log_geom(t, 1)), p))
 
 
 def _drop_top_z(s: Series) -> Series:
@@ -235,14 +243,12 @@ def gf_closed(family: str, trunc: Truncation, alt: bool = False) -> Series:
         return ps_mul(num, ps_inv(den))
 
     if family == "I":
-        arg = ps_mul_ypoly(ps_add(_log_geom(t, 0), _log_geom(t, 1)), Y)
-        return ps_exp(arg)
+        return ps_laplace(_exp_logs(t, Y))
 
     if family == "J":
-        i = gf_closed("I", t)
-        arg = ps_mul_ypoly(ps_add(_log_geom(t, 0), _log_geom(t, 1)), [1, -1])
-        integrand = ps_exp(arg)
-        return ps_mul(i, ps_integrate_z(integrand))
+        # I times the integral of exp((1 - y)(L(z) + L(xz)))
+        integral = ps_integrate_z(_exp_logs(t, [1, -1]))
+        return ps_laplace(ps_bmul(_exp_logs(t, Y), integral))
 
     raise AssertionError  # pragma: no cover
 
@@ -255,8 +261,9 @@ def _system(family: str, t: Truncation):
 
     Returns (a0, factors, init), where m is the product of the factors.
     With init None the equation is S = a0 + S*m; otherwise it is
-    dS/dz = a0 + S*m with S = init at z = 0.  The residual multiplies S
-    through the factors in order, so a sparse factor goes first."""
+    dS/dz = a0 + S*m with S = init at z = 0, over n!-scaled series (the
+    products are ps_bmul).  The residual multiplies S through the factors
+    in order, so a sparse factor goes first."""
     _check(family, t)
     one = ps_one(t)
 
@@ -329,7 +336,7 @@ def _system(family: str, t: Truncation):
         f0 = _geom(t, 0)
         fx = _geom(t, 1)
         m = ps_mul_ypoly(ps_add(f0, ps_mul(_x(t), fx)), Y)
-        return ps_mul(f0, fx), (m,), Series(t)
+        return ps_bmul(f0, fx), (m,), Series(t)
 
     raise AssertionError  # pragma: no cover
 
@@ -338,10 +345,9 @@ def gf_solve(family: str, trunc: Truncation) -> Series:
     """Solve the family's functional equation directly -- an expansion
     path independent of the closed form."""
     a0, factors, init = _system(family, trunc)
-    m = functools.reduce(ps_mul, factors)
     if init is None:
-        return ps_linear_solve(a0, m)
-    return ps_ode_solve(init, a0, m)
+        return ps_linear_solve(a0, functools.reduce(ps_mul, factors))
+    return ps_laplace(ps_ode_solve(init, a0, functools.reduce(ps_bmul, factors)))
 
 
 def gf_residual(family: str, s: Series) -> Series:
@@ -349,10 +355,11 @@ def gf_residual(family: str, s: Series) -> Series:
     when s satisfies it inside the truncation box; an ODE loses its top
     z-slice to d/dz)."""
     a0, factors, init = _system(family, s.trunc)
-    rhs = ps_add(a0, functools.reduce(ps_mul, factors, s))
     if init is None:
-        return ps_sub(s, rhs)
-    return _drop_top_z(ps_sub(ps_diff_z(s), rhs))
+        return ps_sub(s, ps_add(a0, functools.reduce(ps_mul, factors, s)))
+    s = ps_borel(s)
+    rhs = ps_add(a0, functools.reduce(ps_bmul, factors, s))
+    return ps_laplace(_drop_top_z(ps_sub(ps_diff_z(s), rhs)))
 
 
 # --------------------------------------- y-derivative product identities
@@ -415,7 +422,7 @@ def gf_dy1_closed(family: str, trunc: Truncation) -> Series:
         return ps_mul(ps_mul(_z(t, [1]), _x(t)), ps_mul(g1, g1))
     if family == "I":
         ell = ps_add(_log_geom(t, 0), _log_geom(t, 1))
-        return ps_mul(ell, ps_mul(_geom(t, 0), _geom(t, 1)))
+        return ps_laplace(ps_bmul(ell, ps_bmul(_geom(t, 0), _geom(t, 1))))
     raise ValueError("no product identity for the y-derivative of %r" % (family,))
 
 

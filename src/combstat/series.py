@@ -18,6 +18,12 @@ is not: a cell dropped at u^-(u_range+1) comes back into the box when
 multiplied by a u^+1 cell.  The box is exact in u only when no dropped
 cell can come back, e.g. when every u-step comes with a z-step and
 u_range >= nz, which is what gfcat requires of Babs.
+
+Exponential GFs are handled n!-scaled (ps_borel): the z^n cells carry
+n! times the coefficient, so a series counting labelled objects has int
+cells.  ps_bmul, ps_exp, ps_ode_solve, ps_diff_z and ps_integrate_z
+work on that form (a product is a binomial convolution in z, d/dz and
+the z-integral are index shifts); ps_laplace divides by n! again.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
 from .exact import (
     scalar_inv,
@@ -200,11 +207,28 @@ def ps_mul_ypoly(a: Series, p) -> Series:
 
 
 def ps_mul(a: Series, b: Series) -> Series:
+    return _mul(a, b, None)
+
+
+def ps_bmul(a: Series, b: Series) -> Series:
+    """Product of two n!-scaled series (see ps_borel): the binomial
+    convolution sum C(n, k) a_k b_(n-k) in z, an ordinary product in x,
+    v, u and y."""
+    return _mul(a, b, _pascal(a.trunc.nz))
+
+
+def _pascal(n):
+    return [[comb(i, j) for j in range(i + 1)] for i in range(n + 1)]
+
+
+def _mul(a, b, pascal):
+    """The product, weighted by pascal[dz][dz of the a-cell] if given."""
     _check_compat(a, b)
     t = a.trunc
     ny = t.ny
     out = {}
     # iterate the smaller factor outside: marginally fewer dead key-adds
+    # (the binomial weight is symmetric, so swapping is safe)
     ac, bc = a.cells, b.cells
     if len(ac) > len(bc):
         ac, bc = bc, ac
@@ -217,6 +241,9 @@ def ps_mul(a: Series, b: Series) -> Series:
             prod = yp_mul(pa, pb, ny)
             if not prod:
                 continue
+            if pascal:
+                c = pascal[nk[0]][ka[0]]
+                prod = [c * v for v in prod]
             cur = out.get(nk)
             if cur is None:
                 out[nk] = prod
@@ -247,9 +274,10 @@ def _by_grade(cells, grade=_grade):
     return out
 
 
-def _push(layer, g, m_layers, bound, pending, t):
+def _push(layer, g, m_layers, bound, pending, t, pascal=None):
     """One step of the one-pass solvers: add layer (slice g of S) times
-    each slice (h, cells) of m, h rising, into pending[g + h] up to bound."""
+    each slice (h, cells) of m, h rising, into pending[g + h] up to bound;
+    with pascal, the products are binomial ones (ps_bmul)."""
     ny = t.ny
     for h, m_cells in m_layers:
         if g + h > bound:
@@ -263,6 +291,9 @@ def _push(layer, g, m_layers, bound, pending, t):
                 prod = yp_mul(sp, mp, ny)
                 if not prod:
                     continue
+                if pascal:
+                    c = pascal[nk[0]][sk[0]]
+                    prod = [c * v for v in prod]
                 cur = tgt.get(nk)
                 tgt[nk] = prod if cur is None else yp_add(cur, prod)
 
@@ -295,11 +326,13 @@ def ps_linear_solve(a: Series, m: Series) -> Series:
 
 
 def ps_ode_solve(init: Series, drive: Series, m: Series) -> Series:
-    """The unique S with dS/dz = drive + S*m and S = init at z = 0.
+    """The unique S with dS/dz = drive + S*m and S = init at z = 0, all
+    n!-scaled (see ps_borel), so S*m is ps_bmul.
 
     Solved slice by slice in z: the z^k slice of drive + S*m only
-    involves slices of S up to k, and integrating it gives slice k+1,
-    so one pass from k = 0 up costs about a single multiplication.
+    involves slices of S up to k, and integrating it (an index shift)
+    gives slice k+1, so one pass from k = 0 up costs about a single
+    multiplication.
     """
     _check_compat(init, drive)
     _check_compat(init, m)
@@ -307,6 +340,7 @@ def ps_ode_solve(init: Series, drive: Series, m: Series) -> Series:
         if k[0]:
             raise ValueError("ode solve needs an initial value free of z")
     t = init.trunc
+    pascal = _pascal(t.nz)
     m_slices = sorted(_by_grade(m.cells, lambda k: k[0]).items())
     pending = defaultdict(dict)  # dz -> the z^dz slice of drive + S*m
     for k, p in drive.cells.items():
@@ -315,15 +349,11 @@ def ps_ode_solve(init: Series, drive: Series, m: Series) -> Series:
     out = {}
     for dz in range(t.nz + 1):
         if dz:
-            inv_dz = Fraction(1, dz)
-            layer = {}
-            for (_, dx, dv, du), p in pending.pop(dz - 1, {}).items():
-                p = yp_scale(p, inv_dz)
-                if p:
-                    layer[(dz, dx, dv, du)] = p
+            layer = {(dz, dx, dv, du): p
+                     for (_, dx, dv, du), p in pending.pop(dz - 1, {}).items() if p}
         out.update(layer)
         # slice nz - 1 of drive + S*m is the last one that gets integrated
-        _push(layer, dz, m_slices, t.nz - 1, pending, t)
+        _push(layer, dz, m_slices, t.nz - 1, pending, t, pascal)
     return Series(t, init.field, out)
 
 
@@ -384,70 +414,59 @@ def ps_sqrt(a: Series) -> Series:
 
 
 def ps_exp(a: Series) -> Series:
-    """exp(a) for a with no grade-0 cell, via the graded derivative:
+    """exp(a) for an n!-scaled a (see ps_borel) with no grade-0 cell.
 
-        g * E_g = sum_{h>=1} h * A_h * E_{g-h}
+    The Euler operator z d/dz + x d/dx + v d/dv multiplies a grade-g cell
+    by g and commutes with the n! scaling, so grade by grade
+
+        g * E_g = sum_{h>=1} (h * A_h) * E_{g-h}     (products ps_bmul)
+
+    and the division by g keeps integral cells int (exact.exact_int).
     """
     if ZERO_KEY in a.cells:
         raise ValueError("ps_exp needs a series with zero constant term")
     t = a.trunc
-    ny = t.ny
-    a_layers = _by_grade(a.cells)
-    a_grades = sorted(a_layers)
-    e_layers = {0: {ZERO_KEY: [1]}}
-    out = {ZERO_KEY: [1]}
-    for g in range(1, t.grade_bound + 1):
-        acc = {}
-        for h in a_grades:
-            if h > g:
-                break
-            src = e_layers.get(g - h)
-            if not src:
-                continue
-            for ak, ap in a_layers[h]:
-                hap = yp_scale(ap, h)
-                for ek, ep in src.items():
-                    nk = (ak[0] + ek[0], ak[1] + ek[1], ak[2] + ek[2], ak[3] + ek[3])
-                    if not t.contains(nk):
-                        continue
-                    prod = yp_mul(hap, ep, ny)
-                    if not prod:
-                        continue
-                    cur = acc.get(nk)
-                    acc[nk] = prod if cur is None else yp_add(cur, prod)
-        inv_g = Fraction(1, g)
-        layer = {}
-        for k, p in acc.items():
-            p = yp_scale(p, inv_g)
-            if p:
-                layer[k] = p
-        if layer:
-            e_layers[g] = layer
-            out.update(layer)
+    pascal = _pascal(t.nz)
+    ha_layers = sorted((h, [(k, yp_scale(p, h)) for k, p in cells])
+                       for h, cells in _by_grade(a.cells).items())
+    pending = defaultdict(dict)  # g -> the grade-g slice of g * E
+    layer = {ZERO_KEY: [1]}
+    out = {}
+    for g in range(t.grade_bound + 1):
+        if g:
+            layer = {k: yp_scale(p, Fraction(1, g)) for k, p in pending.pop(g, {}).items()}
+            layer = {k: p for k, p in layer.items() if p}
+        out.update(layer)
+        _push(layer, g, ha_layers, t.grade_bound, pending, t, pascal)
     return Series(t, a.field, out)
 
 
 # ------------------------------------------------------- calculus in z
 
+def ps_borel(a: Series) -> Series:
+    """The n!-scaled form of an EGF: the z^n cells times n!.  Counting
+    EGFs have int cells in this form; ps_bmul, ps_exp, ps_ode_solve,
+    ps_diff_z and ps_integrate_z work on it."""
+    return Series(a.trunc, a.field,
+                  {k: yp_scale(p, factorial(k[0])) for k, p in a.cells.items()})
+
+
+def ps_laplace(a: Series) -> Series:
+    """Inverse of ps_borel: one exact division by n! per cell."""
+    return Series(a.trunc, a.field,
+                  {k: yp_scale(p, Fraction(1, factorial(k[0]))) for k, p in a.cells.items()})
+
+
 def ps_diff_z(a: Series) -> Series:
-    out = {}
-    for (dz, dx, dv, du), p in a.cells.items():
-        if dz == 0:
-            continue
-        out[(dz - 1, dx, dv, du)] = yp_scale(p, dz)
-    return Series(a.trunc, a.field, out)
+    """d/dz of an n!-scaled series: every cell moves one z-step down."""
+    return Series(a.trunc, a.field, {(dz - 1, dx, dv, du): p
+                                     for (dz, dx, dv, du), p in a.cells.items() if dz})
 
 
 def ps_integrate_z(a: Series) -> Series:
-    """Term-by-term z-antiderivative, zero constant; the top z-slice
-    falls off the truncation edge."""
-    t = a.trunc
-    out = {}
-    for (dz, dx, dv, du), p in a.cells.items():
-        if dz + 1 > t.nz:
-            continue
-        out[(dz + 1, dx, dv, du)] = yp_scale(p, Fraction(1, dz + 1))
-    return Series(t, a.field, out)
+    """z-antiderivative of an n!-scaled series, zero constant: every cell
+    moves one z-step up, and the top z-slice falls off the edge."""
+    return ps_shift(a, 1)
 
 
 def ps_shift(a: Series, k: int) -> Series:

@@ -44,6 +44,10 @@ def test_sequences():
         little_schroeder(-1)
     assert [ternary_count(n) for n in range(6)] == [1, 1, 3, 12, 55, 273]
     assert [ternary_edge(n) for n in range(5)] == [1, 2, 7, 30, 143]
+    # the ratio recurrence against the binomial form it replaces
+    assert all(ternary_edge(n) == math.comb(3 * n + 1, n) // (n + 1) for n in range(300))
+    with pytest.raises(ValueError):
+        ternary_edge(-1)
     assert [narayana_number(4, k) for k in range(1, 5)] == [1, 6, 6, 1]
     assert narayana_number(0, 1) == 1 and narayana_number(0, 2) == 0
     assert harmonic(4) == Fraction(25, 12)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from combstat.series import (
     ps_retrunc,
     ps_sub,
     ps_subst_scale,
+    ps_to_json,
     solve_fixed_point,
 )
 
@@ -117,6 +120,22 @@ def test_ordinary_gf_cells_are_int(family):
         assert all(type(c) is int for p in cells for c in p)
 
 
+@pytest.mark.parametrize("family", ["I", "J"])
+def test_scaled_egf_cells_are_int(family, monkeypatch):
+    # inside the I and J routes every series is n!-scaled, so its cells
+    # count objects and are kept in int; only the boundary divides by n!
+    seen = []
+    for name in ("ps_exp", "ps_bmul", "ps_integrate_z", "ps_ode_solve", "ps_laplace"):
+        op = getattr(gfcat, name)
+        monkeypatch.setattr(gfcat, name, lambda *args, op=op: seen.append(args) or op(*args))
+    t = Truncation(8, 8, 8)
+    for build in (gf_closed, gf_solve):
+        build(family, t)
+    scaled = [s for args in seen for s in args]
+    assert len(scaled) >= 3
+    assert all(type(c) is int for s in scaled for p in s.cells.values() for c in p)
+
+
 @pytest.mark.parametrize("family", ["B", "D", "U"])
 def test_alternate_closed_forms_agree(family):
     t = TRUNCS[family]
@@ -148,6 +167,32 @@ def test_small_boxes_clip(family):
         for nx in (0, 1):
             small = box(3, nx, 2)
             assert build(family, small) == ps_retrunc(big, small)
+
+
+# sha256 of json.dumps(ps_to_json(s), sort_keys=True), recorded at commit
+# 38690cb while I and J were still built in Fraction cells; "small" hashes
+# the builds at nz 0-5, nx {0, 1, 3}, ny {0, 2, 5} in that order
+EGF_DIGESTS = {
+    ("I", (13, 13, 12)): "bda3518b1cf5b04990abea8cd9f73f832415c9ca96697aa96b1e51d4b4da7968",
+    ("I", (20, 20, 19)): "4c3b6c284c77da276862b252b5e9f88b92192db3fc9716b0fdf3b0db167cffee",
+    ("I", "small"): "fa0b113b8ea73048ecc1a9aa3270e2e39ab06d0e4c16527622ae9e2ec26a80f1",
+    ("J", (13, 13, 12)): "478d31f3ba056b501bdd13d1e6b7123c4513bd84d0a2348cfcf9c2b3e7bdcab6",
+    ("J", (20, 20, 19)): "1d3a0dfb1a86dd40a2065399506d694c0f9b6eeecc2263cb837148e1bad7108d",
+    ("J", "small"): "1fdb292cf6cc5490e8157e86d151dcb606a500256c142b4fe51ab60179fd61c2",
+}
+
+
+@pytest.mark.parametrize("family,box", list(EGF_DIGESTS),
+                         ids=["%s-%s" % (f, b if b == "small" else b[0]) for f, b in EGF_DIGESTS])
+def test_egf_builds_match_recorded_digests(family, box):
+    boxes = [box] if box != "small" else [
+        (nz, nx, ny) for nz in range(6) for nx in (0, 1, 3) for ny in (0, 2, 5)]
+    for build in (gf_closed, gf_solve):
+        h = hashlib.sha256()
+        for b in boxes:
+            doc = ps_to_json(build(family, Truncation(*b)))
+            h.update(json.dumps(doc, sort_keys=True).encode())
+        assert h.hexdigest() == EGF_DIGESTS[family, box]
 
 
 # ----------------------------------------------------- structure facts
@@ -321,7 +366,7 @@ def test_sweep_matches_single_reads(family, statistic, monkeypatch):
     monkeypatch.setattr(gfcat, "gf_closed",
                         lambda fam, t: builds.append(fam) or build(fam, t))
     swept = gfcat.columns_via_gf(family, statistic, n, rs, k)
-    assert builds.count(entry.gf) == 1  # J's closed form also builds I
+    assert builds.count(entry.gf) == 1
     monkeypatch.undo()
     walked = objects.distribution_columns(family, statistic, n, rs, k)
     for r in rs:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from combstat.series import (
     Series,
     Truncation,
     ps_add,
+    ps_bmul,
+    ps_borel,
     ps_coeff,
     ps_diff_u1,
     ps_diff_y1,
@@ -19,6 +22,7 @@ from combstat.series import (
     ps_integrate_z,
     ps_inv,
     ps_is_zero,
+    ps_laplace,
     ps_linear_solve,
     ps_monomial,
     ps_mul,
@@ -149,20 +153,34 @@ def test_sqrt_quad2_field():
 
 def test_exp_univariate():
     t = Truncation(6, 0, 0)
-    e = ps_exp(zmono(t, 1))
-    import math
+    e = ps_exp(ps_borel(zmono(t, 1)))
 
     for k in range(7):
-        assert ps_coeff(e, k) == [Fraction(1, math.factorial(k))]
+        assert ps_coeff(ps_laplace(e), k) == [Fraction(1, math.factorial(k))]
+        assert ps_coeff(e, k) == [1]  # n!-scaled
     with pytest.raises(ValueError):
         ps_exp(ps_one(t))
+
+
+def test_exp_stays_exact_off_the_integers():
+    # exp(z/2) = sum z^k / (2^k k!)
+    t = Truncation(6, 0, 0)
+    e = ps_exp(ps_borel(zmono(t, 1, (Fraction(1, 2),))))
+    for k in range(7):
+        assert ps_coeff(ps_laplace(e), k) == [Fraction(1, 2 ** k * math.factorial(k))]
+        assert ps_coeff(e, k) == [Fraction(1, 2 ** k)]
+    assert type(ps_coeff(e, 0)[0]) is int
 
 
 def test_exp_log_roundtrip():
     # L = -log(1-z) termwise, exp(L) must be 1/(1-z)
     t = Truncation(7, 0, 0)
-    log = Series(t, cells={(k, 0, 0, 0): [Fraction(1, k)] for k in range(1, 8)})
-    assert all(ps_coeff(ps_exp(log), k) == [1] for k in range(8))
+    log = ps_borel(Series(t, cells={(k, 0, 0, 0): [Fraction(1, k)] for k in range(1, 8)}))
+    assert all(ps_coeff(ps_laplace(ps_exp(log)), k) == [1] for k in range(8))
+    # n!-scaled: (k-1)! in, k! out, int throughout
+    assert all(ps_coeff(log, k) == [math.factorial(k - 1)] for k in range(1, 8))
+    assert all(ps_coeff(ps_exp(log), k) == [math.factorial(k)] for k in range(8))
+    assert all(type(c) is int for p in ps_exp(log).cells.values() for c in p)
 
 
 T_ODE = Truncation(6, 3, 4, nv=1, u_range=6)  # |du| <= dz: nothing clipped in u
@@ -175,9 +193,19 @@ A_ODE = Series(T_ODE, cells={
 
 
 def test_ode_solve_is_exp():
-    # E = exp(a) solves E' = E a' with E = 1 at z = 0
-    got = ps_ode_solve(ps_one(T_ODE), ps_zero(T_ODE), ps_diff_z(A_ODE))
-    assert got == ps_exp(A_ODE)
+    # E = exp(a) solves E' = E a' with E = 1 at z = 0 (all n!-scaled)
+    a = ps_borel(A_ODE)
+    got = ps_ode_solve(ps_one(T_ODE), ps_zero(T_ODE), ps_diff_z(a))
+    assert got == ps_exp(a)
+
+
+def test_borel_laplace_and_binomial_product():
+    b = Series(T_ODE, cells={(0, 1, 0, 0): [3], (2, 0, 1, 1): [1, Fraction(-1, 2)],
+                             (5, 1, 0, 0): [4]})
+    for s in (A_ODE, b):
+        assert ps_laplace(ps_borel(s)) == s
+        assert ps_borel(ps_laplace(s)) == s
+    assert ps_laplace(ps_bmul(ps_borel(A_ODE), ps_borel(b))) == ps_mul(A_ODE, b)
 
 
 def test_ode_solve_without_m_integrates():
@@ -195,14 +223,17 @@ def test_ode_solve_rejects_z_in_init():
 def test_diff_integrate_z():
     t = Truncation(4, 0, 2)
     s = Series(t, cells={(k, 0, 0, 0): [k + 1] for k in range(5)})
-    d = ps_diff_z(s)
+    d = ps_laplace(ps_diff_z(ps_borel(s)))
     assert zcoeffs(d, 3) == [[2], [6], [12], [20]]
-    back = ps_integrate_z(d)
+    back = ps_laplace(ps_integrate_z(ps_borel(d)))
     # constant lost, top slice dropped on reintegration stays intact here
     assert zcoeffs(back, 4) == [[], [2], [3], [4], [5]]
-    top = ps_integrate_z(s)
+    top = ps_laplace(ps_integrate_z(ps_borel(s)))
     assert ps_coeff(top, 4) == [1]  # (dz=3 cell)/4 -> 4/4
     assert (5, 0, 0, 0) not in top.cells
+    # n!-scaled, both are index shifts
+    assert zcoeffs(ps_diff_z(s), 4) == [[2], [3], [4], [5], []]
+    assert zcoeffs(ps_integrate_z(s), 4) == [[], [1], [2], [3], [4]]
 
 
 def test_shift():
