@@ -169,7 +169,10 @@ def test_exp_stays_exact_off_the_integers():
     for k in range(7):
         assert ps_coeff(ps_laplace(e), k) == [Fraction(1, 2 ** k * math.factorial(k))]
         assert ps_coeff(e, k) == [Fraction(1, 2 ** k)]
-    assert type(ps_coeff(e, 0)[0]) is int
+    # exp(2z): each division by the grade lands on an integer, kept int
+    e2 = ps_exp(ps_borel(zmono(t, 1, (2,))))
+    assert all(ps_coeff(e2, k) == [2 ** k] for k in range(7))
+    assert all(type(c) is int for p in e2.cells.values() for c in p)
 
 
 def test_exp_log_roundtrip():
