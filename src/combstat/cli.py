@@ -16,9 +16,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import closed, gfcat, maps, objects
+from . import closed, gfcat, maps, objects, series
 from .exact import Quad2, render_decimal, render_scalar
-from .series import Truncation, ps_is_zero, ps_to_json
+from .series import Truncation, ps_inv, ps_is_zero, ps_monomial, ps_one, ps_shift, ps_to_json
 
 class UsageError(Exception):
     pass
@@ -426,8 +426,27 @@ def _inorder_labels(t):
     return _inorder_labels(t[1]) + [t[0]] + _inorder_labels(t[2])
 
 
+def _fixed_point_residual(eq_id, t):
+    """The solved base minus the right side of its printed equation (the
+    solver works with the denominators cleared)."""
+    s = series.solve_fixed_point(eq_id, t)
+    one, z = ps_one(t), ps_monomial(t, (1, 0, 0, 0), [1])
+    if eq_id == "catalan":  # C = 1 + zC^2
+        return s - (one + z * s * s)
+    if eq_id == "ternary":  # T = 1 + zT^3
+        return s - (one + z * s * s * s)
+    if eq_id == "schroeder":  # St = z + St^2/(1 - St), St = zS
+        st = ps_shift(s, 1)
+        return st - (z + st * st * ps_inv(one - st))
+    # N = 1/(1 - zN) - 1 + v
+    return s - (ps_inv(one - z * s) - one + ps_monomial(t, (0, 0, 1, 0), [1]))
+
+
 def _suite_gf(max_n):
     rows = []
+    for eq_id in ("catalan", "ternary", "schroeder", "narayana"):
+        ok = ps_is_zero(_fixed_point_residual(eq_id, Truncation(8, 0, 0, nv=8)))
+        rows.append(_row("fixed-point", eq_id, 8, "PASS" if ok else "FAIL"))
     t = Truncation(8, 8, 8)
     special = {"P": Truncation(8, 8, 8, nv=8), "Babs": Truncation(8, 8, 8, u_range=8)}
     for fam in gfcat.FAMILY_IDS:

@@ -19,6 +19,11 @@ multiplied by a u^+1 cell.  The box is exact in u only when no dropped
 cell can come back, e.g. when every u-step comes with a z-step and
 u_range >= nz, which is what gfcat requires of Babs.
 
+The solvers (ps_linear_solve, ps_ode_solve, ps_exp, solve_fixed_point)
+are online: each fixes one slice (of a grade, or of z) at a time from
+the slices already fixed, so a solve costs about one product.  All the
+products share one kernel, _acc.
+
 Exponential GFs are handled n!-scaled (ps_borel): the z^n cells carry
 n! times the coefficient, so a series counting labelled objects has int
 cells.  ps_bmul, ps_exp, ps_ode_solve, ps_diff_z and ps_integrate_z
@@ -224,25 +229,32 @@ def _pascal(n):
 def _mul(a, b, pascal):
     """The product, weighted by pascal[dz][dz of the a-cell] if given."""
     _check_compat(a, b)
-    t = a.trunc
-    ny = t.ny
-    out = {}
     # iterate the smaller factor outside: marginally fewer dead key-adds
     # (the binomial weight is symmetric, so swapping is safe)
     ac, bc = a.cells, b.cells
     if len(ac) > len(bc):
         ac, bc = bc, ac
-    bitems = list(bc.items())
-    for ka, pa in ac.items():
-        for kb, pb in bitems:
-            nk = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2], ka[3] + kb[3])
-            if not t.contains(nk):
+    out = {}
+    _acc(out, ac.items(), list(bc.items()), a.trunc, pascal)
+    return Series(a.trunc, a.field, out)
+
+
+def _acc(out, acells, bcells, t, pascal=None):
+    """Add the products of two lists of (key, ypoly) cells into the dict
+    out, dropping sums that cancel and keys outside the box t (by the
+    limits each a-cell leaves); pascal weights them as in _mul."""
+    nz, nx, ny, nv, u = t.nz, t.nx, t.ny, t.nv, t.u_range
+    for (a0, a1, a2, a3), pa in acells:
+        lz, lx, lv, ulo, uhi = nz - a0, nx - a1, nv - a2, -u - a3, u - a3
+        for (b0, b1, b2, b3), pb in bcells:
+            if b0 > lz or b1 > lx or b2 > lv or b3 < ulo or b3 > uhi:
                 continue
             prod = yp_mul(pa, pb, ny)
             if not prod:
                 continue
+            nk = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
             if pascal:
-                c = pascal[nk[0]][ka[0]]
+                c = pascal[nk[0]][a0]
                 prod = [c * v for v in prod]
             cur = out.get(nk)
             if cur is None:
@@ -253,7 +265,6 @@ def _mul(a, b, pascal):
                     out[nk] = s
                 else:
                     del out[nk]
-    return Series(t, a.field, out)
 
 
 def ps_is_zero(a: Series) -> bool:
@@ -278,24 +289,11 @@ def _push(layer, g, m_layers, bound, pending, t, pascal=None):
     """One step of the one-pass solvers: add layer (slice g of S) times
     each slice (h, cells) of m, h rising, into pending[g + h] up to bound;
     with pascal, the products are binomial ones (ps_bmul)."""
-    ny = t.ny
+    items = list(layer.items())
     for h, m_cells in m_layers:
         if g + h > bound:
             break
-        tgt = pending[g + h]
-        for mk, mp in m_cells:
-            for sk, sp in layer.items():
-                nk = (sk[0] + mk[0], sk[1] + mk[1], sk[2] + mk[2], sk[3] + mk[3])
-                if not t.contains(nk):
-                    continue
-                prod = yp_mul(sp, mp, ny)
-                if not prod:
-                    continue
-                if pascal:
-                    c = pascal[nk[0]][sk[0]]
-                    prod = [c * v for v in prod]
-                cur = tgt.get(nk)
-                tgt[nk] = prod if cur is None else yp_add(cur, prod)
+        _acc(pending[g + h], m_cells, items, t, pascal)
 
 
 def ps_linear_solve(a: Series, m: Series) -> Series:
@@ -644,45 +642,46 @@ def ps_to_json(a: Series) -> dict:
 
 # ---------------------------------------------------- fixed-point bases
 
-def _iterate(step, start: Series) -> Series:
-    """Apply step nz+1 times from start (each pass fixes at least one
-    more order in z), then check that the result is a fixed point."""
-    s = start
-    for _ in range(start.trunc.nz + 1):
-        s = step(s)
-    if not ps_is_zero(ps_sub(s, step(s))):
-        raise ArithmeticError("fixed-point iteration did not converge")
-    return s
+# Each base solves S = a0 + z*S*L, a0 a single cell 1.  The z^0 slice of
+# L is 1, and above it L is k*S, or S*S for the ternary base (k None):
+#   catalan    C = 1 + z C C
+#   ternary    T = 1 + z T (T T)
+#   schroeder  S = 1 + z S (2S - 1), i.e. St = z + St^2/(1 - St), St = zS
+#   narayana   N = v + z N (N + 1 - v), i.e. N = 1/(1 - zN) - 1 + v
+_BASES = {
+    "catalan": (ZERO_KEY, 1),
+    "ternary": (ZERO_KEY, None),
+    "schroeder": (ZERO_KEY, 2),
+    "narayana": ((0, 0, 1, 0), 1),
+}
 
 
 def solve_fixed_point(eq_id: str, trunc: Truncation, field: str = "rational") -> Series:
-    """Solve one of the registered algebraic fixed-point equations by
-    plain iteration, checked once at the end.  Denominators are cleared,
-    so each pass is one or two products and no series inverse.
+    """Solve one of the registered algebraic equations (see _BASES) z-slice
+    by z-slice, with online products: the z^(g+1) slice of S is the z^g
+    slice of S*L, the sum of S_i*L_(g-i), which needs only slices of S up
+    to g.  So each product of the equation is formed once, in about the
+    time of one series product, and the result is a fixed point by
+    construction; verify --suite gf checks it against the printed
+    equations, denominators and all."""
+    if eq_id not in _BASES:
+        raise ValueError("no fixed-point equation registered under %r" % (eq_id,))
+    if eq_id == "narayana" and trunc.nv < 1:
+        raise ValueError("narayana needs a truncation with nv >= 1")
+    a0, k = _BASES[eq_id]
+    s = [[(a0, [1])]]  # s[g]: the z^g slice of S, as (key, ypoly) pairs
+    ell = [[(ZERO_KEY, [1])]]  # the slices of L
+    for g in range(trunc.nz):
+        prod = _online(s, ell, g, trunc)
+        s.append([((g + 1, dx, dv, du), p) for (_, dx, dv, du), p in prod])
+        ell.append(_online(s, s, g + 1, trunc) if k is None
+                   else [(key, yp_scale(p, k)) for key, p in s[-1]])
+    return Series(trunc, field, dict(cell for layer in s for cell in layer))
 
-    * "catalan":   C = 1 + z C^2
-    * "ternary":   T = 1 + z T^3
-    * "schroeder": St = z - z St + 2 St^2, i.e. St = z + St^2/(1-St),
-      returned divided by z
-    * "narayana":  N = v + z N (N + 1 - v), i.e. N = 1/(1 - z N) - 1 + v
-    """
-    if eq_id == "schroeder":
-        # solve for St(z) = z*S(z) one order higher, then divide by z
-        t1 = Truncation(trunc.nz + 1, trunc.nx, trunc.ny, trunc.nv, trunc.u_range)
-        z = ps_monomial(t1, (1, 0, 0, 0), [1], field)
-        st = _iterate(lambda s: ps_add(z, ps_mul(s, ps_sub(ps_scale(s, 2), z))),
-                      ps_zero(t1, field))
-        return ps_retrunc(ps_shift(st, -1), trunc)
-    one = ps_one(trunc, field)
-    z = ps_monomial(trunc, (1, 0, 0, 0), [1], field)
-    if eq_id == "catalan":
-        return _iterate(lambda s: ps_add(one, ps_mul(z, ps_mul(s, s))), one)
-    if eq_id == "ternary":
-        return _iterate(lambda s: ps_add(one, ps_mul(z, ps_mul(s, ps_mul(s, s)))), one)
-    if eq_id == "narayana":
-        if trunc.nv < 1:
-            raise ValueError("narayana needs a truncation with nv >= 1")
-        v = ps_monomial(trunc, (0, 0, 1, 0), [1], field)
-        one_v = ps_sub(one, v)
-        return _iterate(lambda s: ps_add(v, ps_mul(z, ps_mul(s, ps_add(s, one_v)))), v)
-    raise ValueError("no fixed-point equation registered under %r" % (eq_id,))
+
+def _online(a, b, g, t):
+    """The z^g slice of A*B, from the z-slices a[0..g] and b[0..g]."""
+    out = {}
+    for i in range(g + 1):
+        _acc(out, a[i], b[g - i], t)
+    return list(out.items())

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from combstat import closed, objects
+from combstat import closed, objects, series
 from combstat.cli import main
 
 
@@ -200,6 +200,23 @@ def test_verify_fails_on_a_disagreeing_form(capsys, monkeypatch):
     row = next(l for l in out.splitlines()
                if "closed-form-multiform" in l and "binary-leaf" in l)
     assert row.startswith("FAIL")
+
+
+def test_verify_fails_on_a_perturbed_base(capsys, monkeypatch):
+    # one more z^3 cell in a solved base breaks its printed equation
+    solve = series.solve_fixed_point
+
+    def perturbed(eq_id, t, field="rational"):
+        key = (3, 0, 1, 0) if eq_id == "narayana" else (3, 0, 0, 0)
+        return solve(eq_id, t, field) + series.ps_monomial(t, key, [1])
+
+    code, out = run(capsys, "verify", "--suite", "gf")
+    assert code == 0
+    monkeypatch.setattr(series, "solve_fixed_point", perturbed)
+    code, out = run(capsys, "verify", "--suite", "gf")
+    assert code == 1
+    rows = [l for l in out.splitlines() if "fixed-point" in l]
+    assert len(rows) == 4 and all(l.startswith("FAIL") for l in rows)
 
 
 def test_serving_path_runs_no_cross_check(capsys, monkeypatch):

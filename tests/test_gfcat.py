@@ -154,25 +154,51 @@ def test_unknown_family_rejected():
             build("Babs", Truncation(5, 5, 5, u_range=1))  # u_range < nz
 
 
+def box(family, nz, nx, ny):
+    """The (nz, nx, ny) box, with nv = nz + 1 for P and u_range = nz for Babs."""
+    return Truncation(nz, nx, ny, nv=nz + 1 if family == "P" else 0,
+                      u_range=nz if family == "Babs" else 0)
+
+
 @pytest.mark.parametrize("family", FAMILY_IDS)
 def test_small_boxes_clip(family):
     # a box too small for a monomial of the equation drops it, so the
     # build is the cut-down of a larger one
-    def box(nz, nx, ny):
-        return Truncation(nz, nx, ny, nv=nz + 1 if family == "P" else 0,
-                          u_range=nz if family == "Babs" else 0)
-
     for build in (gf_closed, gf_solve):
-        big = build(family, box(5, 5, 5))
+        big = build(family, box(family, 5, 5, 5))
         for nx in (0, 1):
-            small = box(3, nx, 2)
+            small = box(family, 3, nx, 2)
             assert build(family, small) == ps_retrunc(big, small)
 
 
-# sha256 of json.dumps(ps_to_json(s), sort_keys=True), recorded at commit
-# 38690cb while I and J were still built in Fraction cells; "small" hashes
-# the builds at nz 0-5, nx {0, 1, 3}, ny {0, 2, 5} in that order
+# sha256 of json.dumps(ps_to_json(s), sort_keys=True) at box(family, ...);
+# "small" hashes the builds at nz 0-5, nx {0, 1, 3}, ny {0, 2, 5} in that
+# order.  I and J were recorded at commit 38690cb while they were still
+# built in Fraction cells, the seven ordinary systems at commit 7192411
+# while their algebraic bases were still solved by plain iteration.  The
+# test keeps its first name, under which the I and J cases were recorded.
 EGF_DIGESTS = {
+    ("B", (13, 13, 12)): "9480d3da09d101143c5b7e9906a9637a5b7ec9251706f6cba78cdb71892cecc7",
+    ("B", (20, 20, 19)): "91b4c449f85fd7fad577a26db4cf7ad17cf5c68ba14b27193a86a80397f22aa8",
+    ("B", "small"): "a5a37808c526c92251e430fd80aca6a86695d72a96bdc761aba625e6a8b9829b",
+    ("Babs", (13, 13, 12)): "081ec2575092410313d11e7c9fedecc8451250b2197fee22e957cf422379ed7e",
+    ("Babs", (20, 20, 19)): "36179ef45b7093da5dc5f2e9f331a51deaafbd837202f053dbf756be823c3fc0",
+    ("Babs", "small"): "bdc79fea715d0398c77ccfdc8e1765d64cb4d7abe1a78f65bb71824f2ea211b4",
+    ("D", (13, 13, 12)): "31619bbc33c662eb4c711d6910bacc79ac78371b2a7f837fa1948a78a2f283c9",
+    ("D", (20, 20, 19)): "206942bbdd413f8b8add59efa17533daf8a2552f5b1a080c49def3d43cbd7e27",
+    ("D", "small"): "b25c9ccfd6bc9adec78b73bdbb64977e1498e5a21079082318fae3a2e481f139",
+    ("U", (13, 13, 12)): "a0aab587326561d869c831fa08a7f044f2321ab75886f6d1d4eaa2f7b36477ce",
+    ("U", (20, 20, 19)): "f86e29e099b44a81acc7f546547eb2afee9bc6935ead9fdf84270431d05a3e6d",
+    ("U", "small"): "0e574c94ef733fe01fb36749fd3ded45c1c595ab1a78e8665e35a34926647bda",
+    ("P", (13, 13, 12)): "d669d66388706273bb49473904c6be0e09e10868828cf87f78241bde07620d0b",
+    ("P", (20, 20, 19)): "df562c94eccd8dabf4b3d0cbdfe95b26a79d98f5df7b01040f11cf3fedade2e8",
+    ("P", "small"): "92030aa835aae6fa6655a1eb11dfa5db6996a5c08a095e046f6fb21a7da80398",
+    ("A", (13, 13, 12)): "eb732d0c820548040769420028432c6f7a2f289996a52f45ea657726d96a7ec9",
+    ("A", (20, 20, 19)): "64d438be3d1c191c1904fb1a3d77e47f2284bc06198c8d1aa4bd04ead946b33f",
+    ("A", "small"): "bf69b8b6e3c2789d5b35090800e2f06c2c84302be097d774c42d13b5bae445e6",
+    ("G", (13, 13, 12)): "b1c33f3250cd4f57169fa4c5825422a85932b4d2fb01744105c9387f77150d3f",
+    ("G", (20, 20, 19)): "0ea011b35925eaa66e143c92248818d14177961e55fc322bbb4adc01b954c673",
+    ("G", "small"): "e6b997d59e943f008e6531d10552da7223b6bdb8eab931fa28252b17b447bde1",
     ("I", (13, 13, 12)): "bda3518b1cf5b04990abea8cd9f73f832415c9ca96697aa96b1e51d4b4da7968",
     ("I", (20, 20, 19)): "4c3b6c284c77da276862b252b5e9f88b92192db3fc9716b0fdf3b0db167cffee",
     ("I", "small"): "fa0b113b8ea73048ecc1a9aa3270e2e39ab06d0e4c16527622ae9e2ec26a80f1",
@@ -182,17 +208,17 @@ EGF_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("family,box", list(EGF_DIGESTS),
+@pytest.mark.parametrize("family,box_id", list(EGF_DIGESTS),
                          ids=["%s-%s" % (f, b if b == "small" else b[0]) for f, b in EGF_DIGESTS])
-def test_egf_builds_match_recorded_digests(family, box):
-    boxes = [box] if box != "small" else [
+def test_egf_builds_match_recorded_digests(family, box_id):
+    boxes = [box_id] if box_id != "small" else [
         (nz, nx, ny) for nz in range(6) for nx in (0, 1, 3) for ny in (0, 2, 5)]
     for build in (gf_closed, gf_solve):
         h = hashlib.sha256()
         for b in boxes:
-            doc = ps_to_json(build(family, Truncation(*b)))
+            doc = ps_to_json(build(family, box(family, *b)))
             h.update(json.dumps(doc, sort_keys=True).encode())
-        assert h.hexdigest() == EGF_DIGESTS[family, box]
+        assert h.hexdigest() == EGF_DIGESTS[family, box_id]
 
 
 # ----------------------------------------------------- structure facts

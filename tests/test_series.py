@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from combstat import series
 from combstat.exact import Quad2
 from combstat.series import (
     Series,
@@ -29,6 +28,7 @@ from combstat.series import (
     ps_ode_solve,
     ps_one,
     ps_retrunc,
+    ps_scale,
     ps_shift,
     ps_sqrt,
     ps_sub,
@@ -327,6 +327,55 @@ def test_fixed_point_narayana():
         solve_fixed_point("narayana", Truncation(3, 0, 0))
 
 
+def _iterate(step, start):
+    """The reference solver: apply step nz+1 times from start (each pass
+    fixes at least one more order in z), then check that the result is a
+    fixed point."""
+    s = start
+    for _ in range(start.trunc.nz + 1):
+        s = step(s)
+    if not ps_is_zero(ps_sub(s, step(s))):
+        raise ArithmeticError("fixed-point iteration did not converge")
+    return s
+
+
+def _reference_fixed_point(eq_id, t, field):
+    """solve_fixed_point by plain iteration of the cleared equations, one
+    to three full products per pass."""
+    one = ps_one(t, field)
+    if eq_id == "schroeder":
+        # St = z - z St + 2 St^2 one order higher, then divided by z
+        t1 = Truncation(t.nz + 1, t.nx, t.ny, t.nv, t.u_range)
+        z = ps_monomial(t1, (1, 0, 0, 0), [1], field)
+        st = _iterate(lambda s: ps_add(z, ps_mul(s, ps_sub(ps_scale(s, 2), z))),
+                      ps_zero(t1, field))
+        return ps_retrunc(ps_shift(st, -1), t)
+    z = ps_monomial(t, (1, 0, 0, 0), [1], field)
+    if eq_id == "catalan":
+        return _iterate(lambda s: ps_add(one, ps_mul(z, ps_mul(s, s))), one)
+    if eq_id == "ternary":
+        return _iterate(lambda s: ps_add(one, ps_mul(z, ps_mul(s, ps_mul(s, s)))), one)
+    v = ps_monomial(t, (0, 0, 1, 0), [1], field)
+    one_v = ps_sub(one, v)
+    return _iterate(lambda s: ps_add(v, ps_mul(z, ps_mul(s, ps_add(s, one_v)))), v)
+
+
+@pytest.mark.parametrize("field", ["rational", "quad2"])
+@pytest.mark.parametrize("eq_id", ["catalan", "ternary", "schroeder", "narayana"])
+def test_fixed_point_matches_reference_iteration(eq_id, field):
+    # the slice-by-slice solve gives the same cells, of the same types
+    for nz in range(13):
+        for nx in (0, 1, 3):
+            for ny in (0, 2):
+                for nv in (1, nz + 1) if eq_id == "narayana" else (0,):
+                    t = Truncation(nz, nx, ny, nv=nv)
+                    got = solve_fixed_point(eq_id, t, field)
+                    want = _reference_fixed_point(eq_id, t, field)
+                    assert got == want
+                    assert ({k: [type(c) for c in p] for k, p in got.cells.items()}
+                            == {k: [type(c) for c in p] for k, p in want.cells.items()})
+
+
 @pytest.mark.parametrize("eq_id", ["schroeder", "narayana"])
 def test_fixed_point_matches_inverse_form(eq_id):
     # the equations are solved with their denominators cleared; iterating
@@ -336,7 +385,7 @@ def test_fixed_point_matches_inverse_form(eq_id):
         if eq_id == "schroeder":
             t1 = Truncation(nz + 1, 0, 0, nv=nz + 1)
             z, one = zmono(t1, 1), ps_one(t1)
-            st = series._iterate(
+            st = _iterate(
                 lambda s: ps_add(z, ps_mul(ps_mul(s, s), ps_inv(ps_sub(one, s)))),
                 ps_zero(t1),
             )
@@ -344,7 +393,7 @@ def test_fixed_point_matches_inverse_form(eq_id):
         else:
             z, one = zmono(t, 1), ps_one(t)
             v = ps_monomial(t, (0, 0, 1, 0), [1])
-            want = series._iterate(
+            want = _iterate(
                 lambda s: ps_add(ps_sub(ps_inv(ps_sub(one, ps_mul(z, s))), one), v), v
             )
         assert solve_fixed_point(eq_id, t) == want
