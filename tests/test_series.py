@@ -74,6 +74,12 @@ def test_mul_and_mismatch():
         ps_mul(geom, other)
     with pytest.raises(ValueError):
         ps_mul(geom, Series(t, field="quad2"))
+    # a product keeps exactly the keys inside the box, u on both sides
+    tb = Truncation(1, 1, 0, nv=1, u_range=1)
+    keys = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]
+    a = Series(tb, cells={k: [1] for k in keys})
+    sums = {tuple(map(sum, zip(k1, k2))) for k1 in keys for k2 in keys if k1 != k2}
+    assert ps_mul(a, a) == Series(tb, cells={k: [2] for k in sums if tb.contains(k)})
 
 
 def test_operator_sugar():
