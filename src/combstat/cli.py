@@ -11,6 +11,7 @@ cross-checking suites.  Exit status: 0 on success (WARNs included),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -359,65 +360,58 @@ def _suite_limits():
 
 
 def _suite_bijections(max_n):
+    """One enumeration per bijection and size: each object's image feeds
+    the round trip, the count of distinct images and the transport law."""
     rows = []
     for name in sorted(maps.BIJECTIONS):
         src, dst, fwd, inv = maps.BIJECTIONS[name]
         lo = objects.FAMILIES[src].min_n
         cap = min(max_n, objects.BUDGETS.get(src, max_n))
+        # the depth <-> separating-diagonals law needs a genuine polygon:
+        # a single leaf maps to the degenerate 2-gon, where root and leaf
+        # side coincide and the offset of one does not apply
+        start = 2 if name == "schroeder-to-dissection" else max(lo, 1)
+        moved = None  # the first object the transport law fails on
         for n in range(lo, cap + 1):
-            seen = set()
-            bad = None
+            seen, bad, count = set(), None, 0
             for obj in objects.enumerate_family(src, n, budget=cap):
                 image = fwd(obj)
-                if inv(image) != obj:
+                count += 1
+                if bad is None and inv(image) != obj:
                     bad = {"object": objects.FAMILIES[src].to_text(obj)}
-                    break
                 seen.add(objects.FAMILIES[dst].to_text(image))
-            count = objects.count_family(src, n, budget=cap)
+                if moved is None and n >= start:
+                    want, got = _TRANSPORT_LAWS[name](obj, image)
+                    if want != got:
+                        moved = {"n": n, "object": objects.FAMILIES[src].to_text(obj),
+                                 "want": want, "got": got}
+                if bad and (moved or n < start):
+                    break
             if bad is None and len(seen) != count:
                 bad = {"distinct_images": len(seen), "objects": count}
             rows.append(_row("roundtrip-" + name, src, n,
                              "FAIL" if bad else "PASS", bad))
-
-        bad = _transport_check(name, src, fwd, lo, cap)
         rows.append(_row("transport-" + name, src, cap,
-                         "FAIL" if bad else "PASS", bad))
+                         "FAIL" if moved else "PASS", moved))
     return rows
 
 
-def _transport_check(name, src, fwd, lo, cap):
-    """The statistic each bijection is supposed to carry across."""
-    # the depth <-> separating-diagonals law needs a genuine polygon:
-    # a single leaf maps to the degenerate 2-gon, where root and leaf
-    # side coincide and the offset of one does not apply
-    start = 2 if name == "schroeder-to-dissection" else max(lo, 1)
-    for n in range(start, cap + 1):
-        for obj in objects.enumerate_family(src, n, budget=cap):
-            image = fwd(obj)
-            if name == "plane-to-dyck":
-                want = objects.plane_node_depths_preorder(obj)[1:]
-                got = objects.dyck_upstep_heights(image)
-            elif name == "binary-to-dyck-fl":
-                want = [objects.binary_leaf_depths(obj)[0]]
-                got = [maps.dyck_initial_run(image)]
-            elif name == "binary-to-dyck-fr":
-                want = [objects.binary_leaf_depths(obj)[0]]
-                got = [maps.dyck_returns(image)]
-            elif name == "binary-to-triangulation":
-                want = objects.binary_leaf_depths(obj)
-                got = [c + 1 for c in objects.separating_diagonal_counts(image)]
-            elif name == "schroeder-to-dissection":
-                want = objects.plane_leaf_depths(obj)
-                got = [c + 1 for c in objects.separating_diagonal_counts(image)]
-            elif name == "increasing-to-permutation":
-                want = list(image)
-                got = _inorder_labels(obj)
-            else:
-                return None
-            if want != got:
-                return {"n": n, "object": objects.FAMILIES[src].to_text(obj),
-                        "want": want, "got": got}
-    return None
+# (want, got): the statistic each bijection carries, read off an object and its image
+_TRANSPORT_LAWS = {
+    "plane-to-dyck": lambda obj, image: (
+        objects.plane_node_depths_preorder(obj)[1:], objects.dyck_upstep_heights(image)),
+    "binary-to-dyck-fl": lambda obj, image: (
+        [objects.binary_leaf_depths(obj)[0]], [maps.dyck_initial_run(image)]),
+    "binary-to-dyck-fr": lambda obj, image: (
+        [objects.binary_leaf_depths(obj)[0]], [maps.dyck_returns(image)]),
+    "binary-to-triangulation": lambda obj, image: (
+        objects.binary_leaf_depths(obj),
+        [c + 1 for c in objects.separating_diagonal_counts(image)]),
+    "schroeder-to-dissection": lambda obj, image: (
+        objects.plane_leaf_depths(obj),
+        [c + 1 for c in objects.separating_diagonal_counts(image)]),
+    "increasing-to-permutation": lambda obj, image: (list(image), _inorder_labels(obj)),
+}
 
 
 def _inorder_labels(t):
@@ -505,6 +499,8 @@ def cmd_verify(args, cfg, out):
 
 # ---------------------------------------------------------------- parser
 
+# as costly as a small command to build, and never changed once built
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="combstat",
@@ -595,8 +591,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         return args.fn(args, cfg, sys.stdout)

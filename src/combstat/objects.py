@@ -167,11 +167,20 @@ def noncrossing_trees(n: int):
 
 def perm_to_increasing(perm):
     """Binary increasing tree by the min-split: the minimum becomes the
-    root, what is left of it the left subtree, and so on."""
-    if not perm:
-        return None
-    i = min(range(len(perm)), key=perm.__getitem__)
-    return (perm[i], perm_to_increasing(perm[:i]), perm_to_increasing(perm[i + 1:]))
+    root, what is left of it the left subtree, and so on.  One pass, as a
+    Cartesian tree (Vuillemin 1980): the stack holds the right spine as
+    (label, left subtree); each label folds the greater ones it pops."""
+    spine = []
+    for v in perm:
+        folded = None
+        while spine and spine[-1][0] > v:
+            label, left = spine.pop()
+            folded = (label, left, folded)
+        spine.append((v, folded))
+    t = None
+    for label, left in reversed(spine):
+        t = (label, left, t)
+    return t
 
 
 def increasing_to_perm(t):
@@ -181,8 +190,7 @@ def increasing_to_perm(t):
 
 
 def increasing_trees(n: int):
-    for perm in itertools.permutations(range(1, n + 1)):
-        yield perm_to_increasing(perm)
+    return map(perm_to_increasing, itertools.permutations(range(1, n + 1)))
 
 
 def _triangulation_diagonals(a: int, b: int):
@@ -228,10 +236,7 @@ def _dissection_diagonals(a: int, b: int):
             for combo in itertools.product(
                 *(_dissection_diagonals(p, q) for p, q in gaps)
             ):
-                acc = base
-                for part in combo:
-                    acc = acc | part
-                out.append(acc)
+                out.append(base.union(*combo))
     return tuple(out)
 
 
@@ -419,15 +424,13 @@ def increasing_internal_depths_inorder(t):
 
 def separating_diagonal_counts(sub: PolygonSubdivision):
     """For each non-root side r = 0..n, how many diagonals separate it
-    from the root side (n+1, 0): those (a, b) with a <= r < b."""
-    return [
-        sum(1 for (a, b) in sub.diagonals if a <= r < b)
-        for r in range(sub.n + 1)
-    ]
-
-
-def statistic_vector(family: str, statistic: str, obj):
-    return statistic_entry(family, statistic).walker(obj)
+    from the root side (n+1, 0): those (a, b) with a <= r < b, read as
+    prefix sums of a difference array."""
+    step = [0] * (sub.n + 2)
+    for a, b in sub.diagonals:
+        step[a] += 1
+        step[b] -= 1
+    return list(itertools.accumulate(step[:-1]))
 
 
 def distribution_columns(family, statistic, n, rs, k=None, budget=None):
@@ -438,15 +441,17 @@ def distribution_columns(family, statistic, n, rs, k=None, budget=None):
     with exactly k leaves (the position r then runs over 0..k-1).
     """
     first = check_positions(family, statistic, n, rs, k).start
+    walker = statistic_entry(family, statistic).walker
     counts = {r: Counter() for r in rs}
+    where = [r - first for r in counts]
+    vectors = map(walker, enumerate_family(family, n, budget))
+    rows = ([vec[i] for i in where] for vec in vectors if k is None or len(vec) == k)
+    # count a bounded batch of rows at a time, column by column, in C
     total = 0
-    for obj in enumerate_family(family, n, budget):
-        vec = statistic_vector(family, statistic, obj)
-        if k is not None and len(vec) != k:
-            continue
-        for r, column in counts.items():
-            column[vec[r - first]] += 1
-        total += 1
+    while batch := list(itertools.islice(rows, 256)):
+        for column, values in zip(counts.values(), zip(*batch)):
+            column.update(values)
+        total += len(batch)
     return {r: (column, total) for r, column in counts.items()}
 
 

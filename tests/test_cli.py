@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from combstat import closed, objects, series
+from combstat import closed, maps, objects, series
 from combstat.cli import main
 
 
@@ -126,6 +126,41 @@ def test_verify_bijections(capsys):
     code, out = run(capsys, "verify", "--suite", "bijections", "--max-n", "6")
     assert code == 0
     assert out.splitlines()[-1].endswith("warned=0 failed=0")
+
+
+def test_verify_bijections_names_what_a_broken_inverse_misses(capsys, monkeypatch):
+    src, dst, fwd, inv = maps.BIJECTIONS["plane-to-dyck"]
+    monkeypatch.setitem(maps.BIJECTIONS, "plane-to-dyck",
+                        (src, dst, fwd, lambda w: inv(w) if len(w) < 4 else ()))
+    # and a transport fault on the object after the first round-trip failure
+    heights = objects.dyck_upstep_heights
+    monkeypatch.setattr(objects, "dyck_upstep_heights",
+                        lambda w: [0, 0] if w == "UUDD" else heights(w))
+    code, out = run(capsys, "verify", "--suite", "bijections", "--max-n", "3",
+                    "--format", "json")
+    rows = {(r["check_id"], r["n_or_r"]): r for r in json.loads(out)["rows"]}
+    assert code == 1
+    assert [rows["roundtrip-plane-to-dyck", n]["status"] for n in range(4)] == \
+        ["PASS", "PASS", "FAIL", "FAIL"]
+    assert rows["roundtrip-plane-to-dyck", 2]["counterexample"] == {"object": "(()())"}
+    assert rows["transport-plane-to-dyck", 3]["counterexample"] == {
+        "n": 2, "object": "((()))", "want": [1, 2], "got": [0, 0]}
+
+
+def test_verify_bijections_reports_a_broken_transport_law(capsys, monkeypatch):
+    counts = objects.separating_diagonal_counts
+    monkeypatch.setattr(objects, "separating_diagonal_counts",
+                        lambda sub: [c + 1 for c in counts(sub)])
+    code, out = run(capsys, "verify", "--suite", "bijections", "--max-n", "4",
+                    "--format", "json")
+    rows = {(r["check_id"], r["n_or_r"]): r for r in json.loads(out)["rows"]}
+    assert code == 1
+    row = rows["transport-binary-to-triangulation", 4]
+    assert row["status"] == "FAIL"
+    assert row["counterexample"] == {"n": 1, "object": "(..)", "want": [1, 1],
+                                     "got": [2, 2]}
+    assert all(rows["roundtrip-binary-to-triangulation", n]["status"] == "PASS"
+               for n in range(5))
 
 
 def test_verify_json(capsys):

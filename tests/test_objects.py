@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -49,7 +50,7 @@ def test_binary_leaf_depth_n3():
 
 def test_binary_abscissa_n3():
     vals = sorted(
-        ob.statistic_vector("binary", "leaf-abscissa", t)[0]
+        ob.statistic_entry("binary", "leaf-abscissa").walker(t)[0]
         for t in ob.binary_trees(3)
     )
     assert vals == [-3, -2, -2, -1, -1]
@@ -189,6 +190,26 @@ def test_increasing_perm_roundtrip_figure():
     check(t, 0)
 
 
+def _reference_min_split(perm):
+    # the recursive min-split perm_to_increasing replaced
+    if not perm:
+        return None
+    i = min(range(len(perm)), key=perm.__getitem__)
+    return (perm[i], _reference_min_split(perm[:i]), _reference_min_split(perm[i + 1:]))
+
+
+def test_min_split_matches_the_recursive_reference():
+    for n in range(9):  # 46,234 permutations
+        for perm in itertools.permutations(range(1, n + 1)):
+            t = ob.perm_to_increasing(perm)
+            assert t == _reference_min_split(perm)
+            assert ob.increasing_to_perm(t) == perm
+    for n in range(7):
+        assert list(ob.increasing_trees(n)) == [
+            _reference_min_split(perm)
+            for perm in itertools.permutations(range(1, n + 1))]
+
+
 def test_triangulation_separating_counts():
     counts, total = ob.distribution("triangulation", "separating-diagonals", 3, 0)
     assert (dict(counts), total) == ({0: 2, 1: 2, 2: 1}, 5)
@@ -207,19 +228,54 @@ def test_dissection_enumeration():
 
 def test_separating_count_is_statistic_vector():
     sub = ob.PolygonSubdivision(3, frozenset({(0, 3), (1, 3)}), "triangulation")
-    assert ob.statistic_vector(
-        "triangulation", "separating-diagonals", sub
-    ) == [1, 2, 2, 0]
+    assert ob.statistic_entry(
+        "triangulation", "separating-diagonals"
+    ).walker(sub) == [1, 2, 2, 0]
+
+
+def _reference_separating_counts(sub):
+    # the O(n * #diagonals) walker separating_diagonal_counts replaced
+    return [
+        sum(1 for (a, b) in sub.diagonals if a <= r < b)
+        for r in range(sub.n + 1)
+    ]
+
+
+@pytest.mark.parametrize("family", ["triangulation", "dissection"])
+def test_separating_counts_match_the_reference_walker(family):
+    for n in range(ob.BUDGETS[family] + 1):
+        for sub in ob.enumerate_family(family, n):
+            assert ob.separating_diagonal_counts(sub) == \
+                _reference_separating_counts(sub)
+
+
+@pytest.mark.parametrize("family,statistic,n,k,rs", [
+    ("binary", "leaf-depth", 5, None, [5, 0, 2]),
+    ("dyck", "upstep-height", 5, None, [5, 1, 3]),
+    ("plane", "leaf-depth", 5, 3, [2, 0]),
+    # 4,862 paths: more rows than one counting batch holds
+    ("dyck", "vertex-height", 9, None, [18, 0, 9, 4]),
+])
+def test_columns_match_per_position_distributions(family, statistic, n, k, rs):
+    cols = ob.distribution_columns(family, statistic, n, rs, k)
+    assert list(cols) == rs
+    walker = ob.statistic_entry(family, statistic).walker
+    first = ob.positions(family, statistic, n, k).start
+    vecs = [v for v in map(walker, ob.enumerate_family(family, n))
+            if k is None or len(v) == k]
+    for r in rs:
+        assert cols[r] == ob.distribution(family, statistic, n, r, k)
+        assert cols[r] == (Counter(v[r - first] for v in vecs), len(vecs))
 
 
 def test_unknown_statistic():
     with pytest.raises(ValueError):
-        ob.statistic_vector("binary", "node-depth", None)
+        ob.statistic_entry("binary", "node-depth")
 
 
 def test_size_zero_objects():
     assert list(ob.enumerate_family("binary", 0)) == [None]
-    assert ob.statistic_vector("binary", "leaf-depth", None) == [0]
+    assert ob.statistic_entry("binary", "leaf-depth").walker(None) == [0]
     assert list(ob.enumerate_family("dyck", 0)) == [""]
     assert ob.dyck_upstep_heights("") == []
     assert list(ob.enumerate_family("increasing", 0)) == [None]
