@@ -21,9 +21,6 @@ from . import closed, gfcat, maps, objects, series
 from .exact import Quad2, render_decimal, render_scalar
 from .series import Truncation, ps_inv, ps_is_zero, ps_monomial, ps_one, ps_shift, ps_to_json
 
-class UsageError(Exception):
-    pass
-
 
 def _scalar_str(value, decimal=False, digits=10):
     if decimal:
@@ -39,8 +36,16 @@ def _load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise UsageError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     return cfg
+
+
+def _budget(args, cfg, family):
+    """The enumeration budget: --budget, else the config's entry for the
+    family, else None (the library default)."""
+    if args.budget is not None:
+        return args.budget
+    return cfg.get("budgets", {}).get(family)
 
 
 # ----------------------------------------------------------- subcommands
@@ -49,8 +54,7 @@ def cmd_count(args, cfg, out):
     fam = args.family
     want = closed.family_count(fam, args.n)
     if args.source in ("enum", "both"):
-        budget = cfg.get("budgets", {}).get(fam, args.budget)
-        got = objects.count_family(fam, args.n, budget=budget)
+        got = objects.count_family(fam, args.n, budget=_budget(args, cfg, fam))
         if args.source == "both" and got != want:
             print("MISMATCH: closed=%d enumerated=%d" % (want, got), file=sys.stderr)
             return 1
@@ -60,7 +64,7 @@ def cmd_count(args, cfg, out):
 
 
 def cmd_enumerate(args, cfg, out):
-    budget = cfg.get("budgets", {}).get(args.family, args.budget)
+    budget = _budget(args, cfg, args.family)
     for obj in objects.enumerate_family(args.family, args.n, budget=budget):
         print(objects.FAMILIES[args.family].to_text(obj), file=out)
     return 0
@@ -70,9 +74,9 @@ def cmd_distribution(args, cfg, out):
     family, statistic, n, k = args.family, args.statistic, args.n, args.k
     rs = [args.r] if args.r is not None else list(
         objects.positions(family, statistic, n, k))
-    budget = cfg.get("budgets", {}).get(family, args.budget)
     if args.source in ("enum", "both"):
-        enum = objects.distribution_columns(family, statistic, n, rs, k, budget)
+        enum = objects.distribution_columns(family, statistic, n, rs, k,
+                                            _budget(args, cfg, family))
     if args.source in ("gf", "both"):
         gf = gfcat.columns_via_gf(family, statistic, n, rs, k)
     served = gf if args.source == "gf" else enum
@@ -129,47 +133,46 @@ def cmd_average(args, cfg, out):
     pair = (args.family, args.statistic)
     st = objects.statistic_entry(*pair)
     if args.k is not None and st.leaf_counts is None:
-        raise UsageError("%s %s takes no --k" % pair)
+        raise ValueError("%s %s takes no --k" % pair)
     if args.uniform:
         if st.uniform_id is None:
-            raise UsageError("no uniform average for %s %s" % pair)
+            raise ValueError("no uniform average for %s %s" % pair)
         if args.n is None:
-            raise UsageError("--uniform needs --n")
+            raise ValueError("--uniform needs --n")
         value = closed.uniform_average(st.uniform_id, args.n)
         print(_scalar_str(value, args.decimal, digits), file=out)
         return 0
 
     if args.method == "asymptotic-fixed-r":
         if st.avg_id is None:
-            raise UsageError("no fixed-r limit for %s %s" % pair)
+            raise ValueError("no fixed-r limit for %s %s" % pair)
         if args.r is None:
-            raise UsageError("--r is required")
+            raise ValueError("--r is required")
         value = closed.fixed_r_limit_average(st.avg_id, args.r)
         print(_scalar_str(value, args.decimal, digits), file=out)
         return 0
 
     if args.n is None or args.r is None:
-        raise UsageError("--n and --r are required for --method %s" % args.method)
+        raise ValueError("--n and --r are required for --method %s" % args.method)
 
     if args.method == "asymptotic":
         if st.avg_id is None:
-            raise UsageError("no asymptotic form for %s %s" % pair)
+            raise ValueError("no asymptotic form for %s %s" % pair)
         print("%.*g" % (digits, closed.asymptotic_average(st.avg_id, args.n, args.r)),
               file=out)
         return 0
 
     if args.method == "exact":
-        budget = cfg.get("budgets", {}).get(args.family, args.budget)
         value = objects.average(args.family, args.statistic, args.n, args.r,
-                                k=args.k, budget=budget)
+                                k=args.k, budget=_budget(args, cfg, args.family))
     elif st.leaf_counts is not None:
         if args.k is None:
-            raise UsageError("%s %s needs --k" % pair)
+            raise ValueError("%s %s needs --k" % pair)
         value = closed.plane_leaf_average(args.n, args.k, args.r)
     elif st.avg_id is not None:
         value = closed.exact_average(st.avg_id, args.n, args.r)
     else:
-        raise UsageError("no closed form for %s %s; use --method exact" % pair)
+        raise ValueError("no closed form for %s %s; use --method exact" % pair)
     print(_scalar_str(value, args.decimal, digits), file=out)
     return 0
 
@@ -179,7 +182,7 @@ def cmd_limit(args, cfg, out):
     pair = (args.family, args.statistic)
     fid = objects.statistic_entry(*pair).avg_id
     if fid is None:
-        raise UsageError("no limit law for %s %s" % pair)
+        raise ValueError("no limit law for %s %s" % pair)
 
     if args.mean:
         rmax = args.rmax if args.rmax is not None else 7
@@ -192,7 +195,7 @@ def cmd_limit(args, cfg, out):
         return 0
 
     if args.r is None:
-        raise UsageError("--r is required (or use --mean)")
+        raise ValueError("--r is required (or use --mean)")
     law = closed.limit_distribution(fid, args.r, args.dmax, variant=args.variant)
     fmt = args.format or cfg.get("format", "text")
     if fmt == "json":
@@ -224,7 +227,7 @@ def cmd_expand(args, cfg, out):
 
 def cmd_convert(args, cfg, out):
     if args.map not in maps.BIJECTIONS:
-        raise UsageError("unknown map %r (choose from %s)" % (
+        raise ValueError("unknown map %r (choose from %s)" % (
             args.map, ", ".join(sorted(maps.BIJECTIONS))))
     src, dst, fwd, inv = maps.BIJECTIONS[args.map]
     if args.inverse:
@@ -595,9 +598,6 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config)
         return args.fn(args, cfg, sys.stdout)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -24,8 +24,6 @@ from .exact import (
     RHO,
     RHO_INV,
     yp_add,
-    yp_deriv1,
-    yp_eval1,
     yp_inv,
     yp_mul,
     yp_scale,
@@ -454,10 +452,9 @@ def _limit_law_data(formula_id, nx, ny):
         return n, d, 1
 
     if formula_id == "schroeder-leaf":
-        tq = Truncation(nx, 0, ny)
-        oneq = ps_one(tq, "quad2")
+        oneq = ps_one(t, "quad2")
         kernel = Series(
-            tq,
+            t,
             "quad2",
             {
                 (0, 0, 0, 0): [1],
@@ -466,15 +463,23 @@ def _limit_law_data(formula_id, nx, ny):
             },
         )
         root = ps_sqrt(kernel)  # sqrt((1-x)(1-rho^2 x))
-        n = Series(tq, "quad2", {(0, 0, 0, 0): [0, 8]})
+        n = Series(t, "quad2", {(0, 0, 0, 0): [0, 8]})
         d = ps_add(
             ps_add(
                 ps_mul_ypoly(oneq, [Quad2(9, 6), Quad2(-4, -12), Quad2(13, 6)]),
-                Series(tq, "quad2", {(1, 0, 0, 0): [-1, -2, -5]}),
+                Series(t, "quad2", {(1, 0, 0, 0): [-1, -2, -5]}),
             ),
             ps_mul_ypoly(root, [RHO_INV, RHO_INV * 2, RHO_INV * (-3)]),
         )
         return n, d, 1
+
+    if formula_id == "noncrossing-node":
+        # D is y^4 times a y-unit at x = 0, so the law's columns come from
+        # _noncrossing_limit_columns; the mean series reads N and D here
+        n_coeffs, d_coeffs = _noncrossing_limit_pieces(nx)
+        n = Series(t, cells={(m, 0, 0, 0): p for m, p in enumerate(n_coeffs) if p})
+        d = Series(t, cells={(m, 0, 0, 0): p for m, p in enumerate(d_coeffs) if m <= nx})
+        return n, d, 2
 
     raise ValueError("no rational limit law stored for %r" % (formula_id,))
 
@@ -551,6 +556,14 @@ def _noncrossing_limit_columns(rmax, dmax):
     return [p[: dmax + 1] for p in cols]
 
 
+def _check_limit_law(formula_id):
+    _check_formula(formula_id)
+    if formula_id in ("increasing-leaf", "increasing-internal"):
+        raise ValueError("increasing-tree depths grow with n: no fixed-r limit law")
+    if formula_id == "binary-abscissa":
+        raise ValueError("no discrete limit law: the abscissa drifts to -3")
+
+
 def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"):
     """Fixed-r limit law of the statistic: [(d, probability)] pairs up
     to dmax, exact.
@@ -561,11 +574,7 @@ def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"
     known not to normalize -- see the WARN in the verification suite);
     "r0-law" is the r = 0 law itself.
     """
-    _check_formula(formula_id)
-    if formula_id in ("increasing-leaf", "increasing-internal"):
-        raise ValueError("increasing-tree depths grow with n: no fixed-r limit law")
-    if formula_id == "binary-abscissa":
-        raise ValueError("no discrete limit law: the abscissa drifts to -3")
+    _check_limit_law(formula_id)
     if variant != "auto" and formula_id != "schroeder-leaf":
         raise ValueError("variants exist only for schroeder-leaf")
     if r < 0 or dmax < 0:
@@ -599,7 +608,7 @@ def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"
 
 
 def _column(n, d, power, r, dmax):
-    f = ps_mul(n, _ps_pow(ps_inv(d, y_unit=True), power))
+    f = ps_mul(n, _ps_pow(ps_inv(d), power))
     col = ps_coeff(f, r, 0)
     return [(deg, p) for deg, p in enumerate(col[: dmax + 1]) if p]
 
@@ -614,31 +623,7 @@ def _ps_pow(s, k):
 def limit_mean_series(formula_id: str, rmax: int) -> Series:
     """Exact series in x whose x^r coefficient is the mean of the
     fixed-r limit law (the y-derivative at 1, column by column)."""
-    _check_formula(formula_id)
-    if formula_id in ("increasing-leaf", "increasing-internal"):
-        raise ValueError("increasing-tree depths grow with n: no fixed-r limit law")
-    if formula_id == "binary-abscissa":
-        raise ValueError("no discrete limit law: the abscissa drifts to -3")
-    if formula_id == "noncrossing-node":
-        n_coeffs, d_coeffs = _noncrossing_limit_pieces(rmax)
-        t = Truncation(rmax, 0, 0)
-        n1 = Series(t, cells={})
-        dn1 = Series(t, cells={})
-        d1 = Series(t, cells={})
-        dd1 = Series(t, cells={})
-        for m in range(rmax + 1):
-            for target, val in (
-                (n1, yp_eval1(n_coeffs[m])),
-                (dn1, yp_deriv1(n_coeffs[m])),
-                (d1, yp_eval1(d_coeffs[m]) if m < 3 else 0),
-                (dd1, yp_deriv1(d_coeffs[m]) if m < 3 else 0),
-            ):
-                if val:
-                    target.cells[(m, 0, 0, 0)] = [val]
-        inv = ps_inv(d1)
-        inv3 = ps_mul(inv, ps_mul(inv, inv))
-        return ps_mul(ps_sub(ps_mul(dn1, d1), ps_scale(ps_mul(n1, dd1), 2)), inv3)
-
+    _check_limit_law(formula_id)
     # the up-step denominator vanishes at x = 0 once y = 1 (no 0th
     # up-step), so work two orders deep and cancel the common x^2
     pad = 2 if formula_id == "dyck-upstep" else 0

@@ -2,32 +2,20 @@
 
 Three layers, all exact:
 
-* rationals -- ``fractions.Fraction``, re-exported as ``Rational``;
+* rationals -- ``fractions.Fraction``, with integral values kept as
+  ``int`` where an inverse or a scaling allows (``exact_int``);
 * ``Quad2`` -- the quadratic field Q(sqrt 2), stored as a pair ``a + b*rt2``;
 * dense polynomials in the marker variable ``y`` over either field,
   represented as bare lists (``yp_*`` helpers).
 
-No floating point enters this module except through the explicit
-``to_float``/rendering helpers, which are for display only.
+No floating point enters this module except through ``float()`` of a
+scalar and ``render_decimal``, which are for display only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-
-Rational = Fraction
-
-
-def rat(num, den=1) -> Fraction:
-    """Canonical rational p/q with q > 0 and gcd(|p|, q) = 1.
-
-    Fraction already normalizes; the wrapper just gives a uniform error
-    message for a zero denominator.
-    """
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(num, den)
 
 
 class Quad2:
@@ -230,14 +218,6 @@ def yp_add(p, q):
     for i, v in enumerate(q):
         out[i] = out[i] + v
     return yp_trim(out)
-
-
-def yp_neg(p):
-    return [-v for v in p]
-
-
-def yp_sub(p, q):
-    return yp_add(p, yp_neg(q))
 
 
 def yp_scale(p, c):

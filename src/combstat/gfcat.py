@@ -1,8 +1,10 @@
 """Catalog of the multivariate generating functions.
 
-Nine families, each with a closed form, an independent functional
-equation (a graded linear solve, or for I and J an ODE in z), and for most a
-product identity for the y-derivative at y = 1.  Cells are y-polynomials
+Nine families, each with a functional equation written once in _system
+(a graded linear solve, or for I and J an ODE in z), a closed form, and
+for most a product identity for the y-derivative at y = 1.  The closed
+forms of Babs and D are their equations solved by one series inverse;
+the other seven are forms of their own.  Cells are y-polynomials
 whose coefficient of y^d counts objects whose marked position has
 depth/height d; x marks the position, z the size, v (for P) the leaf
 count, u (for Babs) the signed horizontal offset.
@@ -92,21 +94,9 @@ def _sub_x(s, powx):
     return ps_subst_scale(s, s.trunc, {"z": (1, (1, powx, 0, 0))})
 
 
-def _catalan(t):
-    return solve_fixed_point("catalan", t)
-
-
 def _schroeder_tilde(t):
     """zS(z): the small Schroeder series with its z restored."""
     return ps_shift(solve_fixed_point("schroeder", t), 1)
-
-
-def _ternary(t):
-    return solve_fixed_point("ternary", t)
-
-
-def _narayana_v(t):
-    return solve_fixed_point("narayana", t)
 
 
 def _geom(t, powx):
@@ -155,24 +145,23 @@ def _shift_v(s: Series, k: int) -> Series:
 
 # -------------------------------------------------------- closed forms
 
-def gf_closed(family: str, trunc: Truncation, alt: bool = False) -> Series:
+def gf_closed(family: str, trunc: Truncation) -> Series:
     """The closed form of a family at the given truncation.
 
-    ``alt=True`` selects the second printed closed form where one exists
-    (B via the Catalan kernel, D in its manifestly symmetric shape, U
-    with the pooled denominator); the pair must agree coefficientwise.
+    Babs and D have no closed form beyond their functional equation
+    S = a0 + S*m (see _system), so theirs is that equation solved,
+    a0/(1 - m); enumeration and the printed form of D kept in the tests
+    check them.  Every other family has a form of its own.
     """
     _check(family, trunc)
     t = trunc
     one = ps_one(t)
 
+    if family in ("Babs", "D"):
+        a0, (m,), _ = _system(family, t)
+        return ps_mul(a0, ps_inv(ps_sub(one, m)))
+
     if family == "B":
-        c = _catalan(t)
-        cx = _sub_x(c, 1)
-        if alt:
-            # 1/(1 - yzC(z) - xyzC(xz))
-            den = ps_sub(one, ps_add(ps_mul(_z(t), c), ps_mul(_z(t), ps_mul(_x(t), cx))))
-            return ps_inv(den)
         # 2/(2 - 2y + y sqrt(1-4z) + y sqrt(1-4xz))
         root = ps_sqrt(ps_sub(one, ps_monomial(t, (1, 0, 0, 0), [4])))
         rootx = _sub_x(root, 1)
@@ -180,47 +169,17 @@ def gf_closed(family: str, trunc: Truncation, alt: bool = False) -> Series:
             ps_mul_ypoly(one, [2, -2]),
             ps_mul_ypoly(ps_add(root, rootx), Y),
         )
-        return ps_mul_ypoly(ps_inv(den, y_unit=True), [2])
-
-    if family == "Babs":
-        c = _catalan(t)
-        cx = _sub_x(c, 1)
-        m = ps_add(
-            ps_mul(ps_monomial(t, (1, 0, 0, -1), Y), c),
-            ps_mul(ps_monomial(t, (1, 1, 0, 1), Y), cx),
-        )
-        return ps_inv(ps_sub(one, m))
-
-    if family == "D":
-        c = _catalan(t)
-        cxx = _sub_x(c, 2)
-        if alt:
-            # C(z)C(x^2 z)/(1 - xyzC(z)C(x^2 z))
-            cc = ps_mul(c, cxx)
-            return ps_mul(cc, ps_inv(ps_sub(one, ps_mul(_z(t), ps_mul(_x(t), cc)))))
-        den = ps_sub(
-            one,
-            ps_add(
-                ps_mul(_z(t), ps_mul(_x(t), c)),
-                ps_mul(ps_monomial(t, (1, 2, 0, 0), [1]), cxx),
-            ),
-        )
-        return ps_mul(c, ps_inv(den))
+        return ps_mul_ypoly(ps_inv(den), [2])
 
     if family == "U":
-        c = _catalan(t)
+        c = solve_fixed_point("catalan", t)
         cx = _sub_x(c, 1)
         xyz_c2 = ps_mul(ps_mul(_z(t), _x(t)), ps_mul(c, c))
-        if alt:
-            # xyzC(z)^2 / (1 - xz(yC(z) + C(xz)))
-            xz = ps_monomial(t, (1, 1, 0, 0), [1])
-            den = ps_sub(one, ps_mul(xz, ps_add(ps_mul_ypoly(c, Y), cx)))
-            return ps_mul(xyz_c2, ps_inv(den))
         den = ps_sub(one, ps_mul(_z(t), ps_mul(_x(t), ps_mul(c, cx))))
         return ps_mul(ps_mul(xyz_c2, cx), ps_inv(den))
 
     if family == "P":
-        nar = _narayana_v(t)
+        nar = solve_fixed_point("narayana", t)
         narx = ps_subst_scale(nar, t, {"v": (1, (0, 1, 1, 0))})
         r2 = ps_add(ps_sub(nar, _v(t)), one)
         r1 = ps_add(ps_sub(narx, ps_monomial(t, (0, 1, 1, 0), [1])), one)
@@ -235,7 +194,7 @@ def gf_closed(family: str, trunc: Truncation, alt: bool = False) -> Series:
         return ps_inv(den)
 
     if family == "G":
-        tt = _ternary(t)
+        tt = solve_fixed_point("ternary", t)
         ttx = _sub_x(tt, 1)
         num = ps_add(tt, ps_mul_ypoly(ps_mul(ps_sub(one, tt), ttx), Y))
         wings = ps_add(tt, ps_mul(_x(t), ttx))
@@ -268,13 +227,13 @@ def _system(family: str, t: Truncation):
     one = ps_one(t)
 
     if family == "B":
-        c = _catalan(t)
+        c = solve_fixed_point("catalan", t)
         cx = _sub_x(c, 1)
         m = ps_add(ps_mul(_z(t), c), ps_mul(ps_mul(_z(t), _x(t)), cx))
         return one, (m,), None
 
     if family == "Babs":
-        c = _catalan(t)
+        c = solve_fixed_point("catalan", t)
         cx = _sub_x(c, 1)
         m = ps_add(
             ps_mul(ps_monomial(t, (1, 0, 0, -1), Y), c),
@@ -283,7 +242,7 @@ def _system(family: str, t: Truncation):
         return one, (m,), None
 
     if family == "D":
-        c = _catalan(t)
+        c = solve_fixed_point("catalan", t)
         cxx = _sub_x(c, 2)
         m = ps_add(
             ps_mul(ps_mul(_z(t), _x(t)), c),
@@ -292,7 +251,7 @@ def _system(family: str, t: Truncation):
         return c, (m,), None
 
     if family == "U":
-        c = _catalan(t)
+        c = solve_fixed_point("catalan", t)
         cx = _sub_x(c, 1)
         a0 = ps_mul(ps_mul(_z(t), _x(t)), ps_mul(c, c))
         m = ps_add(
@@ -302,7 +261,7 @@ def _system(family: str, t: Truncation):
         return a0, (m,), None
 
     if family == "P":
-        nar = _narayana_v(t)
+        nar = solve_fixed_point("narayana", t)
         narx = ps_subst_scale(nar, t, {"v": (1, (0, 1, 1, 0))})
         zmono = ps_monomial(t, (1, 0, 0, 0), [1])
         inv1 = ps_inv(ps_sub(one, ps_mul(zmono, narx)))
@@ -316,7 +275,7 @@ def _system(family: str, t: Truncation):
         return one, (ps_mul_ypoly(ps_sub(r, one), Y),), None
 
     if family == "G":
-        tt = _ternary(t)
+        tt = solve_fixed_point("ternary", t)
         ttx = _sub_x(tt, 1)
         t3x = ps_mul(ps_mul(tt, tt), ps_mul(tt, ttx))
         a0 = ps_sub(tt, ps_mul(_z(t), t3x))
@@ -370,23 +329,23 @@ def gf_x1z_slice(family: str, trunc: Truncation) -> Series:
     derivative identities below."""
     t = trunc
     if family == "B":
-        c = _catalan(t)
+        c = solve_fixed_point("catalan", t)
         return ps_div_1mx(ps_sub(c, ps_mul(_x(t), _sub_x(c, 1))))
     if family == "D":
-        c = _catalan(t)
+        c = solve_fixed_point("catalan", t)
         return ps_div_1mx(ps_sub(c, ps_mul(_x(t), _sub_x(c, 2))))
     if family == "U":
-        c = _catalan(t)
+        c = solve_fixed_point("catalan", t)
         return ps_mul(_x(t), ps_div_1mx(ps_sub(c, _sub_x(c, 1))))
     if family == "P":
-        nar = _narayana_v(t)
+        nar = solve_fixed_point("narayana", t)
         narx = ps_subst_scale(nar, t, {"v": (1, (0, 1, 1, 0))})
         return ps_div_1mx(ps_sub(nar, narx))
     if family == "A":
         s = solve_fixed_point("schroeder", t)
         return ps_div_1mx(ps_sub(s, ps_mul(_x(t), _sub_x(s, 1))))
     if family == "G":
-        tt = _ternary(t)
+        tt = solve_fixed_point("ternary", t)
         t2 = ps_mul(tt, tt)
         t2x = _sub_x(t2, 1)
         return ps_div_1mx(ps_sub(t2, ps_mul(_x(t), t2x)))
@@ -408,7 +367,7 @@ def gf_dy1_closed(family: str, trunc: Truncation) -> Series:
         d1 = gf_x1z_slice("D", t)
         return ps_mul(ps_mul(_z(t, [1]), _x(t)), ps_mul(d1, d1))
     if family == "U":
-        c = _catalan(t)
+        c = solve_fixed_point("catalan", t)
         u1 = gf_x1z_slice("U", t)
         return ps_mul(u1, ps_add(one, ps_mul(u1, ps_inv(c))))
     if family == "P":
@@ -433,7 +392,7 @@ def babs_du1_closed(trunc: Truncation) -> Series:
 
     (the apparent poles cancel; the bracket is divisible by z)."""
     t = Truncation(trunc.nz + 1, trunc.nx, trunc.ny, trunc.nv, trunc.u_range)
-    c = _catalan(t)
+    c = solve_fixed_point("catalan", t)
     cx = _sub_x(c, 1)
     p1 = Series(t, cells={(0, 1, 0, 0): [1], (1, 1, 0, 0): [-3], (1, 2, 0, 0): [-1]})
     p2 = Series(t, cells={(0, 0, 0, 0): [1], (1, 0, 0, 0): [-1], (1, 1, 0, 0): [-3]})

@@ -556,11 +556,11 @@ def permutation_to_text(perm) -> str:
 
 
 def permutation_from_text(s: str):
-    if not s:
-        return ()
-    if "," in s:
-        return tuple(int(v) for v in s.split(","))
-    return tuple(int(ch) for ch in s)
+    """A permutation of 1..n, as digits ("312") or comma-separated."""
+    perm = tuple(int(v) for v in (s.split(",") if "," in s else s))
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise ValueError("%r is not a permutation of 1..%d" % (s, len(perm)))
+    return perm
 
 
 def _crossing(d1, d2) -> bool:

@@ -39,7 +39,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .exact import (
-    scalar_inv,
     render_scalar,
     yp_add,
     yp_eval1,
@@ -355,35 +354,24 @@ def ps_ode_solve(init: Series, drive: Series, m: Series) -> Series:
     return Series(t, init.field, out)
 
 
-def ps_inv(a: Series, y_unit: bool = False) -> Series:
+def ps_inv(a: Series) -> Series:
     """Multiplicative inverse of a truncated series.
 
-    The constant cell (exponent key all-zero) must be invertible.  By
-    default that means a plain scalar (a y-free constant); a constant
-    that involves y is refused unless ``y_unit=True``, which treats y as
-    one more truncated variable and inverts the constant cell with
-    yp_inv.  Either way, write a = c0*(1 + n) and solve x = 1 - x*n,
-    then scale by c0^-1.
+    y counts as one more truncated variable: the constant cell (exponent
+    key all-zero) is inverted as a y-series with yp_inv, so its y^0
+    coefficient must be nonzero.  Write a = c0*(1 + n), solve
+    x = 1 - x*n, then multiply by c0^-1.  A y-free c0 has a one-entry
+    inverse, and multiplying by it keeps integral cells int.
     """
     c0 = a.cells.get(ZERO_KEY)
     if not c0:
         raise ZeroDivisionError("inverse of a series with zero constant term")
     t = a.trunc
-    if len(c0) == 1:
-        c0i = scalar_inv(c0[0])
-        n = ps_scale(a, c0i)
-        del n.cells[ZERO_KEY]
-        x = ps_linear_solve(ps_one(t, a.field), ps_neg(n))
-        return ps_scale(x, c0i)
-    if not y_unit:
-        raise ValueError(
-            "constant term involves y; pass y_unit=True to invert it as a y-series"
-        )
     c0i = yp_inv(c0, t.ny)
     n = ps_mul_ypoly(a, c0i)
     # yp_inv is the exact truncated inverse, so the constant cancels exactly
     if yp_add(n.cells.pop(ZERO_KEY), [-1]):
-        raise ArithmeticError("y-unit inverse left a constant other than 1")
+        raise ArithmeticError("series inverse left a constant other than 1")
     x = ps_linear_solve(ps_one(t, a.field), ps_neg(n))
     return ps_mul_ypoly(x, c0i)
 

@@ -175,6 +175,9 @@ def test_usage_errors(capsys):
     assert main(["average", "binary", "leaf-depth", "--n", "3"]) == 2
     assert main(["distribution", "plane", "leaf-depth", "--n", "3"]) == 2
     assert main(["convert", "binary-to-triangulation", "0-2", "--inverse"]) == 2
+    # a permutation text must list 1..n once each
+    assert main(["convert", "increasing-to-permutation", "--inverse", "1123"]) == 2
+    assert main(["convert", "increasing-to-permutation", "--inverse", "305"]) == 2
     # Schroeder trees start at one leaf
     assert main(["count", "schroeder", "--n", "0"]) == 2
     assert main(["count", "schroeder", "--n", "-1"]) == 2
@@ -214,6 +217,17 @@ def test_config_file(capsys, tmp_path):
     code, out = run(capsys, "--config", str(cfg), "average", "binary",
                     "leaf-depth", "--n", "20", "--r", "0", "--decimal")
     assert (code, out) == (0, "2.727")
+
+
+def test_budget_flag_beats_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"budgets": {"binary": 3}}')
+    assert main(["--config", str(cfg), "count", "binary", "--n", "5",
+                 "--source", "enum"]) == 2
+    assert "larger budget" in capsys.readouterr().err
+    code, out = run(capsys, "--config", str(cfg), "count", "binary", "--n", "5",
+                    "--source", "enum", "--budget", "9")
+    assert (code, out) == (0, "42")
 
 
 def test_config_env(capsys, monkeypatch, tmp_path):
@@ -285,7 +299,8 @@ def test_same_output_under_optimize():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for argv in (["limit", "binary", "leaf-depth", "--r", "0", "--dmax", "5"],
-                 ["verify", "--suite", "identities", "--max-n", "4"]):
+                 ["verify", "--suite", "identities", "--max-n", "4"],
+                 ["verify", "--suite", "gf", "--max-n", "4"]):
         argv = ["-m", "combstat", *argv]
         plain = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                                env=env)

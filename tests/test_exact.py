@@ -8,8 +8,6 @@ from combstat.exact import (
     RHO_INV,
     RT2,
     Quad2,
-    Rational,
-    rat,
     render_decimal,
     render_scalar,
     scalar_div,
@@ -21,23 +19,9 @@ from combstat.exact import (
     yp_mul,
     yp_scale,
     yp_shift_down,
-    yp_sub,
     yp_trim,
     ypoly_mean,
 )
-
-
-def test_rat_normalizes():
-    r = rat(6, -4)
-    assert r == Fraction(-3, 2)
-    assert r.denominator == 2
-    assert rat(0, 7) == 0
-    with pytest.raises(ZeroDivisionError):
-        rat(1, 0)
-
-
-def test_rational_is_fraction():
-    assert Rational is Fraction
 
 
 class TestQuad2:
@@ -141,7 +125,6 @@ def test_quad2_field_inverse(x):
 def test_yp_basic():
     assert yp_trim([1, 2, 0, 0]) == [1, 2]
     assert yp_add([1, 2], [0, -2, 3]) == [1, 0, 3]
-    assert yp_sub([1, 2], [1, 2]) == []
     assert yp_scale([1, 2], 0) == []
     assert yp_mul([1, 1], [1, 1]) == [1, 2, 1]
     assert yp_mul([0, 1], [0, 1], ny=1) == []

@@ -136,10 +136,23 @@ def test_scaled_egf_cells_are_int(family, monkeypatch):
     assert all(type(c) is int for s in scaled for p in s.cells.values() for c in p)
 
 
-@pytest.mark.parametrize("family", ["B", "D", "U"])
+def _walk_heights_printed(t):
+    """D's printed form C(z)C(x^2 z)/(1 - xyzC(z)C(x^2 z)).  gf_closed
+    solves D's equation instead, which is 2-3 times faster."""
+    c = solve_fixed_point("catalan", t)
+    cc = ps_mul(c, ps_subst_scale(c, t, {"z": (1, (1, 2, 0, 0))}))
+    xyz = ps_monomial(t, (1, 1, 0, 0), [0, 1])
+    return ps_mul(cc, ps_inv(ps_sub(ps_one(t), ps_mul(xyz, cc))))
+
+
+# second printed closed forms, kept as references for gf_closed
+PRINTED = {"D": _walk_heights_printed}
+
+
+@pytest.mark.parametrize("family", sorted(PRINTED))
 def test_alternate_closed_forms_agree(family):
-    t = TRUNCS[family]
-    assert gf_closed(family, t) == gf_closed(family, t, alt=True)
+    for t in (TRUNCS[family], Truncation(4, 9, 3)):
+        assert gf_closed(family, t) == PRINTED[family](t)
 
 
 def test_unknown_family_rejected():

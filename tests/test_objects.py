@@ -179,7 +179,7 @@ def test_increasing_perm_roundtrip_figure():
     assert ob.increasing_to_perm(t) == perm
     assert ob.permutation_to_text(perm) == "78236154"
     assert ob.permutation_from_text("78236154") == perm
-    assert ob.permutation_from_text("10,2,1,3") == (10, 2, 1, 3)
+    assert ob.permutation_from_text("10,2,1,3,4,5,6,7,8,9") == (10, 2, 1, 3, 4, 5, 6, 7, 8, 9)
     # labels increase on every root-to-leaf path
     def check(node, floor):
         if node is None:

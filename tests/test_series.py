@@ -108,11 +108,10 @@ def test_inv_geometric_and_errors():
     assert ps_is_zero(ps_sub(ps_mul(inv, 1 - z), ps_one(t)))
     with pytest.raises(ZeroDivisionError):
         ps_inv(z)
-    # constant 2 - y is not a plain scalar: refused unless y_unit
-    two_minus_y = ps_monomial(t, (0, 0, 0, 0), [2, -1])
-    with pytest.raises(ValueError):
-        ps_inv(two_minus_y)
-    got = ps_inv(two_minus_y, y_unit=True)
+    # a constant with no y^0 term is not a y-unit
+    with pytest.raises(ZeroDivisionError):
+        ps_inv(ps_monomial(t, (0, 0, 0, 0), [0, 1]))
+    got = ps_inv(ps_monomial(t, (0, 0, 0, 0), [2, -1]))
     # 1/(2-y) = sum y^k / 2^(k+1)
     assert ps_coeff(got, 0) == [Fraction(1, 2 ** (k + 1)) for k in range(6)][: 6]
 
@@ -121,7 +120,7 @@ def test_inv_y_unit_nontrivial():
     t = Truncation(3, 0, 4)
     z = zmono(t, 1)
     a = ps_add(ps_monomial(t, (0, 0, 0, 0), [1, 1]), z)  # (1+y) + z
-    ainv = ps_inv(a, y_unit=True)
+    ainv = ps_inv(a)
     assert ps_is_zero(ps_sub(ps_mul(a, ainv), ps_one(t)))
 
 
