@@ -8,6 +8,7 @@ Modules:
 * ``maps``    -- bijections between families and statistic transport
 * ``gfcat``   -- generating-function catalog: closed forms + equations
 * ``closed``  -- coefficient/average formulas, limits, asymptotics
+* ``verify``  -- the cross-checking suites, one row per check
 * ``cli``     -- the ``combstat`` command line tool
 """
 

@@ -2,8 +2,8 @@
 
 Every map here carries a statistic along with it (depth to height,
 depth to separating diagonals, labels to permutation entries); the
-transport laws are asserted in the test-suite and the ``verify`` CLI
-suite rather than here.
+transport laws are checked by the test-suite and by
+``combstat.verify`` (the ``bijections`` suite) rather than here.
 """
 
 from __future__ import annotations
@@ -212,16 +212,6 @@ def dissection_to_schroeder(sub: PolygonSubdivision):
     return build(0, sub.n + 1)
 
 
-# ---------------------------------- increasing <-> permutation
-
-def increasing_to_permutation(t):
-    return increasing_to_perm(t)
-
-
-def permutation_to_increasing(perm):
-    return perm_to_increasing(perm)
-
-
 # ------------------------------------------------------- registry
 
 # id -> (source family, target family, forward, inverse)
@@ -244,8 +234,8 @@ BIJECTIONS = {
     "increasing-to-permutation": (
         "increasing",
         "permutation",
-        increasing_to_permutation,
-        permutation_to_increasing,
+        increasing_to_perm,
+        perm_to_increasing,
     ),
 }
 

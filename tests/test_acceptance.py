@@ -9,8 +9,7 @@ assert IS the criterion's FAIL line.
 import time
 from fractions import Fraction
 
-from combstat import closed, gfcat, objects
-from combstat.cli import _suite_bijections, _suite_identities
+from combstat import closed, gfcat, objects, verify
 from combstat.exact import RHO, RT2, Quad2
 from combstat.series import Truncation, ps_coeff, ps_is_zero
 
@@ -178,8 +177,8 @@ def test_criterion_06_identity_suites():
         assert closed.catalan_number(n + 1) == sum(
             closed.catalan_number(i) * closed.catalan_number(n - i)
             for i in range(n + 1))
-    rows = _suite_identities(25)
-    bad = [r for r in rows if r["status"] != "PASS"]
+    rows = verify.run("identities", 25)
+    bad = [r for r in rows if r.status != "PASS"]
     assert not bad, bad
     _report(6, "convolutions to n=30, %d identity rows all PASS" % len(rows),
             t0, 60)
@@ -187,8 +186,8 @@ def test_criterion_06_identity_suites():
 
 def test_criterion_07_bijections():
     t0 = time.monotonic()
-    rows = _suite_bijections(9)
-    bad = [r for r in rows if r["status"] != "PASS"]
+    rows = verify.run("bijections", 9)
+    bad = [r for r in rows if r.status != "PASS"]
     assert not bad, bad
     _report(7, "%d round-trip and transport rows all PASS (sizes <= 9)"
             % len(rows), t0, 300)

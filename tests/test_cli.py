@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from combstat import closed, maps, objects, series
+from combstat import closed, maps, objects, series, verify
 from combstat.cli import main
 
 
@@ -163,6 +164,30 @@ def test_verify_bijections_reports_a_broken_transport_law(capsys, monkeypatch):
                for n in range(5))
 
 
+# sha256 of `verify --suite all --max-n 8` in each format, as printed
+# before the suites moved into combstat.verify
+VERIFY_ALL_DIGESTS = {
+    "text": "7fe188da3a03fc0c88d07bff7c2a86c24a3fa4edf953e19427de6a38b59f9181",
+    "json": "895b3f04126102b6b59b74bfa666dc2c60649a84cb02c1a5c632559019099da6",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_DIGESTS))
+def test_verify_all_output_is_pinned(capsys, fmt):
+    code = main(["verify", "--suite", "all", "--max-n", "8", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[fmt]
+
+
+def test_verify_row_status():
+    assert verify.Row.check("c", "f", 1).status == "PASS"
+    assert verify.Row.check("c", "f", 1, ok=False).status == "FAIL"
+    assert verify.Row.check("c", "f", 1, counterexample={"n": 1}).status == "FAIL"
+    with pytest.raises(ValueError):
+        verify.Row("c", "f", 1, "OK")
+
+
 def test_verify_json(capsys):
     code, out = run(capsys, "verify", "--suite", "gf", "--format", "json")
     doc = json.loads(out)
@@ -206,6 +231,11 @@ def test_usage_errors(capsys):
     assert main(["expand", "B", "--trunc-z", "-1", "--trunc-x", "2",
                  "--trunc-y", "2"]) == 2
     assert "truncation bound nz" in capsys.readouterr().err
+    # a negative size is refused before any suite runs
+    for suite, max_n in (("bijections", "-1"), ("identities", "-3"), ("gf", "-1")):
+        assert main(["verify", "--suite", suite, "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "max_n must be at least 0" in captured.err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
@@ -300,7 +330,9 @@ def test_same_output_under_optimize():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for argv in (["limit", "binary", "leaf-depth", "--r", "0", "--dmax", "5"],
                  ["verify", "--suite", "identities", "--max-n", "4"],
-                 ["verify", "--suite", "gf", "--max-n", "4"]):
+                 ["verify", "--suite", "gf", "--max-n", "4"],
+                 ["verify", "--suite", "limits"],
+                 ["verify", "--suite", "bijections", "--max-n", "4"]):
         argv = ["-m", "combstat", *argv]
         plain = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                                env=env)

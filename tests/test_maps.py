@@ -90,8 +90,8 @@ def test_increasing_permutation_roundtrip(n):
     import itertools
 
     for perm in itertools.permutations(range(1, n + 1)):
-        t = mp.permutation_to_increasing(perm)
-        assert mp.increasing_to_permutation(t) == perm
+        t = ob.perm_to_increasing(perm)
+        assert ob.increasing_to_perm(t) == perm
 
 
 def test_triangulation_inverse_rejects_garbage():
