@@ -236,21 +236,12 @@ def cmd_convert(args, cfg, out):
     return 0
 
 
-TABLE2_ORDER = ("binary-leaf", "dyck-vertex", "dyck-upstep", "dyck-downstep",
-                "schroeder-leaf", "noncrossing-node")
-
-
 def cmd_table2(args, cfg, out):
     digits = cfg.get("digits", 10)
-    for fid in TABLE2_ORDER:
-        cells = []
-        for r in range(8):
-            try:
-                value = closed.fixed_r_limit_average(fid, r)
-            except ValueError:
-                cells.append("-")
-                continue
-            cells.append(_scalar_str(value, args.decimal, digits))
+    for fid, first in closed.LIMIT_LAWS.items():
+        cells = ["-"] * first + [
+            _scalar_str(closed.fixed_r_limit_average(fid, r), args.decimal, digits)
+            for r in range(first, 8)]
         print("%-17s %s" % (fid, " ".join(cells)), file=out)
     return 0
 

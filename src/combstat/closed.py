@@ -11,6 +11,11 @@ evaluates all the others and raises ClosedFormMismatch unless they
 agree with it, so a formula typo cannot slip through silently.  Only
 `verify --suite identities` and the tests call it; nothing on the
 serving path does.
+
+Each fixed-r limit law is stored as a bivariate N/D^power (series in x,
+polynomials in y), and _column expands the x^r column of every one of
+them by the same division, one x-order at a time.  LIMIT_LAWS is the one
+statement of which ids have a law and from which r.
 """
 
 from __future__ import annotations
@@ -356,16 +361,28 @@ def uniform_average(formula_id: str, n: int) -> Fraction:
 
 # -------------------------------------------------------- fixed-r limits
 
+# formula id -> the first r of its fixed-r limit law, in table2's order.
+# Walks have no 0th step; the abscissa drifts to -3 for every fixed r
+# (no discrete law), and increasing-tree depths grow with n (no limit).
+LIMIT_LAWS = {"binary-leaf": 0, "dyck-vertex": 0, "dyck-upstep": 1,
+              "dyck-downstep": 1, "schroeder-leaf": 0, "noncrossing-node": 0}
+
+
+def _check_limit_law(formula_id, r=None):
+    _check_formula(formula_id)
+    if formula_id not in LIMIT_LAWS:
+        raise ValueError("no fixed-r limit law for %r" % (formula_id,))
+    if r is not None and r < LIMIT_LAWS[formula_id]:
+        raise ValueError("the %s limit law starts at r = %d, not %d"
+                         % (formula_id, LIMIT_LAWS[formula_id], r))
+
+
 def fixed_r_limit_average(formula_id: str, r: int):
     """Limit of the position-r average as the size grows, r held fixed.
     Exact: a Fraction, or a + b*sqrt(2) for the Schroeder family."""
-    _check_formula(formula_id)
-    if formula_id in ("increasing-leaf", "increasing-internal"):
-        raise ValueError("increasing-tree depths grow with n: no finite fixed-r limit")
     if formula_id == "binary-abscissa":
         return Fraction(-3)  # (6r-3n)/(n+2) -> -3 for fixed r
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    _check_limit_law(formula_id, r)
 
     if formula_id == "binary-leaf":
         return Fraction(4 * (2 * r + 1) * math.comb(2 * r, r), 4**r) - 1
@@ -374,12 +391,8 @@ def fixed_r_limit_average(formula_id: str, r: int):
             return Fraction(2 * r + 1, 2**r) * math.comb(r, r // 2) - 1
         return Fraction(2 * r + 2, 2**r) * math.comb(r, (r - 1) // 2) - 1
     if formula_id == "dyck-upstep":
-        if r == 0:
-            raise ValueError("walks have no 0th up-step")
         return Fraction(4 * r + 2, 4**r) * math.comb(2 * r, r) - 2
     if formula_id == "dyck-downstep":
-        if r == 0:
-            raise ValueError("walks have no 0th down-step")
         s = r - 1
         return Fraction(4 * s + 2, 4**s) * math.comb(2 * s, s) + 1
     if formula_id == "schroeder-leaf":
@@ -410,11 +423,11 @@ def _schroeder_limit_alt(r):
 
 # ------------------------------------------------- limit distribution GFs
 
-def _limit_law_data(formula_id, nx, ny):
+def _limit_law_data(formula_id, nx):
     """(N, D, power) with the limit law N/D^power: series in x (stored
-    on the z axis), polynomial cells in y."""
-    ny = max(ny, 6)  # never clip the finite y-degree of N or D
-    t = Truncation(nx, 0, ny)
+    on the z axis), polynomial cells in y.  N and D^power have y-degree
+    at most 6, so a y-box of 6 clips nothing."""
+    t = Truncation(nx, 0, 6)
     one = ps_one(t)
     x = Series(t, cells={(1, 0, 0, 0): [1]})
 
@@ -474,8 +487,6 @@ def _limit_law_data(formula_id, nx, ny):
         return n, d, 1
 
     if formula_id == "noncrossing-node":
-        # D is y^4 times a y-unit at x = 0, so the law's columns come from
-        # _noncrossing_limit_columns; the mean series reads N and D here
         n_coeffs, d_coeffs = _noncrossing_limit_pieces(nx)
         n = Series(t, cells={(m, 0, 0, 0): p for m, p in enumerate(n_coeffs) if p})
         d = Series(t, cells={(m, 0, 0, 0): p for m, p in enumerate(d_coeffs) if m <= nx})
@@ -532,38 +543,6 @@ def _noncrossing_limit_pieces(nx):
     return n_coeffs, d_coeffs
 
 
-def _noncrossing_limit_columns(rmax, dmax):
-    """Probability columns of the noncrossing limit law, r = 0..rmax.
-
-    Column m comes out of dividing by the x-constant of D^2, which is
-    y^4 times a unit -- so each x step costs four y orders of accuracy
-    and the working cap has to grow with rmax."""
-    ny = dmax + 4 * (rmax + 1)
-    n_coeffs, d_coeffs = _noncrossing_limit_pieces(rmax)
-    e = [[] for _ in range(5)]
-    for i, di in enumerate(d_coeffs):
-        for j, dj in enumerate(d_coeffs):
-            e[i + j] = yp_add(e[i + j], yp_mul(di, dj, ny))
-    lead = yp_inv([Fraction(9, 4), Fraction(-3, 2), Fraction(1, 4)], ny)
-    cols = []
-    for m in range(rmax + 1):
-        acc = list(n_coeffs[m])
-        for j in range(1, 5):
-            if m - j >= 0:
-                acc = yp_add(acc, yp_scale(yp_mul(e[j], cols[m - j], ny), -1))
-        acc = yp_shift_down(acc, 4)
-        cols.append(yp_mul(acc, lead, ny))
-    return [p[: dmax + 1] for p in cols]
-
-
-def _check_limit_law(formula_id):
-    _check_formula(formula_id)
-    if formula_id in ("increasing-leaf", "increasing-internal"):
-        raise ValueError("increasing-tree depths grow with n: no fixed-r limit law")
-    if formula_id == "binary-abscissa":
-        raise ValueError("no discrete limit law: the abscissa drifts to -3")
-
-
 def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"):
     """Fixed-r limit law of the statistic: [(d, probability)] pairs up
     to dmax, exact.
@@ -574,11 +553,11 @@ def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"
     known not to normalize -- see the WARN in the verification suite);
     "r0-law" is the r = 0 law itself.
     """
-    _check_limit_law(formula_id)
+    _check_limit_law(formula_id, r)
     if variant != "auto" and formula_id != "schroeder-leaf":
         raise ValueError("variants exist only for schroeder-leaf")
-    if r < 0 or dmax < 0:
-        raise ValueError("r and dmax must be nonnegative")
+    if dmax < 0:
+        raise ValueError("dmax must be nonnegative")
 
     if formula_id == "schroeder-leaf":
         if variant == "auto":
@@ -591,26 +570,30 @@ def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"
             for d in range(1, dmax + 1):
                 out.append((d, RHO * (2 * d) * tau ** (d - 1)))
             return out
-        n, d, power = _limit_law_data("schroeder-leaf", r, dmax)
-        return _column(n, d, power, r, dmax)
+    elif formula_id == "noncrossing-node" and r == 0:
+        return [(0, Fraction(1))]  # the root; N has no x^0 term
 
-    if formula_id == "noncrossing-node":
-        if r == 0:
-            return [(0, Fraction(1))]
-        col = _noncrossing_limit_columns(r, dmax)[r]
-        return [(d, p) for d, p in enumerate(col) if p]
-
-    if formula_id in ("dyck-upstep", "dyck-downstep") and r == 0:
-        raise ValueError("walks have no 0th step")
-
-    n, d, power = _limit_law_data(formula_id, r, dmax)
+    n, d, power = _limit_law_data(formula_id, r)
     return _column(n, d, power, r, dmax)
 
 
 def _column(n, d, power, r, dmax):
-    f = ps_mul(n, _ps_pow(ps_inv(d), power))
-    col = ps_coeff(f, r, 0)
-    return [(deg, p) for deg, p in enumerate(col[: dmax + 1]) if p]
+    """The x^r column of N/D^power up to y^dmax, by dividing one x-order
+    at a time.  The x^0 cell of D^power is y^k times a y-unit (k = 4 for
+    noncrossing, 0 elsewhere); each division shifts out k y-orders, so
+    the work runs k*(r + 1) orders past dmax."""
+    e = _ps_pow(d, power)
+    e0 = ps_coeff(e, 0)
+    k = next(i for i, c in enumerate(e0) if c)
+    ny = dmax + k * (r + 1)
+    unit = yp_inv(e0[k:], ny)
+    cols = []
+    for m in range(r + 1):
+        acc = ps_coeff(n, m)
+        for j in range(1, m + 1):
+            acc = yp_add(acc, yp_scale(yp_mul(ps_coeff(e, j), cols[m - j], ny), -1))
+        cols.append(yp_mul(yp_shift_down(acc, k), unit, ny))
+    return [(deg, p) for deg, p in enumerate(cols[r][: dmax + 1]) if p]
 
 
 def _ps_pow(s, k):
@@ -627,7 +610,7 @@ def limit_mean_series(formula_id: str, rmax: int) -> Series:
     # the up-step denominator vanishes at x = 0 once y = 1 (no 0th
     # up-step), so work two orders deep and cancel the common x^2
     pad = 2 if formula_id == "dyck-upstep" else 0
-    n, d, power = _limit_law_data(formula_id, rmax + pad, 6)
+    n, d, power = _limit_law_data(formula_id, rmax + pad)
     n1, dn1 = ps_eval_y1(n), ps_diff_y1(n)
     d1, dd1 = ps_eval_y1(d), ps_diff_y1(d)
     numer = ps_sub(ps_mul(dn1, d1), ps_scale(ps_mul(n1, dd1), power))

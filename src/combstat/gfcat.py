@@ -3,8 +3,8 @@
 Nine families, each with a functional equation written once in _system
 (a graded linear solve, or for I and J an ODE in z), a closed form, and
 for most a product identity for the y-derivative at y = 1.  The closed
-forms of Babs and D are their equations solved by one series inverse;
-the other seven are forms of their own.  Cells are y-polynomials
+forms of Babs, D and A are their equations solved by one series
+inverse; the other six are forms of their own.  Cells are y-polynomials
 whose coefficient of y^d counts objects whose marked position has
 depth/height d; x marks the position, z the size, v (for P) the leaf
 count, u (for Babs) the signed horizontal offset.
@@ -148,16 +148,17 @@ def _shift_v(s: Series, k: int) -> Series:
 def gf_closed(family: str, trunc: Truncation) -> Series:
     """The closed form of a family at the given truncation.
 
-    Babs and D have no closed form beyond their functional equation
-    S = a0 + S*m (see _system), so theirs is that equation solved,
-    a0/(1 - m); enumeration and the printed form of D kept in the tests
-    check them.  Every other family has a form of its own.
+    Babs, D and A are served as their functional equation S = a0 + S*m
+    (see _system) solved, a0/(1 - m); for A that is the printed form
+    1/(1 + y(1 - R)) itself.  Enumeration, gf_solve and the printed form
+    of D kept in the tests check them.  Every other family has a form of
+    its own.
     """
     _check(family, trunc)
     t = trunc
     one = ps_one(t)
 
-    if family in ("Babs", "D"):
+    if family in ("Babs", "D", "A"):
         a0, (m,), _ = _system(family, t)
         return ps_mul(a0, ps_inv(ps_sub(one, m)))
 
@@ -185,13 +186,6 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
         r1 = ps_add(ps_sub(narx, ps_monomial(t, (0, 1, 1, 0), [1])), one)
         den = ps_sub(one, ps_mul(_z(t), ps_mul(r1, r2)))
         return ps_mul(_v(t), ps_inv(den))
-
-    if family == "A":
-        st = _schroeder_tilde(t)
-        stx = _sub_x(st, 1)
-        r = ps_inv(ps_mul(ps_sub(one, st), ps_sub(one, stx)))
-        den = ps_add(one, ps_mul_ypoly(ps_sub(one, r), Y))
-        return ps_inv(den)
 
     if family == "G":
         tt = solve_fixed_point("ternary", t)

@@ -180,6 +180,32 @@ def test_verify_all_output_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[fmt]
 
 
+# each limit-law pair and the first r of its law
+LIMIT_LAW_PAIRS = (("binary", "leaf-depth", 0), ("dyck", "vertex-height", 0),
+                   ("dyck", "upstep-height", 1), ("dyck", "downstep-height", 1),
+                   ("schroeder", "leaf-depth", 0), ("noncrossing", "node-depth", 0))
+
+# sha256 of the limit layer's output: every law column at dmax 30 from
+# its first r to 7, one JSON law, the mean series to r = 9 and table2,
+# as printed before every law went through one column division
+LIMIT_LAYER_DIGEST = "89a81d31d95e13a5a633461bb1a6ca3937d6c555a8480c05b5ddc26356a18860"
+
+
+def test_limit_layer_output_is_pinned(capsys):
+    argvs = [["limit", family, statistic, "--r", str(r), "--dmax", "30"]
+             for family, statistic, first in LIMIT_LAW_PAIRS for r in range(first, 8)]
+    argvs.append(["limit", "noncrossing", "node-depth", "--r", "3", "--dmax", "30",
+                  "--format", "json"])
+    argvs += [["limit", family, statistic, "--mean", "--rmax", "9"]
+              for family, statistic, _ in LIMIT_LAW_PAIRS]
+    argvs.append(["table2"])
+    digest = hashlib.sha256()
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == LIMIT_LAYER_DIGEST
+
+
 def test_verify_row_status():
     assert verify.Row.check("c", "f", 1).status == "PASS"
     assert verify.Row.check("c", "f", 1, ok=False).status == "FAIL"
@@ -193,6 +219,15 @@ def test_verify_json(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["failed"] == 0
     assert {"check_id", "family", "n_or_r", "status"} <= set(doc["rows"][0])
+
+
+@pytest.mark.parametrize("max_n", ["0", "1"])
+def test_verify_gf_at_the_smallest_sizes(capsys, max_n):
+    # each pair's size is raised to its family's smallest and the plane
+    # leaf count capped by the size, so no check asks for an empty class
+    code, out = run(capsys, "verify", "--suite", "gf", "--max-n", max_n)
+    assert code == 0
+    assert out.splitlines()[-1] == "passed=35 warned=0 failed=0"
 
 
 def test_usage_errors(capsys):
@@ -332,7 +367,9 @@ def test_same_output_under_optimize():
                  ["verify", "--suite", "identities", "--max-n", "4"],
                  ["verify", "--suite", "gf", "--max-n", "4"],
                  ["verify", "--suite", "limits"],
-                 ["verify", "--suite", "bijections", "--max-n", "4"]):
+                 ["verify", "--suite", "bijections", "--max-n", "4"],
+                 ["limit", "noncrossing", "node-depth", "--r", "3", "--dmax", "12"],
+                 ["table2"]):
         argv = ["-m", "combstat", *argv]
         plain = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                                env=env)
