@@ -149,10 +149,10 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
     """The closed form of a family at the given truncation.
 
     Babs, D and A are served as their functional equation S = a0 + S*m
-    (see _system) solved, a0/(1 - m); for A that is the printed form
-    1/(1 + y(1 - R)) itself.  Enumeration, gf_solve and the printed form
-    of D kept in the tests check them.  Every other family has a form of
-    its own.
+    (see _system) solved, a0/(1 - m), which for a0 = 1 is the inverse
+    alone; for A that is the printed form 1/(1 + y(1 - R)) itself.
+    Enumeration, gf_solve and the printed form of D kept in the tests
+    check them.  Every other family has a form of its own.
     """
     _check(family, trunc)
     t = trunc
@@ -160,7 +160,8 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
 
     if family in ("Babs", "D", "A"):
         a0, (m,), _ = _system(family, t)
-        return ps_mul(a0, ps_inv(ps_sub(one, m)))
+        inv = ps_inv(ps_sub(one, m))
+        return inv if a0 == one else ps_mul(a0, inv)
 
     if family == "B":
         # 2/(2 - 2y + y sqrt(1-4z) + y sqrt(1-4xz))

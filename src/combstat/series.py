@@ -9,7 +9,9 @@ which is what lets Laurent u-cells ride along through the graded
 solvers below.
 
 Everything is truncated: exponents beyond the Truncation bounds are
-dropped on the spot, and y-degrees beyond ny are clipped inside yp_mul.
+dropped on the spot, and y-degrees beyond ny are clipped by every
+product and builder.  So every Series is canonical: each cell is a
+non-empty ypoly with no trailing zero and y-degree <= ny.
 Products are lower-triangular in z, x, v and y (exponents only ever
 grow, and y-degree d of a product needs only y-degrees <= d of the
 factors), so in those variables the retained box of a clipped series is
@@ -22,7 +24,8 @@ u_range >= nz, which is what gfcat requires of Babs.
 The solvers (ps_linear_solve, ps_ode_solve, ps_exp, solve_fixed_point)
 are online: each fixes one slice (of a grade, or of z) at a time from
 the slices already fixed, so a solve costs about one product.  All the
-products share one kernel, _acc.
+products share one kernel, _acc, which multiplies each pair of cells
+straight into its output cell.
 
 Exponential GFs are handled n!-scaled (ps_borel): the z^n cells carry
 n! times the coefficient, so a series counting labelled objects has int
@@ -39,6 +42,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .exact import (
+    exact_int,
     render_scalar,
     yp_add,
     yp_eval1,
@@ -163,8 +167,9 @@ def ps_const(trunc, c, field="rational") -> Series:
 
 
 def ps_monomial(trunc, key, ypoly, field="rational") -> Series:
-    """Single-cell series; a key outside the truncation box is dropped."""
-    p = yp_trim(list(ypoly))
+    """Single-cell series; a key outside the truncation box is dropped,
+    and y-degrees beyond its ny are clipped."""
+    p = yp_trim(list(ypoly[: trunc.ny + 1]))
     return Series(trunc, field, {key: p} if p and trunc.contains(key) else {})
 
 
@@ -174,15 +179,17 @@ def ps_add(a: Series, b: Series) -> Series:
     _check_compat(a, b)
     out = dict(a.cells)
     for k, p in b.cells.items():
-        if k in out:
-            s = yp_add(out[k], p)
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        else:
-            out[k] = p
+        _add_into(out, k, p)
     return Series(a.trunc, a.field, out)
+
+
+def _add_into(out, k, p):
+    """Set out[k] to out[k] + p, a new list; drop k if the sum cancels."""
+    s = yp_add(out[k], p) if k in out else p
+    if s:
+        out[k] = s
+    else:
+        out.pop(k, None)
 
 
 def ps_neg(a: Series) -> Series:
@@ -239,30 +246,58 @@ def _mul(a, b, pascal):
 
 
 def _acc(out, acells, bcells, t, pascal=None):
-    """Add the products of two lists of (key, ypoly) cells into the dict
-    out, dropping sums that cancel and keys outside the box t (by the
-    limits each a-cell leaves); pascal weights them as in _mul."""
+    """Add the products of two lists of canonical (key, ypoly) cells into
+    the dict out, dropping keys outside the box t (by the limits each
+    a-cell leaves); pascal weights them as in _mul.  Each pair adds into
+    its cell of out in place, so those must be fresh lists.
+
+    The sums are those of yp_add(cur, yp_mul(pa, pb, ny)), scalar types
+    included: a one-entry pb scales through exact_int, a product clipped
+    at ny is yp_mul's own (it drops the zeros its top may end in), and a
+    cell is trimmed where its top cancels, or dropped."""
     nz, nx, ny, nv, u = t.nz, t.nx, t.ny, t.nv, t.u_range
     for (a0, a1, a2, a3), pa in acells:
         lz, lx, lv, ulo, uhi = nz - a0, nx - a1, nv - a2, -u - a3, u - a3
+        la = len(pa)
         for (b0, b1, b2, b3), pb in bcells:
             if b0 > lz or b1 > lx or b2 > lv or b3 < ulo or b3 > uhi:
                 continue
-            prod = yp_mul(pa, pb, ny)
-            if not prod:
-                continue
+            n = la + len(pb) - 1
+            prod = None
+            if n > ny + 1:
+                prod = yp_mul(pa, pb, ny)
+                n = len(prod)
+                if not n:
+                    continue
             nk = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-            if pascal:
-                c = pascal[nk[0]][a0]
-                prod = [c * v for v in prod]
+            c = pascal[nk[0]][a0] if pascal else 1
             cur = out.get(nk)
             if cur is None:
-                out[nk] = prod
+                cur = out[nk] = [0] * n
+                m = 0
             else:
-                s = yp_add(cur, prod)
-                if s:
-                    out[nk] = s
-                else:
+                m = len(cur)
+                if m < n:
+                    cur += [0] * (n - m)
+            if prod is not None:
+                for i, v in enumerate(prod):
+                    cur[i] += c * v if c != 1 else v
+            elif n == la:
+                b = pb[0]
+                for i, a in enumerate(pa):
+                    v = exact_int(b * a)
+                    cur[i] += c * v if c != 1 else v
+            else:
+                for i, a in enumerate(pa):
+                    if not a:
+                        continue
+                    if c != 1:
+                        a = c * a
+                    for j, b in enumerate(pb, i):
+                        cur[j] += a * b
+            if n == m and not cur[-1]:
+                yp_trim(cur)
+                if not cur:
                     del out[nk]
 
 
@@ -316,7 +351,6 @@ def ps_linear_solve(a: Series, m: Series) -> Series:
         layer = pending.pop(g, None)
         if not layer:
             continue
-        layer = {k: p for k, p in layer.items() if yp_trim(p)}
         out.update(layer)
         _push(layer, g, m_layers, t.grade_bound, pending, t)
     return Series(t, a.field, out)
@@ -347,7 +381,7 @@ def ps_ode_solve(init: Series, drive: Series, m: Series) -> Series:
     for dz in range(t.nz + 1):
         if dz:
             layer = {(dz, dx, dv, du): p
-                     for (_, dx, dv, du), p in pending.pop(dz - 1, {}).items() if p}
+                     for (_, dx, dv, du), p in pending.pop(dz - 1, {}).items()}
         out.update(layer)
         # slice nz - 1 of drive + S*m is the last one that gets integrated
         _push(layer, dz, m_slices, t.nz - 1, pending, t, pascal)
@@ -421,7 +455,6 @@ def ps_exp(a: Series) -> Series:
     for g in range(t.grade_bound + 1):
         if g:
             layer = {k: yp_scale(p, Fraction(1, g)) for k, p in pending.pop(g, {}).items()}
-            layer = {k: p for k, p in layer.items() if p}
         out.update(layer)
         _push(layer, g, ha_layers, t.grade_bound, pending, t, pascal)
     return Series(t, a.field, out)
@@ -526,18 +559,7 @@ def ps_subst_scale(a: Series, out_trunc: Truncation, subs, field=None) -> Series
         nk = (nk0, nk1, nk2, nk3)
         if not out_trunc.contains(nk):
             continue
-        q = yp_scale(list(p), factor)
-        if not q:
-            continue
-        cur = out.get(nk)
-        if cur is None:
-            out[nk] = q
-        else:
-            s = yp_add(cur, q)
-            if s:
-                out[nk] = s
-            else:
-                del out[nk]
+        _add_into(out, nk, yp_scale(p, factor))
     return Series(out_trunc, field or a.field, out)
 
 
@@ -574,10 +596,8 @@ def ps_eval_u1(a: Series) -> Series:
     """Set u = 1: fold every Laurent u-cell onto du = 0."""
     out = {}
     for (dz, dx, dv, du), p in a.cells.items():
-        nk = (dz, dx, dv, 0)
-        cur = out.get(nk)
-        out[nk] = list(p) if cur is None else yp_add(cur, p)
-    return Series(a.trunc, a.field, {k: p for k, p in out.items() if yp_trim(p)})
+        _add_into(out, (dz, dx, dv, 0), p)
+    return Series(a.trunc, a.field, out)
 
 
 def ps_diff_u1(a: Series) -> Series:
@@ -586,13 +606,9 @@ def ps_diff_u1(a: Series) -> Series:
     first moment extractor for the u-marked statistic."""
     out = {}
     for (dz, dx, dv, du), p in a.cells.items():
-        if du == 0:
-            continue
-        nk = (dz, dx, dv, 0)
-        q = yp_scale(p, du)
-        cur = out.get(nk)
-        out[nk] = q if cur is None else yp_add(cur, q)
-    return Series(a.trunc, a.field, {k: p for k, p in out.items() if yp_trim(p)})
+        if du:
+            _add_into(out, (dz, dx, dv, 0), yp_scale(p, du))
+    return Series(a.trunc, a.field, out)
 
 
 # ----------------------------------------------------------- JSON dump

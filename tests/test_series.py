@@ -2,8 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from combstat.exact import Quad2
+from combstat import series
+from combstat.exact import Quad2, yp_add, yp_mul
+from combstat.gfcat import FAMILY_IDS, gf_closed, gf_solve
 from combstat.series import (
     Series,
     Truncation,
@@ -441,3 +444,134 @@ def test_json_dump():
     tu = Truncation(1, 0, 0, nv=1, u_range=1)
     su = Series(tu, cells={(1, 0, 1, -1): [1]})
     assert ps_to_json(su)["entries"] == [{"z": 1, "x": 0, "v": 1, "u": -1, "ypoly": ["1"]}]
+
+
+# ------------------------------------------------- the product kernel
+
+def _per_pair_acc(out, acells, bcells, t, pascal=None):
+    """series._acc spelled out: each pair's product built by yp_mul, then
+    added into out by yp_add, a cancelled cell dropped."""
+    for ka, pa in acells:
+        for kb, pb in bcells:
+            nk = tuple(i + j for i, j in zip(ka, kb))
+            if not t.contains(nk):
+                continue
+            prod = yp_mul(pa, pb, t.ny)
+            if pascal:
+                prod = [pascal[nk[0]][ka[0]] * v for v in prod]
+            s = yp_add(out.get(nk, []), prod)
+            if s:
+                out[nk] = s
+            else:
+                out.pop(nk, None)
+
+
+def _typed(s):
+    return s.trunc, s.field, {k: [(type(c), c) for c in p] for k, p in s.cells.items()}
+
+
+def _with_per_pair_kernel(fn, *args):
+    kernel = series._acc
+    series._acc = _per_pair_acc
+    try:
+        return fn(*args)
+    finally:
+        series._acc = kernel
+
+
+def _assert_canonical(s):
+    # every cell in the box, non-empty, no trailing zero, y-degree <= ny
+    for k, p in s.cells.items():
+        assert s.trunc.contains(k), k
+        assert p and p[-1] != 0 and len(p) <= s.trunc.ny + 1, (k, p)
+
+
+_small = st.integers(-2, 2)
+_scalars = {
+    "int": _small,
+    # integral Fractions too: a sum of them stays a Fraction
+    "frac": st.one_of(_small, st.fractions(-2, 2, max_denominator=3)),
+    "quad2": st.one_of(_small, st.fractions(-2, 2, max_denominator=2),
+                       st.builds(Quad2, _small, st.sampled_from([0, 1, -1]))),
+}
+
+
+@st.composite
+def _series_pair(draw):
+    """Two series in one small box, over int, Fraction or Q(sqrt 2) cells
+    with few distinct values (so sums cancel), y-degrees up to ny (so
+    products clip) and u at the Laurent edges."""
+    t = Truncation(draw(st.integers(0, 3)), draw(st.integers(0, 2)),
+                   draw(st.integers(0, 2)), draw(st.integers(0, 1)),
+                   draw(st.integers(0, 2)))
+    kind = draw(st.sampled_from(sorted(_scalars)))
+    keys = st.tuples(st.integers(0, t.nz), st.integers(0, t.nx),
+                     st.integers(0, t.nv), st.integers(-t.u_range, t.u_range))
+    ypolys = st.lists(_scalars[kind], min_size=1, max_size=t.ny + 1)
+
+    def one():
+        cells = draw(st.dictionaries(keys, ypolys, max_size=6))
+        cells = {k: p for k, p in ((k, yp_add(p, [])) for k, p in cells.items()) if p}
+        return Series(t, "quad2" if kind == "quad2" else "rational", cells)
+
+    return one(), one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_pair())
+def test_kernel_matches_per_pair_products(pair):
+    # the in-place kernel gives the per-pair yp_mul + yp_add sums, scalar
+    # types included, in every product and solver built on it
+    a, b = pair
+    m = Series(a.trunc, a.field, {k: p for k, p in b.cells.items() if series._grade(k)})
+    for fn, args in ((ps_mul, (a, b)), (ps_bmul, (a, b)), (ps_linear_solve, (a, m))):
+        got = fn(*args)
+        _assert_canonical(got)
+        assert _typed(got) == _typed(_with_per_pair_kernel(fn, *args))
+
+
+@pytest.mark.parametrize("eq_id", ["catalan", "ternary", "schroeder", "narayana"])
+def test_fixed_point_matches_per_pair_products(eq_id):
+    for t in (Truncation(6, 2, 1, nv=1), Truncation(8, 3, 3, nv=9), Truncation(5, 5, 0, nv=6)):
+        got = solve_fixed_point(eq_id, t)
+        _assert_canonical(got)
+        assert _typed(got) == _typed(_with_per_pair_kernel(solve_fixed_point, eq_id, t))
+
+
+def test_kernel_cancels_and_clips():
+    # (1 - zy)(1 + zy) = 1 - z^2 y^2, and y^2 is past ny = 1
+    t = Truncation(2, 0, 1)
+    for c in (1, Fraction(1, 2), Quad2(0, 1)):
+        field = "quad2" if isinstance(c, Quad2) else "rational"
+        a = ps_add(ps_one(t, field), ps_monomial(t, (1, 0, 0, 0), [0, -c], field))
+        b = ps_add(ps_one(t, field), ps_monomial(t, (1, 0, 0, 0), [0, c], field))
+        assert _typed(ps_mul(a, b)) == _typed(ps_one(t, field))
+    # a Fraction sum that cancels, then an int one into the same cell:
+    # the cell starts over from the int, as yp_add's trim leaves it
+    t = Truncation(2, 0, 1)
+    a = Series(t, cells={(0, 0, 0, 0): [1], (1, 0, 0, 0): [1], (2, 0, 0, 0): [1]})
+    b = Series(t, cells={(0, 0, 0, 0): [0, 3], (1, 0, 0, 0): [0, Fraction(-1, 2)],
+                         (2, 0, 0, 0): [0, Fraction(1, 2)]})
+    cell = ps_mul(a, b).cells[(2, 0, 0, 0)]
+    assert cell == [0, 3]
+    assert cell == _with_per_pair_kernel(ps_mul, a, b).cells[(2, 0, 0, 0)]
+    assert [type(c) for c in cell] == [int, int]
+
+
+def test_monomial_clips_y():
+    t = Truncation(2, 0, 0)
+    assert ps_monomial(t, (1, 0, 0, 0), [0, 1]).cells == {}
+    assert ps_add(ps_one(t), ps_monomial(t, (1, 0, 0, 0), [0, 1])) == ps_one(t)
+    assert ps_monomial(Truncation(2, 0, 1), (1, 0, 0, 0), [2, 1, 3]).cells == {
+        (1, 0, 0, 0): [2, 1]}
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_gf_outputs_are_canonical(family):
+    for nz in range(4):
+        for nx in range(4):
+            for ny in range(3):
+                t = Truncation(nz, nx, ny, nv=nz + 1 if family == "P" else 0,
+                               u_range=nz if family == "Babs" else 0)
+                _assert_canonical(gf_closed(family, t))
+                _assert_canonical(gf_solve(family, t))
