@@ -14,12 +14,14 @@ serving path does.
 
 Each fixed-r limit law is stored as a bivariate N/D^power (series in x,
 polynomials in y), and _column expands the x^r column of every one of
-them by the same division, one x-order at a time.  LIMIT_LAWS is the one
-statement of which ids have a law and from which r.
+them by the same division, one x-order at a time, over Z (Z[sqrt 2] for
+Schroeder) with one exact division per returned entry.  LIMIT_LAWS is
+the one statement of which ids have a law and from which r.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -28,11 +30,10 @@ from .exact import (
     Quad2,
     RHO,
     RHO_INV,
+    exact_int,
     yp_add,
-    yp_inv,
     yp_mul,
     yp_scale,
-    yp_shift_down,
 )
 from .series import (
     Series,
@@ -102,7 +103,13 @@ def ternary_edge(n: int) -> int:
 
 
 def harmonic(n: int) -> Fraction:
-    return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
+    """H_n = 1 + 1/2 + ... + 1/n, by binary splitting into one int pair p/q."""
+    def split(a, b):  # the sum of 1/i for a <= i < b, as (p, q)
+        if b - a == 1:
+            return 1, a
+        (p1, q1), (p2, q2) = split(a, (a + b) // 2), split((a + b) // 2, b)
+        return p1 * q2 + p2 * q1, q1 * q2
+    return Fraction(*split(1, n + 1)) if n > 0 else Fraction(0)
 
 
 _COUNTS = {
@@ -565,10 +572,10 @@ def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"
         if variant == "r0-law":
             if r != 0:
                 raise ValueError("the r0 law is the r = 0 column only")
-            tau = Quad2(-1, 1)  # sqrt(2) - 1
-            out = []
+            out, tau_d = [], Quad2(1)  # tau^(d-1), tau = sqrt(2) - 1
             for d in range(1, dmax + 1):
-                out.append((d, RHO * (2 * d) * tau ** (d - 1)))
+                out.append((d, RHO * (2 * d) * tau_d))
+                tau_d = tau_d * Quad2(-1, 1)
             return out
     elif formula_id == "noncrossing-node" and r == 0:
         return [(0, Fraction(1))]  # the root; N has no x^0 term
@@ -577,36 +584,79 @@ def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"
     return _column(n, d, power, r, dmax)
 
 
+class _Zrt2:
+    """a + b*sqrt(2) with int parts, for _column: no Fraction to normalise."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        self.a, self.b = a, b
+
+    def __sub__(self, o):
+        return _Zrt2(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        return _Zrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def over(self, g):  # self / g as a Quad2, through g's conjugate and norm
+        num, norm = self * _Zrt2(g.a, -g.b), g.a * g.a - 2 * g.b * g.b
+        return Quad2(Fraction(num.a, norm), Fraction(num.b, norm))
+
+
 def _column(n, d, power, r, dmax):
-    """The x^r column of N/D^power up to y^dmax, by dividing one x-order
-    at a time.  The x^0 cell of D^power is y^k times a y-unit (k = 4 for
-    noncrossing, 0 elsewhere); each division shifts out k y-orders, so
-    the work runs k*(r + 1) orders past dmax."""
-    e = _ps_pow(d, power)
-    e0 = ps_coeff(e, 0)
-    k = next(i for i, c in enumerate(e0) if c)
-    ny = dmax + k * (r + 1)
-    unit = yp_inv(e0[k:], ny)
+    """The x^r column of N/D^power to y^dmax, one x-order at a time, over
+    Z (Z[sqrt 2] for Schroeder).  N and E = D^power are cleared of their
+    denominators (lcms lN, lE); E's x^0 cell is y^k U(y) (k = 4 for
+    noncrossing, else 0), and y = u0 t makes U(u0 t) = u0 V(t) with V
+    monic, so C~_m = u0^((k+1)(m+1)) C_m(u0 t) solves t^k V C~_m =
+    u0^((k+1)m) N_m(u0 t) - sum_j u0^((k+1)(j-1)) E_j(u0 t) C~_(m-j) with
+    no division.  Entry d is C~_(r,d) lE / (lN u0^((k+1)(r+1)+d)): one
+    exact division, a Quad2 or an exact_int Fraction."""
+    lift, over = ((_Zrt2, _Zrt2.over) if n.field == "quad2" else
+                  (lambda a, b=0: a, lambda x, g: exact_int(Fraction(x, g))))
+
+    def integral(s):  # the cells x^0..x^r of s times L, lifted, and L
+        cells = [[(x.a, x.b) if isinstance(x, Quad2) else (x, 0) for x in ps_coeff(s, m)]
+                 for m in range(r + 1)]
+        lcm = math.lcm(*(c.denominator for p in cells for x in p for c in x))
+        return [[lift(*(c.numerator * (lcm // c.denominator) for c in x)) for x in p]
+                for p in cells], lcm
+
+    (nm, ln), (em, le) = integral(n), integral(functools.reduce(ps_mul, [d] * power))
+    k = next(i for i, c in enumerate(em[0]) if c)
+    pw = [lift(1)]  # powers of u0
+    for _ in range((k + 1) * (r + 1) + dmax + 6):
+        pw.append(pw[-1] * em[0][k])
+    v = [c * pw[i] for i, c in enumerate(em[0][k + 1:])]  # v_1, v_2, ...
     cols = []
     for m in range(r + 1):
-        acc = ps_coeff(n, m)
+        top = dmax + k * (r + 1 - m)  # the y-orders the quotient needs
+        acc = [c * pw[(k + 1) * m + i] for i, c in enumerate(nm[m][: top + 1])]
+        acc += [lift(0)] * (top + 1 - len(acc))
         for j in range(1, m + 1):
-            acc = yp_add(acc, yp_scale(yp_mul(ps_coeff(e, j), cols[m - j], ny), -1))
-        cols.append(yp_mul(yp_shift_down(acc, k), unit, ny))
-    return [(deg, p) for deg, p in enumerate(cols[r][: dmax + 1]) if p]
-
-
-def _ps_pow(s, k):
-    out = s
-    for _ in range(k - 1):
-        out = ps_mul(out, s)
-    return out
+            for i, c in enumerate(em[j][: top + 1]):
+                c = c * pw[(k + 1) * (j - 1) + i]
+                for dd, q in enumerate(cols[m - j][: top + 1 - i] if c else ()):
+                    acc[i + dd] = acc[i + dd] - c * q
+        if any(acc[:k]):
+            raise ArithmeticError("column %d is not divisible by y^%d" % (m, k))
+        for dd in range(k, top + 1):  # divide by V in place, above y^k
+            for i, c in enumerate(v[: dd - k], 1):
+                acc[dd] = acc[dd] - c * acc[dd - i]
+        cols.append(acc[k:])
+    return [(deg, over(q * lift(le), pw[(k + 1) * (r + 1) + deg] * lift(ln)))
+            for deg, q in enumerate(cols[r][: dmax + 1]) if q]
 
 
 def limit_mean_series(formula_id: str, rmax: int) -> Series:
     """Exact series in x whose x^r coefficient is the mean of the
     fixed-r limit law (the y-derivative at 1, column by column)."""
     _check_limit_law(formula_id)
+    if rmax < 0:
+        raise ValueError("rmax must be nonnegative")
     # the up-step denominator vanishes at x = 0 once y = 1 (no 0th
     # up-step), so work two orders deep and cancel the common x^2
     pad = 2 if formula_id == "dyck-upstep" else 0
@@ -614,7 +664,7 @@ def limit_mean_series(formula_id: str, rmax: int) -> Series:
     n1, dn1 = ps_eval_y1(n), ps_diff_y1(n)
     d1, dd1 = ps_eval_y1(d), ps_diff_y1(d)
     numer = ps_sub(ps_mul(dn1, d1), ps_scale(ps_mul(n1, dd1), power))
-    denom = _ps_pow(d1, power + 1)
+    denom = functools.reduce(ps_mul, [d1] * (power + 1))
     if pad:
         numer = ps_shift(numer, -pad)
         denom = ps_shift(denom, -pad)

@@ -266,6 +266,9 @@ def test_usage_errors(capsys):
     assert main(["expand", "B", "--trunc-z", "-1", "--trunc-x", "2",
                  "--trunc-y", "2"]) == 2
     assert "truncation bound nz" in capsys.readouterr().err
+    # a negative mean-series bound is refused by name
+    assert main(["limit", "binary", "leaf-depth", "--mean", "--rmax", "-1"]) == 2
+    assert "rmax must be nonnegative" in capsys.readouterr().err
     # a negative size is refused before any suite runs
     for suite, max_n in (("bijections", "-1"), ("identities", "-3"), ("gf", "-1")):
         assert main(["verify", "--suite", suite, "--max-n", max_n]) == 2
@@ -369,6 +372,8 @@ def test_same_output_under_optimize():
                  ["verify", "--suite", "limits"],
                  ["verify", "--suite", "bijections", "--max-n", "4"],
                  ["limit", "noncrossing", "node-depth", "--r", "3", "--dmax", "12"],
+                 ["limit", "schroeder", "leaf-depth", "--r", "3", "--dmax", "20"],
+                 ["limit", "binary", "leaf-depth", "--r", "5", "--dmax", "24"],
                  ["table2"]):
         argv = ["-m", "combstat", *argv]
         plain = subprocess.run([sys.executable, *argv], capture_output=True, text=True,

@@ -21,7 +21,17 @@ from combstat.closed import (
     ternary_edge,
     uniform_average,
 )
-from combstat.exact import Quad2, RHO_INV, yp_inv, yp_mul
+from combstat.exact import (
+    RHO,
+    RHO_INV,
+    Quad2,
+    exact_int,
+    yp_add,
+    yp_inv,
+    yp_mul,
+    yp_scale,
+    yp_shift_down,
+)
 from combstat.series import (
     Series,
     Truncation,
@@ -363,12 +373,71 @@ def test_schroeder_limit_variants():
     assert verb[1] == Quad2(6, -4)
     assert verb[2] != law[2]
     assert sum(float(p) for p in verb.values()) < 0.5
+    # the printed law, served by a running power of tau = sqrt(2) - 1
+    assert all(p == RHO * (2 * d) * Quad2(-1, 1) ** (d - 1) for d, p in law.items())
     with pytest.raises(ValueError):
         limit_distribution("schroeder-leaf", 1, 5, variant="r0-law")
     with pytest.raises(ValueError):
         limit_distribution("binary-leaf", 0, 5, variant="verbatim")
     with pytest.raises(ValueError):
         limit_distribution("increasing-leaf", 0, 5)
+
+
+def _dense_columns(n, d, power, r, ny):
+    """Columns x^0..x^r of N/D^power to y^ny, multiplying by the dense
+    yp_inv series of the x^0 unit of D^power: the division _column
+    replaces, kept here as its reference."""
+    e = ps_mul(d, d) if power == 2 else d
+    e0 = ps_coeff(e, 0)
+    k = next(i for i, c in enumerate(e0) if c)
+    ny += k * (r + 1)
+    unit = yp_inv(e0[k:], ny)
+    cols = []
+    for m in range(r + 1):
+        acc = ps_coeff(n, m)
+        for j in range(1, m + 1):
+            acc = yp_add(acc, yp_scale(yp_mul(ps_coeff(e, j), cols[m - j], ny), -1))
+        cols.append(yp_mul(yp_shift_down(acc, k), unit, ny))
+    return cols
+
+
+def test_column_matches_dense_reference():
+    # one reference run at r = 12 holds every lower column: N and D are
+    # exact series, so their x-truncation does not move a column
+    for formula_id, first in closed.LIMIT_LAWS.items():
+        n, d, power = closed._limit_law_data(formula_id, 12)
+        dense = _dense_columns(n, d, power, 12, 30)
+        for r in [*range(first, 8), 12]:
+            n, d, power = closed._limit_law_data(formula_id, r)
+            for dmax in (0, 1, 3, 12, 30):
+                got = closed._column(n, d, power, r, dmax)
+                want = [(deg, p) for deg, p in enumerate(dense[r][: dmax + 1]) if p]
+                assert got == want, (formula_id, r, dmax)
+                # one type rule: Quad2 over Q(sqrt 2), else int where integral
+                for (_, g), (_, w) in zip(got, want):
+                    assert type(g) is (Quad2 if formula_id == "schroeder-leaf"
+                                       else type(exact_int(w))), (formula_id, r, dmax, g)
+    # the first step's height is 1 for sure: the one integral entry
+    assert closed.limit_distribution("dyck-upstep", 1, 3) == [(1, 1)]
+    assert type(closed.limit_distribution("dyck-upstep", 1, 3)[0][1]) is int
+
+
+def test_column_refuses_a_numerator_its_unit_does_not_divide():
+    # noncrossing's x^0 cell of D^2 is y^4 times a unit, so a y^0 term
+    # in N's x^0 cell leaves low orders the division cannot shift out
+    n, d, power = closed._limit_law_data("noncrossing-node", 2)
+    with pytest.raises(ArithmeticError, match="not divisible by y"):
+        closed._column(ps_add(n, ps_one(n.trunc)), d, power, 2, 5)
+
+
+def test_harmonic_matches_the_plain_sum():
+    plain = Fraction(0)
+    for n in range(401):
+        plain += Fraction(1, n) if n else 0
+        got = harmonic(n)
+        assert got == plain and type(got) is Fraction, n
+    got = harmonic(2000)
+    assert got == sum(Fraction(1, i) for i in range(1, 2001)) and type(got) is Fraction
 
 
 # ------------------------------------------------------- limit mean series
