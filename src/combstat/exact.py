@@ -263,13 +263,6 @@ def yp_inv(p, ny):
     return yp_trim(out)
 
 
-def yp_shift_down(p, k):
-    """Divide by y^k; the low coefficients must vanish."""
-    if any(p[:k]):
-        raise ArithmeticError("ypoly not divisible by y^%d" % k)
-    return yp_trim(list(p[k:]))
-
-
 def yp_eval1(p):
     """p(1) = sum of coefficients."""
     acc = 0

@@ -22,15 +22,14 @@ from combstat.closed import (
     uniform_average,
 )
 from combstat.exact import (
+    Quad2,
     RHO,
     RHO_INV,
-    Quad2,
     exact_int,
     yp_add,
     yp_inv,
     yp_mul,
     yp_scale,
-    yp_shift_down,
 )
 from combstat.series import (
     Series,
@@ -397,7 +396,8 @@ def _dense_columns(n, d, power, r, ny):
         acc = ps_coeff(n, m)
         for j in range(1, m + 1):
             acc = yp_add(acc, yp_scale(yp_mul(ps_coeff(e, j), cols[m - j], ny), -1))
-        cols.append(yp_mul(yp_shift_down(acc, k), unit, ny))
+        assert not any(acc[:k])
+        cols.append(yp_mul(acc[k:], unit, ny))
     return cols
 
 

@@ -18,7 +18,6 @@ from combstat.exact import (
     yp_inv,
     yp_mul,
     yp_scale,
-    yp_shift_down,
     yp_trim,
     ypoly_mean,
 )
@@ -141,13 +140,6 @@ def test_yp_inv():
         yp_inv([0, 1], 3)
     with pytest.raises(ZeroDivisionError):
         yp_inv([], 3)
-
-
-def test_yp_shift_down():
-    assert yp_shift_down([0, 0, 3, 1], 2) == [3, 1]
-    with pytest.raises(ArithmeticError, match="not divisible"):
-        yp_shift_down([0, 1, 3], 2)
-    assert yp_shift_down([0, 0], 2) == []
 
 
 def test_yp_eval_deriv():
