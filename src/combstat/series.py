@@ -21,9 +21,10 @@ multiplied by a u^+1 cell.  The box is exact in u only when no dropped
 cell can come back, e.g. when every u-step comes with a z-step and
 u_range >= nz, which is what gfcat requires of Babs.
 
-The solvers (ps_linear_solve, ps_ode_solve, ps_exp, solve_fixed_point)
-are online: each fixes one slice (of a grade, or of z) at a time from
-the slices already fixed, so a solve costs about one product.  All the
+The five solvers (ps_linear_solve, ps_ode_solve, ps_exp, ps_sqrt,
+solve_fixed_point) are online: each fixes one slice (of a grade, or of
+z) at a time from the slices already fixed, forming its products with
+one kernel, _online, so a solve costs about one product.  All the
 products share one kernel, _acc, which multiplies each pair of cells
 straight into its output cell.
 
@@ -40,6 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import itemgetter
 
 from .exact import (
     exact_int,
@@ -312,48 +314,46 @@ def ps_coeff(a: Series, dz, dx=0, dv=0, du=0):
 
 # -------------------------------------------------------- graded solves
 
-def _by_grade(cells, grade=_grade):
-    out = defaultdict(list)
+def _slices(cells, bound, grade=_grade):
+    """The cells as (key, ypoly) lists by grade, slice i at index i, up to
+    bound; cells past bound are left out."""
+    out = [[] for _ in range(bound + 1)]
     for k, p in cells.items():
-        out[grade(k)].append((k, p))
+        if grade(k) <= bound:
+            out[grade(k)].append((k, p))
     return out
 
 
-def _push(layer, g, m_layers, bound, pending, t, pascal=None):
-    """One step of the one-pass solvers: add layer (slice g of S) times
-    each slice (h, cells) of m, h rising, into pending[g + h] up to bound;
-    with pascal, the products are binomial ones (ps_bmul)."""
-    items = list(layer.items())
-    for h, m_cells in m_layers:
-        if g + h > bound:
-            break
-        _acc(pending[g + h], m_cells, items, t, pascal)
+def _online(out, a, b, g, t, pascal=None):
+    """Add the grade-g slice of A*B into the dict out and return it, from
+    the slices a[g-j] and b[j] that exist, j rising (pascal as in _mul).
+    The solvers pass the slices of S fixed so far as b, the inner operand
+    of _acc, and the known factor as a."""
+    for j in range(max(0, g - len(a) + 1), min(g, len(b) - 1) + 1):
+        _acc(out, a[g - j], b[j], t, pascal)
+    return out
+
+
+def _cells(slices):
+    return dict(cell for layer in slices for cell in layer)
 
 
 def ps_linear_solve(a: Series, m: Series) -> Series:
     """The unique S with S = a + S*m, for m with no grade-0 cells.
 
-    Solved layer by layer in the grade g = dz+dx+dv: the grade-g slice of
+    Solved slice by slice in the grade g = dz+dx+dv: the grade-g slice of
     S*m only involves slices of S below g, so one pass from g = 0 up
     costs the same as a single multiplication.
     """
     _check_compat(a, m)
-    for k in m.cells:
-        if _grade(k) == 0:
-            raise ValueError("linear solve needs m with no grade-0 part")
+    if any(not _grade(k) for k in m.cells):
+        raise ValueError("linear solve needs m with no grade-0 part")
     t = a.trunc
-    m_layers = sorted(_by_grade(m.cells).items())
-    pending = defaultdict(dict)
-    for k, p in a.cells.items():
-        pending[_grade(k)][k] = list(p)
-    out = {}
-    for g in range(t.grade_bound + 1):
-        layer = pending.pop(g, None)
-        if not layer:
-            continue
-        out.update(layer)
-        _push(layer, g, m_layers, t.grade_bound, pending, t)
-    return Series(t, a.field, out)
+    m_sl, s = _slices(m.cells, t.grade_bound), []
+    for g, cells in enumerate(_slices(a.cells, t.grade_bound)):
+        rhs = _online({k: list(p) for k, p in cells}, m_sl, s, g, t)
+        s.append(list(rhs.items()))
+    return Series(t, a.field, _cells(s))
 
 
 def ps_ode_solve(init: Series, drive: Series, m: Series) -> Series:
@@ -367,25 +367,17 @@ def ps_ode_solve(init: Series, drive: Series, m: Series) -> Series:
     """
     _check_compat(init, drive)
     _check_compat(init, m)
-    for k in init.cells:
-        if k[0]:
-            raise ValueError("ode solve needs an initial value free of z")
+    if any(k[0] for k in init.cells):
+        raise ValueError("ode solve needs an initial value free of z")
     t = init.trunc
     pascal = _pascal(t.nz)
-    m_slices = sorted(_by_grade(m.cells, lambda k: k[0]).items())
-    pending = defaultdict(dict)  # dz -> the z^dz slice of drive + S*m
-    for k, p in drive.cells.items():
-        pending[k[0]][k] = list(p)
-    layer = dict(init.cells)
-    out = {}
-    for dz in range(t.nz + 1):
-        if dz:
-            layer = {(dz, dx, dv, du): p
-                     for (_, dx, dv, du), p in pending.pop(dz - 1, {}).items()}
-        out.update(layer)
-        # slice nz - 1 of drive + S*m is the last one that gets integrated
-        _push(layer, dz, m_slices, t.nz - 1, pending, t, pascal)
-    return Series(t, init.field, out)
+    # slice nz - 1 of drive + S*m is the last one that gets integrated
+    d_sl, m_sl = (_slices(c.cells, t.nz - 1, itemgetter(0)) for c in (drive, m))
+    s = [list(init.cells.items())]
+    for k, cells in enumerate(d_sl):
+        rhs = _online({key: list(p) for key, p in cells}, m_sl, s, k, t, pascal)
+        s.append([((k + 1, dx, dv, du), p) for (_, dx, dv, du), p in rhs.items()])
+    return Series(t, init.field, _cells(s))
 
 
 def ps_inv(a: Series) -> Series:
@@ -411,26 +403,26 @@ def ps_inv(a: Series) -> Series:
 
 
 def ps_sqrt(a: Series) -> Series:
-    """Square root of a series with constant cell exactly 1, by Newton.
+    """Square root of a series with constant cell exactly 1 and no other
+    grade-0 cell, slice by slice: S_0 = 1 and
 
-    t <- (t + a / t) / 2 doubles the correct grade range each pass, so
-    ceil(log2(G+1)) + 1 passes cover grade bound G with margin.  Halving
-    keeps integral cells int (exact.exact_int): sqrt(1 - 4z) is over int.
+        2 * S_g = a_g - sum_{0<j<g} S_j * S_(g-j),
+
+    which needs no series inverse.  The halving keeps integral cells int
+    (exact.exact_int): sqrt(1 - 4z) is over int.
     """
-    c0 = a.cells.get(ZERO_KEY)
-    if c0 != [1]:
+    if a.cells.get(ZERO_KEY) != [1]:
         raise ValueError("ps_sqrt needs constant cell exactly [1]")
+    if any(not _grade(k) for k in a.cells if k != ZERO_KEY):
+        raise ValueError("ps_sqrt needs no grade-0 cell but the constant")
     t = a.trunc
-    g = t.grade_bound
-    k = 1
-    while (1 << k) - 1 < g:  # smallest k with 2^k - 1 >= G
-        k += 1
-    iters = k + 1 if g > 0 else 1
-    half = Fraction(1, 2)
-    cur = ps_one(t, a.field)
-    for _ in range(iters):
-        cur = ps_scale(ps_add(cur, ps_mul(a, ps_inv(cur))), half)
-    return cur
+    neg_half = Fraction(-1, 2)
+    s = [[]]  # slice 0, the 1, takes no part in the sum
+    for g, cells in enumerate(_slices(a.cells, t.grade_bound)[1:], 1):
+        rhs = _online({k: yp_scale(p, -1) for k, p in cells}, s, s, g, t)
+        s.append([(k, yp_scale(p, neg_half)) for k, p in rhs.items()])
+    s[0] = [(ZERO_KEY, [1])]
+    return Series(t, a.field, _cells(s))
 
 
 def ps_exp(a: Series) -> Series:
@@ -439,25 +431,21 @@ def ps_exp(a: Series) -> Series:
     The Euler operator z d/dz + x d/dx + v d/dv multiplies a grade-g cell
     by g and commutes with the n! scaling, so grade by grade
 
-        g * E_g = sum_{h>=1} (h * A_h) * E_{g-h}     (products ps_bmul)
+        g * E_g = sum_{0<h<=g} (h * A_h) * E_(g-h)     (products ps_bmul)
 
     and the division by g keeps integral cells int (exact.exact_int).
     """
-    if ZERO_KEY in a.cells:
-        raise ValueError("ps_exp needs a series with zero constant term")
+    if any(not _grade(k) for k in a.cells):
+        raise ValueError("ps_exp needs a series with no grade-0 cell")
     t = a.trunc
     pascal = _pascal(t.nz)
-    ha_layers = sorted((h, [(k, yp_scale(p, h)) for k, p in cells])
-                       for h, cells in _by_grade(a.cells).items())
-    pending = defaultdict(dict)  # g -> the grade-g slice of g * E
-    layer = {ZERO_KEY: [1]}
-    out = {}
-    for g in range(t.grade_bound + 1):
-        if g:
-            layer = {k: yp_scale(p, Fraction(1, g)) for k, p in pending.pop(g, {}).items()}
-        out.update(layer)
-        _push(layer, g, ha_layers, t.grade_bound, pending, t, pascal)
-    return Series(t, a.field, out)
+    ha = [[(k, yp_scale(p, h)) for k, p in cells]
+          for h, cells in enumerate(_slices(a.cells, t.grade_bound))]
+    e = [[(ZERO_KEY, [1])]]
+    for g in range(1, t.grade_bound + 1):
+        rhs = _online({}, ha, e, g, t, pascal)
+        e.append([(k, yp_scale(p, Fraction(1, g))) for k, p in rhs.items()])
+    return Series(t, a.field, _cells(e))
 
 
 # ------------------------------------------------------- calculus in z
@@ -660,14 +648,14 @@ _BASES = {
 }
 
 
-def solve_fixed_point(eq_id: str, trunc: Truncation, field: str = "rational") -> Series:
+def solve_fixed_point(eq_id: str, trunc: Truncation) -> Series:
     """Solve one of the registered algebraic equations (see _BASES) z-slice
     by z-slice, with online products: the z^(g+1) slice of S is the z^g
-    slice of S*L, the sum of S_i*L_(g-i), which needs only slices of S up
-    to g.  So each product of the equation is formed once, in about the
-    time of one series product, and the result is a fixed point by
-    construction; verify --suite gf checks it against the printed
-    equations, denominators and all."""
+    slice of L*S, which needs only slices of S up to g.  So each product
+    of the equation is formed once, in about the time of one series
+    product, and the result is a fixed point by construction; verify
+    --suite gf checks it against the printed equations, denominators and
+    all.  The cells are int."""
     if eq_id not in _BASES:
         raise ValueError("no fixed-point equation registered under %r" % (eq_id,))
     if eq_id == "narayana" and trunc.nv < 1:
@@ -676,16 +664,8 @@ def solve_fixed_point(eq_id: str, trunc: Truncation, field: str = "rational") ->
     s = [[(a0, [1])]]  # s[g]: the z^g slice of S, as (key, ypoly) pairs
     ell = [[(ZERO_KEY, [1])]]  # the slices of L
     for g in range(trunc.nz):
-        prod = _online(s, ell, g, trunc)
-        s.append([((g + 1, dx, dv, du), p) for (_, dx, dv, du), p in prod])
-        ell.append(_online(s, s, g + 1, trunc) if k is None
+        prod = _online({}, ell, s, g, trunc)
+        s.append([((g + 1, dx, dv, du), p) for (_, dx, dv, du), p in prod.items()])
+        ell.append(list(_online({}, s, s, g + 1, trunc).items()) if k is None
                    else [(key, yp_scale(p, k)) for key, p in s[-1]])
-    return Series(trunc, field, dict(cell for layer in s for cell in layer))
-
-
-def _online(a, b, g, t):
-    """The z^g slice of A*B, from the z-slices a[0..g] and b[0..g]."""
-    out = {}
-    for i in range(g + 1):
-        _acc(out, a[i], b[g - i], t)
-    return list(out.items())
+    return Series(trunc, cells=_cells(s))

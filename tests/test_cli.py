@@ -323,9 +323,9 @@ def test_verify_fails_on_a_perturbed_base(capsys, monkeypatch):
     # one more z^3 cell in a solved base breaks its printed equation
     solve = series.solve_fixed_point
 
-    def perturbed(eq_id, t, field="rational"):
+    def perturbed(eq_id, t):
         key = (3, 0, 1, 0) if eq_id == "narayana" else (3, 0, 0, 0)
-        return solve(eq_id, t, field) + series.ps_monomial(t, key, [1])
+        return solve(eq_id, t) + series.ps_monomial(t, key, [1])
 
     code, out = run(capsys, "verify", "--suite", "gf")
     assert code == 0

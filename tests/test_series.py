@@ -159,6 +159,27 @@ def test_sqrt_quad2_field():
     assert ps_coeff(s, 0, 1) == [Quad2(-9, 6)]  # -(1+rho^2)/2
 
 
+def test_sqrt_forms_no_series_inverse(monkeypatch):
+    a = 1 - zmono(Truncation(4, 0, 0), 1, (4,))
+
+    def refuse(*args):
+        raise AssertionError("ps_sqrt formed a whole series product or inverse")
+
+    monkeypatch.setattr(series, "ps_inv", refuse)
+    monkeypatch.setattr(series, "ps_mul", refuse)
+    assert zcoeffs(ps_sqrt(a), 4) == [[1], [-2], [-2], [-4], [-10]]
+
+
+def test_grade_zero_cells_are_refused():
+    # a u-cell of grade 0 (dz + dx + dv = 0) is not a constant either
+    t = Truncation(3, 0, 0, u_range=3)
+    a = Series(t, cells={(0, 0, 0, 1): [1], (1, 0, 0, 0): [1]})
+    with pytest.raises(ValueError, match="ps_exp needs a series with no grade-0 cell"):
+        ps_exp(a)
+    with pytest.raises(ValueError, match="ps_sqrt needs no grade-0 cell but the constant"):
+        ps_sqrt(ps_add(ps_one(t), a))
+
+
 def test_exp_univariate():
     t = Truncation(6, 0, 0)
     e = ps_exp(ps_borel(zmono(t, 1)))
@@ -347,38 +368,37 @@ def _iterate(step, start):
     return s
 
 
-def _reference_fixed_point(eq_id, t, field):
+def _reference_fixed_point(eq_id, t):
     """solve_fixed_point by plain iteration of the cleared equations, one
     to three full products per pass."""
-    one = ps_one(t, field)
+    one = ps_one(t)
     if eq_id == "schroeder":
         # St = z - z St + 2 St^2 one order higher, then divided by z
         t1 = Truncation(t.nz + 1, t.nx, t.ny, t.nv, t.u_range)
-        z = ps_monomial(t1, (1, 0, 0, 0), [1], field)
+        z = zmono(t1, 1)
         st = _iterate(lambda s: ps_add(z, ps_mul(s, ps_sub(ps_scale(s, 2), z))),
-                      ps_zero(t1, field))
+                      ps_zero(t1))
         return ps_retrunc(ps_shift(st, -1), t)
-    z = ps_monomial(t, (1, 0, 0, 0), [1], field)
+    z = zmono(t, 1)
     if eq_id == "catalan":
         return _iterate(lambda s: ps_add(one, ps_mul(z, ps_mul(s, s))), one)
     if eq_id == "ternary":
         return _iterate(lambda s: ps_add(one, ps_mul(z, ps_mul(s, ps_mul(s, s)))), one)
-    v = ps_monomial(t, (0, 0, 1, 0), [1], field)
+    v = ps_monomial(t, (0, 0, 1, 0), [1])
     one_v = ps_sub(one, v)
     return _iterate(lambda s: ps_add(v, ps_mul(z, ps_mul(s, ps_add(s, one_v)))), v)
 
 
-@pytest.mark.parametrize("field", ["rational", "quad2"])
 @pytest.mark.parametrize("eq_id", ["catalan", "ternary", "schroeder", "narayana"])
-def test_fixed_point_matches_reference_iteration(eq_id, field):
+def test_fixed_point_matches_reference_iteration(eq_id):
     # the slice-by-slice solve gives the same cells, of the same types
     for nz in range(13):
         for nx in (0, 1, 3):
             for ny in (0, 2):
                 for nv in (1, nz + 1) if eq_id == "narayana" else (0,):
                     t = Truncation(nz, nx, ny, nv=nv)
-                    got = solve_fixed_point(eq_id, t, field)
-                    want = _reference_fixed_point(eq_id, t, field)
+                    got = solve_fixed_point(eq_id, t)
+                    want = _reference_fixed_point(eq_id, t)
                     assert got == want
                     assert ({k: [type(c) for c in p] for k, p in got.cells.items()}
                             == {k: [type(c) for c in p] for k, p in want.cells.items()})
@@ -497,16 +517,18 @@ _scalars = {
 
 
 @st.composite
-def _series_pair(draw):
+def _series_pair(draw, exact_u=False):
     """Two series in one small box, over int, Fraction or Q(sqrt 2) cells
     with few distinct values (so sums cancel), y-degrees up to ny (so
-    products clip) and u at the Laurent edges."""
-    t = Truncation(draw(st.integers(0, 3)), draw(st.integers(0, 2)),
-                   draw(st.integers(0, 2)), draw(st.integers(0, 1)),
-                   draw(st.integers(0, 2)))
+    products clip) and u at the Laurent edges; or, with exact_u, with
+    |du| <= dz <= u_range, so that the box is exact in u."""
+    nz = draw(st.integers(0, 3))
+    t = Truncation(nz, draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+                   draw(st.integers(0, 1)), nz if exact_u else draw(st.integers(0, 2)))
     kind = draw(st.sampled_from(sorted(_scalars)))
-    keys = st.tuples(st.integers(0, t.nz), st.integers(0, t.nx),
-                     st.integers(0, t.nv), st.integers(-t.u_range, t.u_range))
+    keys = st.integers(0, t.nz).flatmap(lambda dz: st.tuples(
+        st.just(dz), st.integers(0, t.nx), st.integers(0, t.nv),
+        st.integers(-dz, dz) if exact_u else st.integers(-t.u_range, t.u_range)))
     ypolys = st.lists(_scalars[kind], min_size=1, max_size=t.ny + 1)
 
     def one():
@@ -523,11 +545,36 @@ def test_kernel_matches_per_pair_products(pair):
     # the in-place kernel gives the per-pair yp_mul + yp_add sums, scalar
     # types included, in every product and solver built on it
     a, b = pair
-    m = Series(a.trunc, a.field, {k: p for k, p in b.cells.items() if series._grade(k)})
-    for fn, args in ((ps_mul, (a, b)), (ps_bmul, (a, b)), (ps_linear_solve, (a, m))):
+    t, field = a.trunc, a.field
+    m = Series(t, field, {k: p for k, p in b.cells.items() if series._grade(k)})
+    init = Series(t, field, {k: p for k, p in a.cells.items() if not k[0]})
+    for fn, args in ((ps_mul, (a, b)), (ps_bmul, (a, b)), (ps_linear_solve, (a, m)),
+                     (ps_sqrt, (ps_add(ps_one(t, field), m),)), (ps_exp, (m,)),
+                     (ps_ode_solve, (init, b, m))):
         got = fn(*args)
         _assert_canonical(got)
         assert _typed(got) == _typed(_with_per_pair_kernel(fn, *args))
+
+
+def _newton_sqrt(a):
+    """ps_sqrt by Newton, t <- (t + a/t)/2, one series inverse and one
+    product per pass.  Each pass doubles the correct grade range, so
+    ceil(log2(G+1)) + 1 passes cover grade bound G with margin."""
+    t = a.trunc
+    cur = ps_one(t, a.field)
+    for _ in range(t.grade_bound.bit_length() + 1):
+        cur = ps_scale(ps_add(cur, ps_mul(a, ps_inv(cur))), Fraction(1, 2))
+    return cur
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series_pair(exact_u=True))
+def test_sqrt_matches_newton(pair):
+    # slice by slice, the root has Newton's cells and scalar types
+    a = pair[0]
+    square = ps_add(ps_one(a.trunc, a.field), Series(
+        a.trunc, a.field, {k: p for k, p in a.cells.items() if series._grade(k)}))
+    assert _typed(ps_sqrt(square)) == _typed(_newton_sqrt(square))
 
 
 @pytest.mark.parametrize("eq_id", ["catalan", "ternary", "schroeder", "narayana"])
@@ -556,6 +603,19 @@ def test_kernel_cancels_and_clips():
     assert cell == [0, 3]
     assert cell == _with_per_pair_kernel(ps_mul, a, b).cells[(2, 0, 0, 0)]
     assert [type(c) for c in cell] == [int, int]
+
+
+def test_solvers_keep_m_as_the_outer_factor():
+    # only a one-entry inner cell scales through exact_int, so the operand
+    # order shows in the types: m is the outer factor of each product and
+    # S the inner one, and 1/2 times [2, 4] is [Fraction(1), Fraction(2)]
+    t = Truncation(1, 0, 1)
+    a = Series(t, cells={(0, 0, 0, 0): [2, 4]})
+    half = Fraction(1, 2)
+    got = [ps_linear_solve(a, Series(t, cells={(1, 0, 0, 0): [half]})),
+           ps_ode_solve(a, ps_zero(t), Series(t, cells={(0, 0, 0, 0): [half]}))]
+    for s in got:
+        assert [(type(c), c) for c in s.cells[(1, 0, 0, 0)]] == [(Fraction, 1), (Fraction, 2)]
 
 
 def test_monomial_clips_y():
