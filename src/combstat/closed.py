@@ -12,9 +12,15 @@ agree with it, so a formula typo cannot slip through silently.  Only
 `verify --suite identities` and the tests call it; nothing on the
 serving path does.
 
-Each fixed-r limit law is stored as a bivariate N/D^power (series in x,
-polynomials in y), and _column expands the x^r column of every one of
-them by the same division, one x-order at a time, over Z (Z[sqrt 2] for
+Each fixed-r limit law is a bivariate N/D^power (series in x,
+polynomials in y).  Those of B, D, U and G are derived from the one
+statement of their equation, gfcat.EQUATIONS: the derivative of
+S = a0/(1 - m) in the base, at the base's dominant singularity (Flajolet
+and Sedgewick, Analytic Combinatorics, Thm VI.1), is N/D^2 with
+N = a0'(1 - m) + a0 m' and D = 1 - m.  Only dyck-downstep (no series
+marks a step from the end) and schroeder-leaf (the paper's printed
+form) keep a stored N/D.  _column expands the x^r column of every law
+by the same division, one x-order at a time, over Z (Z[sqrt 2] for
 Schroeder) with one exact division per returned entry.  LIMIT_LAWS is
 the one statement of which ids have a law and from which r.
 """
@@ -25,32 +31,34 @@ import functools
 import math
 from fractions import Fraction
 
-from . import objects
+from . import gfcat, objects
 from .exact import (
     Quad2,
     RHO,
     RHO_INV,
     exact_int,
-    yp_add,
-    yp_mul,
-    yp_scale,
+    scalar_inv,
 )
 from .series import (
+    ZERO_KEY,
     Series,
     Truncation,
     ps_add,
     ps_coeff,
+    ps_const,
     ps_diff_y1,
     ps_eval_y1,
     ps_inv,
+    ps_monomial,
     ps_mul,
     ps_mul_ypoly,
     ps_one,
     ps_retrunc,
     ps_scale,
-    ps_shift,
     ps_sqrt,
     ps_sub,
+    ps_subst_scale,
+    solve_fixed_point,
 )
 
 # --------------------------------------------------------------- sequences
@@ -388,6 +396,8 @@ def fixed_r_limit_average(formula_id: str, r: int):
     """Limit of the position-r average as the size grows, r held fixed.
     Exact: a Fraction, or a + b*sqrt(2) for the Schroeder family."""
     if formula_id == "binary-abscissa":
+        if r < 0:
+            raise ValueError("no position r = %d" % r)
         return Fraction(-3)  # (6r-3n)/(n+2) -> -3 for fixed r
     _check_limit_law(formula_id, r)
 
@@ -430,37 +440,41 @@ def _schroeder_limit_alt(r):
 
 # ------------------------------------------------- limit distribution GFs
 
-def _limit_law_data(formula_id, nx):
-    """(N, D, power) with the limit law N/D^power: series in x (stored
-    on the z axis), polynomial cells in y.  N and D^power have y-degree
-    at most 6, so a y-box of 6 clips nothing."""
-    t = Truncation(nx, 0, 6)
+# base -> (rho, tau): its dominant singularity and its value there
+_SINGULARITY = {"catalan": (Fraction(1, 4), 2), "ternary": (Fraction(4, 27), Fraction(3, 2))}
+
+
+def _limit_law_data(formula_id, nw):
+    """(N, D, power, rho): the limit law's column r is rho^r times the
+    w^r column of N/D^power, where N and D are series in w (stored on the
+    z axis) with polynomial cells in y.
+
+    For an id whose family has an equation in gfcat.EQUATIONS, w = rho*x
+    keeps the base's cells int: a0 and m are evaluated at z = rho, x =
+    w/rho and the base at z, xz and x^2 z, namely tau + v, b(w) and
+    b(w^2/rho).  v squares to 0 in a box with nv = 1, so the v^1 cells
+    are the derivatives in the base; each column has mass 1 with no
+    normalisation.  a0 and m are linear in y, so N and D^2 have y-degree
+    at most 2.  The two stored laws are in x itself (rho = 1) and have
+    y-degree at most 6."""
+    st = objects.STATISTICS[AVG_IDS[formula_id]]
+    if st.gf in gfcat.EQUATIONS and not st.reversed:
+        base, equation = gfcat.EQUATIONS[st.gf]
+        rho, tau = _SINGULARITY[base]
+        t = Truncation(nw, 0, 2, nv=1)
+        b, inv = solve_fixed_point(base, t), scalar_inv(rho)
+        a0, m = equation(
+            ps_one(t), ps_monomial(t, ZERO_KEY, [0, 1]), ps_const(t, rho),
+            ps_monomial(t, (1, 0, 0, 0), [inv]),
+            Series(t, cells={ZERO_KEY: [tau], (0, 0, 1, 0): [1]}),
+            b, ps_subst_scale(b, t, {"z": (inv, (2, 0, 0, 0))}))
+        (a00, a01), (m0, m1) = _dual_parts(a0), _dual_parts(m)
+        d = ps_sub(ps_one(m0.trunc), m0)
+        return ps_add(ps_mul(a01, d), ps_mul(a00, m1)), d, 2, rho
+
+    t = Truncation(nw, 0, 6)
     one = ps_one(t)
     x = Series(t, cells={(1, 0, 0, 0): [1]})
-
-    if formula_id == "binary-leaf":
-        root = ps_sqrt(ps_sub(one, x))
-        n = Series(t, cells={(0, 0, 0, 0): [0, 1]})
-        d = ps_add(ps_mul_ypoly(one, [2, -2]), ps_mul_ypoly(root, [0, 1]))
-        return n, d, 2
-
-    if formula_id == "dyck-vertex":
-        root = ps_sqrt(ps_sub(one, ps_mul(x, x)))
-        n = Series(t, cells={(0, 0, 0, 0): [2]})
-        d = ps_add(
-            ps_sub(ps_mul_ypoly(one, [1, 0, 1]), ps_mul_ypoly(x, [0, 2])),
-            ps_mul_ypoly(root, [1, 0, -1]),
-        )
-        return n, d, 1
-
-    if formula_id == "dyck-upstep":
-        root = ps_sqrt(ps_sub(one, x))
-        n = Series(t, cells={(1, 0, 0, 0): [0, 4, -4], (2, 0, 0, 0): [0, 0, 0, 1]})
-        d = ps_add(
-            ps_mul_ypoly(ps_add(one, root), [2, -2]),
-            Series(t, cells={(1, 0, 0, 0): [0, -3, 4], (2, 0, 0, 0): [0, 0, 0, -1]}),
-        )
-        return n, d, 1
 
     if formula_id == "dyck-downstep":
         root = ps_sqrt(ps_sub(one, x))
@@ -469,85 +483,38 @@ def _limit_law_data(formula_id, nx):
             ps_mul_ypoly(ps_add(one, root), [2, -2]),
             Series(t, cells={(0, 0, 0, 0): [0, 0, 1], (1, 0, 0, 0): [-1]}),
         )
-        return n, d, 1
+        return n, d, 1, 1
 
-    if formula_id == "schroeder-leaf":
-        oneq = ps_one(t, "quad2")
-        kernel = Series(
-            t,
-            "quad2",
-            {
-                (0, 0, 0, 0): [1],
-                (1, 0, 0, 0): [Quad2(-18, 12)],
-                (2, 0, 0, 0): [Quad2(17, -12)],
-            },
-        )
-        root = ps_sqrt(kernel)  # sqrt((1-x)(1-rho^2 x))
-        n = Series(t, "quad2", {(0, 0, 0, 0): [0, 8]})
-        d = ps_add(
-            ps_add(
-                ps_mul_ypoly(oneq, [Quad2(9, 6), Quad2(-4, -12), Quad2(13, 6)]),
-                Series(t, "quad2", {(1, 0, 0, 0): [-1, -2, -5]}),
-            ),
-            ps_mul_ypoly(root, [RHO_INV, RHO_INV * 2, RHO_INV * (-3)]),
-        )
-        return n, d, 1
-
-    if formula_id == "noncrossing-node":
-        n_coeffs, d_coeffs = _noncrossing_limit_pieces(nx)
-        n = Series(t, cells={(m, 0, 0, 0): p for m, p in enumerate(n_coeffs) if p})
-        d = Series(t, cells={(m, 0, 0, 0): p for m, p in enumerate(d_coeffs) if m <= nx})
-        return n, d, 2
-
-    raise ValueError("no rational limit law stored for %r" % (formula_id,))
+    if formula_id != "schroeder-leaf":
+        raise ValueError("no limit law stored for %r" % (formula_id,))
+    # the paper's printed bivariate form
+    oneq = ps_one(t, "quad2")
+    kernel = Series(
+        t,
+        "quad2",
+        {
+            (0, 0, 0, 0): [1],
+            (1, 0, 0, 0): [Quad2(-18, 12)],
+            (2, 0, 0, 0): [Quad2(17, -12)],
+        },
+    )
+    root = ps_sqrt(kernel)  # sqrt((1-x)(1-rho^2 x))
+    n = Series(t, "quad2", {(0, 0, 0, 0): [0, 8]})
+    d = ps_add(
+        ps_add(
+            ps_mul_ypoly(oneq, [Quad2(9, 6), Quad2(-4, -12), Quad2(13, 6)]),
+            Series(t, "quad2", {(1, 0, 0, 0): [-1, -2, -5]}),
+        ),
+        ps_mul_ypoly(root, [RHO_INV, RHO_INV * 2, RHO_INV * (-3)]),
+    )
+    return n, d, 1, 1
 
 
-def _noncrossing_limit_pieces(nx):
-    """x-coefficient lists (ypolys) of N and D for the noncrossing law
-    N/D^2, with T always evaluated at (4/27)x."""
-
-    def tp(i):
-        return ternary_edge(i) * Fraction(4, 27) ** i
-
-    def tc(i):
-        return ternary_count(i) * Fraction(4, 27) ** i
-
-    third = Fraction(1, 9)
-    # numerator pieces: quadratic in T((4/27)x), coefficients polynomial
-    # in x and y; each p2 entry still carries a y(1-y) factor
-    p2 = {
-        2: yp_scale([0, 0, 12, -5, 1], third),
-        3: yp_scale([16, -44, 36, -27, 3], third),
-        4: yp_scale([0, 0, 0, 4, 4], third),
-    }
-    p2 = {a: yp_mul(p, [0, 1, -1]) for a, p in p2.items()}
-    p1_core = yp_mul(yp_mul([0, 0, 1], yp_mul([1, -1], [1, -1])), [2, -1])
-    p1 = {2: yp_mul(p1_core, [4, -1]), 3: yp_mul(p1_core, [-2, -1])}
-    p0 = {
-        1: [0, 0, 0, 0, 0, 1],
-        2: yp_mul([0, 0, 1], [-8, 18, -12, 0, -1]),
-        3: yp_mul([0, 0, 1], [0, 8, -18, 13]),
-        4: [0, 0, 0, 0, 0, 0, -1],
-    }
-    n_coeffs = []
-    for m in range(nx + 1):
-        acc = []
-        for a, p in p2.items():
-            if 0 <= m - a:
-                acc = yp_add(acc, yp_scale(p, tp(m - a)))
-        for a, p in p1.items():
-            if 0 <= m - a:
-                acc = yp_add(acc, yp_scale(p, tc(m - a)))
-        if m in p0:
-            acc = yp_add(acc, list(p0[m]))
-        n_coeffs.append(acc)
-
-    d_coeffs = [
-        [0, 0, Fraction(3, 2), Fraction(-1, 2)],
-        [-2, 6, Fraction(-15, 2), Fraction(3, 2)],
-        [0, 0, 0, 1],
-    ]
-    return n_coeffs, d_coeffs
+def _dual_parts(s):
+    """s = s0 + v*s1 in a box with nv = 1, as (s0, s1) in the box without v."""
+    t = Truncation(s.trunc.nz, 0, s.trunc.ny)
+    return tuple(Series(t, s.field, {(k[0], 0, 0, 0): p for k, p in s.cells.items()
+                                     if k[2] == dv}) for dv in (0, 1))
 
 
 def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"):
@@ -577,11 +544,9 @@ def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"
                 out.append((d, RHO * (2 * d) * tau_d))
                 tau_d = tau_d * Quad2(-1, 1)
             return out
-    elif formula_id == "noncrossing-node" and r == 0:
-        return [(0, Fraction(1))]  # the root; N has no x^0 term
 
-    n, d, power = _limit_law_data(formula_id, r)
-    return _column(n, d, power, r, dmax)
+    n, d, power, rho = _limit_law_data(formula_id, r)
+    return _column(ps_scale(n, rho**r), d, power, r, dmax)
 
 
 class _Zrt2:
@@ -609,12 +574,12 @@ class _Zrt2:
 def _column(n, d, power, r, dmax):
     """The x^r column of N/D^power to y^dmax, one x-order at a time, over
     Z (Z[sqrt 2] for Schroeder).  N and E = D^power are cleared of their
-    denominators (lcms lN, lE); E's x^0 cell is y^k U(y) (k = 4 for
-    noncrossing, else 0), and y = u0 t makes U(u0 t) = u0 V(t) with V
-    monic, so C~_m = u0^((k+1)(m+1)) C_m(u0 t) solves t^k V C~_m =
-    u0^((k+1)m) N_m(u0 t) - sum_j u0^((k+1)(j-1)) E_j(u0 t) C~_(m-j) with
-    no division.  Entry d is C~_(r,d) lE / (lN u0^((k+1)(r+1)+d)): one
-    exact division, a Quad2 or an exact_int Fraction."""
+    denominators (lcms lN, lE); E's x^0 cell U(y) must be a unit in y,
+    and y = u0 t makes U(u0 t) = u0 V(t) with V monic, so C~_m =
+    u0^(m+1) C_m(u0 t) solves V C~_m = u0^m N_m(u0 t) - sum_j u0^(j-1)
+    E_j(u0 t) C~_(m-j) with no division.  Entry d is C~_(r,d) lE /
+    (lN u0^(r+1+d)): one exact division, a Quad2 or an exact_int
+    Fraction."""
     lift, over = ((_Zrt2, _Zrt2.over) if n.field == "quad2" else
                   (lambda a, b=0: a, lambda x, g: exact_int(Fraction(x, g))))
 
@@ -626,29 +591,27 @@ def _column(n, d, power, r, dmax):
                 for p in cells], lcm
 
     (nm, ln), (em, le) = integral(n), integral(functools.reduce(ps_mul, [d] * power))
-    k = next(i for i, c in enumerate(em[0]) if c)
+    if not (em[0] and em[0][0]):
+        raise ArithmeticError("the x^0 cell of D^%d is not a unit in y" % power)
     pw = [lift(1)]  # powers of u0
-    for _ in range((k + 1) * (r + 1) + dmax + 6):
-        pw.append(pw[-1] * em[0][k])
-    v = [c * pw[i] for i, c in enumerate(em[0][k + 1:])]  # v_1, v_2, ...
+    for _ in range(r + dmax + len(em[0])):
+        pw.append(pw[-1] * em[0][0])
+    v = [c * pw[i] for i, c in enumerate(em[0][1:])]  # v_1, v_2, ...
     cols = []
     for m in range(r + 1):
-        top = dmax + k * (r + 1 - m)  # the y-orders the quotient needs
-        acc = [c * pw[(k + 1) * m + i] for i, c in enumerate(nm[m][: top + 1])]
-        acc += [lift(0)] * (top + 1 - len(acc))
+        acc = [c * pw[m + i] for i, c in enumerate(nm[m][: dmax + 1])]
+        acc += [lift(0)] * (dmax + 1 - len(acc))
         for j in range(1, m + 1):
-            for i, c in enumerate(em[j][: top + 1]):
-                c = c * pw[(k + 1) * (j - 1) + i]
-                for dd, q in enumerate(cols[m - j][: top + 1 - i] if c else ()):
+            for i, c in enumerate(em[j][: dmax + 1]):
+                c = c * pw[j - 1 + i]
+                for dd, q in enumerate(cols[m - j][: dmax + 1 - i] if c else ()):
                     acc[i + dd] = acc[i + dd] - c * q
-        if any(acc[:k]):
-            raise ArithmeticError("column %d is not divisible by y^%d" % (m, k))
-        for dd in range(k, top + 1):  # divide by V in place, above y^k
-            for i, c in enumerate(v[: dd - k], 1):
+        for dd in range(dmax + 1):  # divide by V in place
+            for i, c in enumerate(v[:dd], 1):
                 acc[dd] = acc[dd] - c * acc[dd - i]
-        cols.append(acc[k:])
-    return [(deg, over(q * lift(le), pw[(k + 1) * (r + 1) + deg] * lift(ln)))
-            for deg, q in enumerate(cols[r][: dmax + 1]) if q]
+        cols.append(acc)
+    return [(deg, over(q * lift(le), pw[r + 1 + deg] * lift(ln)))
+            for deg, q in enumerate(cols[r]) if q]
 
 
 def limit_mean_series(formula_id: str, rmax: int) -> Series:
@@ -657,19 +620,14 @@ def limit_mean_series(formula_id: str, rmax: int) -> Series:
     _check_limit_law(formula_id)
     if rmax < 0:
         raise ValueError("rmax must be nonnegative")
-    # the up-step denominator vanishes at x = 0 once y = 1 (no 0th
-    # up-step), so work two orders deep and cancel the common x^2
-    pad = 2 if formula_id == "dyck-upstep" else 0
-    n, d, power = _limit_law_data(formula_id, rmax + pad)
+    n, d, power, rho = _limit_law_data(formula_id, rmax)
     n1, dn1 = ps_eval_y1(n), ps_diff_y1(n)
     d1, dd1 = ps_eval_y1(d), ps_diff_y1(d)
     numer = ps_sub(ps_mul(dn1, d1), ps_scale(ps_mul(n1, dd1), power))
     denom = functools.reduce(ps_mul, [d1] * (power + 1))
-    if pad:
-        numer = ps_shift(numer, -pad)
-        denom = ps_shift(denom, -pad)
-    mean = ps_mul(numer, ps_inv(denom))
-    return ps_retrunc(mean, Truncation(rmax, 0, 0))
+    t = Truncation(rmax, 0, 0)
+    mean = ps_retrunc(ps_mul(numer, ps_inv(denom)), t)
+    return ps_subst_scale(mean, t, {"z": (rho, (1, 0, 0, 0))})  # w = rho*x
 
 
 # ----------------------------------------------------------- asymptotics

@@ -4,7 +4,10 @@ Nine families, each with a functional equation written once in _system
 (a graded linear solve, or for I and J an ODE in z), a closed form, and
 for most a product identity for the y-derivative at y = 1.  The closed
 forms of Babs, D and A are their equations solved by one series
-inverse; the other six are forms of their own.  Cells are y-polynomials
+inverse; the other six are forms of their own.  The equations of B, D,
+U and G are rational in their base series and are stated in EQUATIONS,
+which also feeds closed's fixed-r limit laws: those are the same
+equations at the base's dominant singularity.  Cells are y-polynomials
 whose coefficient of y^d counts objects whose marked position has
 depth/height d; x marks the position, z the size, v (for P) the leaf
 count, u (for Babs) the signed horizontal offset.
@@ -30,9 +33,10 @@ import functools
 import math
 from fractions import Fraction
 
-from . import closed, objects
+from . import objects
 from .exact import yp_eval1
 from .series import (
+    ZERO_KEY,
     Series,
     Truncation,
     ps_add,
@@ -209,9 +213,25 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
 
 # ------------------------------------------------ functional equations
 
+# S = a0 + S*m for the families whose equation is rational in their base
+# series b (C, or T for G), written once: family -> (base, the map from
+# 1, y, z, x and b at z, xz and x^2 z to (a0, m)).  _system passes
+# series; closed passes values at the base's dominant singularity, where
+# the derivative in b gives the fixed-r limit laws.
+EQUATIONS = {
+    "B": ("catalan", lambda one, y, z, x, c, cx, cxx: (one, y * z * (c + x * cx))),
+    "D": ("catalan", lambda one, y, z, x, c, cx, cxx: (c, z * x * (y * c + x * cxx))),
+    "U": ("catalan", lambda one, y, z, x, c, cx, cxx: (
+        y * z * x * c * c, z * x * (y * c + cx))),
+    "G": ("ternary", lambda one, y, z, x, t, tx, txx: (
+        t - y * z * t * t * t * tx, y * z * t * tx * (t + x * tx))),
+}
+
+
 def _system(family: str, t: Truncation):
     """The family's functional equation, written once: gf_solve and
-    gf_residual are both derived from it.
+    gf_residual are both derived from it, and for the families in
+    EQUATIONS so are closed's limit laws.
 
     Returns (a0, factors, init), where m is the product of the factors.
     With init None the equation is S = a0 + S*m; otherwise it is
@@ -221,11 +241,12 @@ def _system(family: str, t: Truncation):
     _check(family, t)
     one = ps_one(t)
 
-    if family == "B":
-        c = solve_fixed_point("catalan", t)
-        cx = _sub_x(c, 1)
-        m = ps_add(ps_mul(_z(t), c), ps_mul(ps_mul(_z(t), _x(t)), cx))
-        return one, (m,), None
+    if family in EQUATIONS:
+        base, equation = EQUATIONS[family]
+        b = solve_fixed_point(base, t)
+        a0, m = equation(one, ps_monomial(t, ZERO_KEY, Y), _z(t, [1]), _x(t),
+                         b, _sub_x(b, 1), _sub_x(b, 2))
+        return a0, (m,), None
 
     if family == "Babs":
         c = solve_fixed_point("catalan", t)
@@ -235,25 +256,6 @@ def _system(family: str, t: Truncation):
             ps_mul(ps_monomial(t, (1, 1, 0, 1), Y), cx),
         )
         return one, (m,), None
-
-    if family == "D":
-        c = solve_fixed_point("catalan", t)
-        cxx = _sub_x(c, 2)
-        m = ps_add(
-            ps_mul(ps_mul(_z(t), _x(t)), c),
-            ps_mul(ps_monomial(t, (1, 2, 0, 0), [1]), cxx),
-        )
-        return c, (m,), None
-
-    if family == "U":
-        c = solve_fixed_point("catalan", t)
-        cx = _sub_x(c, 1)
-        a0 = ps_mul(ps_mul(_z(t), _x(t)), ps_mul(c, c))
-        m = ps_add(
-            ps_mul(ps_mul(_z(t), _x(t)), c),
-            ps_mul(ps_monomial(t, (1, 1, 0, 0), [1]), cx),
-        )
-        return a0, (m,), None
 
     if family == "P":
         nar = solve_fixed_point("narayana", t)
@@ -268,17 +270,6 @@ def _system(family: str, t: Truncation):
         stx = _sub_x(st, 1)
         r = ps_inv(ps_mul(ps_sub(one, st), ps_sub(one, stx)))
         return one, (ps_mul_ypoly(ps_sub(r, one), Y),), None
-
-    if family == "G":
-        tt = solve_fixed_point("ternary", t)
-        ttx = _sub_x(tt, 1)
-        t3x = ps_mul(ps_mul(tt, tt), ps_mul(tt, ttx))
-        a0 = ps_sub(tt, ps_mul(_z(t), t3x))
-        m = ps_add(
-            ps_mul(_z(t), ps_mul(ps_mul(tt, tt), ttx)),
-            ps_mul(ps_mul(_z(t), _x(t)), ps_mul(tt, ps_mul(ttx, ttx))),
-        )
-        return a0, (m,), None
 
     if family == "I":
         # d/dz I = y I (F(z) + x F(xz)), I(x,y,0) = 1
@@ -434,6 +425,7 @@ def columns_via_gf(family, statistic, n, rs, k=None):
         if r in xs:
             out[r] = _cell_counts(st, s, (n + st.z_offset, xs[r], k or 0))
         else:
+            from . import closed  # closed imports gfcat: load it on use
             total = closed.family_count(family, n)
             out[r] = {0: total}, total
     return out

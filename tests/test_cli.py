@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from combstat import closed, maps, objects, series, verify
+from combstat import closed, gfcat, maps, objects, series, verify
 from combstat.cli import main
 
 
@@ -269,6 +269,9 @@ def test_usage_errors(capsys):
     # a negative mean-series bound is refused by name
     assert main(["limit", "binary", "leaf-depth", "--mean", "--rmax", "-1"]) == 2
     assert "rmax must be nonnegative" in capsys.readouterr().err
+    # the abscissa's fixed-r limit is -3 at every position, and only there
+    assert main(["average", "binary", "leaf-abscissa", "--r", "-1",
+                 "--method", "asymptotic-fixed-r"]) == 2
     # a negative size is refused before any suite runs
     for suite, max_n in (("bijections", "-1"), ("identities", "-3"), ("gf", "-1")):
         assert main(["verify", "--suite", suite, "--max-n", max_n]) == 2
@@ -336,6 +339,23 @@ def test_verify_fails_on_a_perturbed_base(capsys, monkeypatch):
     assert len(rows) == 4 and all(l.startswith("FAIL") for l in rows)
 
 
+def test_one_equation_feeds_the_solve_and_the_limit_law(capsys, monkeypatch):
+    # B's equation, with one coefficient changed, moves both gf_solve
+    # (against B's own closed form) and the limit law derived from it
+    def rows(suite):
+        out = run(capsys, "verify", "--suite", suite, "--max-n", "4")[1]
+        return {tuple(line.split()[1:3]): line.split()[0] for line in out.splitlines()[:-1]}
+
+    before = {**rows("gf"), **rows("limits")}
+    base, _ = gfcat.EQUATIONS["B"]
+    monkeypatch.setitem(gfcat.EQUATIONS, "B", (
+        base, lambda one, y, z, x, c, cx, cxx: (one, y * z * (c + 2 * x * cx))))
+    after = {**rows("gf"), **rows("limits")}
+    for key in (("gf-closed-vs-solve", "B"), ("limit-gf-mean-vs-closed", "binary-leaf")):
+        assert (before[key], after[key]) == ("PASS", "FAIL"), key
+    assert after[("limit-gf-mean-vs-closed", "dyck-vertex")] == "PASS"
+
+
 def test_serving_path_runs_no_cross_check(capsys, monkeypatch):
     commands = []
     for pair in sorted(closed.AVG_IDS.values()):
@@ -374,6 +394,8 @@ def test_same_output_under_optimize():
                  ["limit", "noncrossing", "node-depth", "--r", "3", "--dmax", "12"],
                  ["limit", "schroeder", "leaf-depth", "--r", "3", "--dmax", "20"],
                  ["limit", "binary", "leaf-depth", "--r", "5", "--dmax", "24"],
+                 ["limit", "noncrossing", "node-depth", "--r", "0", "--dmax", "5"],
+                 ["limit", "dyck", "upstep-height", "--mean", "--rmax", "3"],
                  ["table2"]):
         argv = ["-m", "combstat", *argv]
         plain = subprocess.run([sys.executable, *argv], capture_output=True, text=True,

@@ -36,10 +36,15 @@ from combstat.series import (
     Truncation,
     ps_add,
     ps_coeff,
+    ps_diff_y1,
+    ps_eval_y1,
     ps_inv,
     ps_mul,
+    ps_mul_ypoly,
     ps_one,
+    ps_retrunc,
     ps_scale,
+    ps_shift,
     ps_sqrt,
     ps_sub,
 )
@@ -346,7 +351,9 @@ def test_vertex_limit_parity():
 
 
 def test_noncrossing_limit_columns():
-    assert limit_distribution("noncrossing-node", 0, 5) == [(0, Fraction(1))]
+    # the root is at depth 0 for sure: the derived x^0 column is int 1
+    assert limit_distribution("noncrossing-node", 0, 5) == [(0, 1)]
+    assert type(limit_distribution("noncrossing-node", 0, 5)[0][1]) is int
     col1 = dict(limit_distribution("noncrossing-node", 1, 12))
     for d in range(1, 13):
         assert col1[d] == Fraction(4 * d, 3 ** (d + 1))
@@ -382,10 +389,98 @@ def test_schroeder_limit_variants():
         limit_distribution("increasing-leaf", 0, 5)
 
 
+# The printed N/D^power of the four laws that closed now derives from
+# gfcat.EQUATIONS, kept as their reference: series in x (on the z axis),
+# polynomial cells in y.
+
+def _noncrossing_printed_pieces(nx):
+    """x-coefficient lists (ypolys) of N and D for the noncrossing law
+    N/D^2, with T always evaluated at (4/27)x."""
+
+    def tp(i):
+        return ternary_edge(i) * Fraction(4, 27) ** i
+
+    def tc(i):
+        return ternary_count(i) * Fraction(4, 27) ** i
+
+    third = Fraction(1, 9)
+    # numerator pieces: quadratic in T((4/27)x), coefficients polynomial
+    # in x and y; each p2 entry still carries a y(1-y) factor
+    p2 = {
+        2: yp_scale([0, 0, 12, -5, 1], third),
+        3: yp_scale([16, -44, 36, -27, 3], third),
+        4: yp_scale([0, 0, 0, 4, 4], third),
+    }
+    p2 = {a: yp_mul(p, [0, 1, -1]) for a, p in p2.items()}
+    p1_core = yp_mul(yp_mul([0, 0, 1], yp_mul([1, -1], [1, -1])), [2, -1])
+    p1 = {2: yp_mul(p1_core, [4, -1]), 3: yp_mul(p1_core, [-2, -1])}
+    p0 = {
+        1: [0, 0, 0, 0, 0, 1],
+        2: yp_mul([0, 0, 1], [-8, 18, -12, 0, -1]),
+        3: yp_mul([0, 0, 1], [0, 8, -18, 13]),
+        4: [0, 0, 0, 0, 0, 0, -1],
+    }
+    n_coeffs = []
+    for m in range(nx + 1):
+        acc = []
+        for a, p in p2.items():
+            if 0 <= m - a:
+                acc = yp_add(acc, yp_scale(p, tp(m - a)))
+        for a, p in p1.items():
+            if 0 <= m - a:
+                acc = yp_add(acc, yp_scale(p, tc(m - a)))
+        if m in p0:
+            acc = yp_add(acc, list(p0[m]))
+        n_coeffs.append(acc)
+
+    d_coeffs = [
+        [0, 0, Fraction(3, 2), Fraction(-1, 2)],
+        [-2, 6, Fraction(-15, 2), Fraction(3, 2)],
+        [0, 0, 0, 1],
+    ]
+    return n_coeffs, d_coeffs
+
+
+def _printed_law(formula_id, nx):
+    """(N, D, power) of the printed law; y-degree at most 6."""
+    t = Truncation(nx, 0, 6)
+    one = ps_one(t)
+    x = Series(t, cells={(1, 0, 0, 0): [1]})
+    if formula_id == "binary-leaf":
+        root = ps_sqrt(ps_sub(one, x))
+        n = Series(t, cells={(0, 0, 0, 0): [0, 1]})
+        d = ps_add(ps_mul_ypoly(one, [2, -2]), ps_mul_ypoly(root, [0, 1]))
+        return n, d, 2
+    if formula_id == "dyck-vertex":
+        root = ps_sqrt(ps_sub(one, ps_mul(x, x)))
+        n = Series(t, cells={(0, 0, 0, 0): [2]})
+        d = ps_add(
+            ps_sub(ps_mul_ypoly(one, [1, 0, 1]), ps_mul_ypoly(x, [0, 2])),
+            ps_mul_ypoly(root, [1, 0, -1]),
+        )
+        return n, d, 1
+    if formula_id == "dyck-upstep":
+        root = ps_sqrt(ps_sub(one, x))
+        n = Series(t, cells={(1, 0, 0, 0): [0, 4, -4], (2, 0, 0, 0): [0, 0, 0, 1]})
+        d = ps_add(
+            ps_mul_ypoly(ps_add(one, root), [2, -2]),
+            Series(t, cells={(1, 0, 0, 0): [0, -3, 4], (2, 0, 0, 0): [0, 0, 0, -1]}),
+        )
+        return n, d, 1
+    n_coeffs, d_coeffs = _noncrossing_printed_pieces(nx)
+    n = Series(t, cells={(m, 0, 0, 0): p for m, p in enumerate(n_coeffs) if p})
+    d = Series(t, cells={(m, 0, 0, 0): p for m, p in enumerate(d_coeffs) if m <= nx})
+    return n, d, 2
+
+
+PRINTED_LAWS = ("binary-leaf", "dyck-vertex", "dyck-upstep", "noncrossing-node")
+
+
 def _dense_columns(n, d, power, r, ny):
     """Columns x^0..x^r of N/D^power to y^ny, multiplying by the dense
     yp_inv series of the x^0 unit of D^power: the division _column
-    replaces, kept here as its reference."""
+    replaces, kept here as its reference.  The x^0 cell of D^power may
+    be y^k times a unit (k = 4 for the printed noncrossing law)."""
     e = ps_mul(d, d) if power == 2 else d
     e0 = ps_coeff(e, 0)
     k = next(i for i, c in enumerate(e0) if c)
@@ -405,10 +500,10 @@ def test_column_matches_dense_reference():
     # one reference run at r = 12 holds every lower column: N and D are
     # exact series, so their x-truncation does not move a column
     for formula_id, first in closed.LIMIT_LAWS.items():
-        n, d, power = closed._limit_law_data(formula_id, 12)
+        n, d, power, _ = closed._limit_law_data(formula_id, 12)
         dense = _dense_columns(n, d, power, 12, 30)
         for r in [*range(first, 8), 12]:
-            n, d, power = closed._limit_law_data(formula_id, r)
+            n, d, power, _ = closed._limit_law_data(formula_id, r)
             for dmax in (0, 1, 3, 12, 30):
                 got = closed._column(n, d, power, r, dmax)
                 want = [(deg, p) for deg, p in enumerate(dense[r][: dmax + 1]) if p]
@@ -422,12 +517,50 @@ def test_column_matches_dense_reference():
     assert type(closed.limit_distribution("dyck-upstep", 1, 3)[0][1]) is int
 
 
-def test_column_refuses_a_numerator_its_unit_does_not_divide():
-    # noncrossing's x^0 cell of D^2 is y^4 times a unit, so a y^0 term
-    # in N's x^0 cell leaves low orders the division cannot shift out
-    n, d, power = closed._limit_law_data("noncrossing-node", 2)
-    with pytest.raises(ArithmeticError, match="not divisible by y"):
-        closed._column(ps_add(n, ps_one(n.trunc)), d, power, 2, 5)
+def test_derived_laws_match_the_printed_laws():
+    # every column at r <= 12, values and scalar types; the printed
+    # noncrossing N has no x^0 term, and its root column is 1 for sure
+    for formula_id in PRINTED_LAWS:
+        first = closed.LIMIT_LAWS[formula_id]
+        dense = _dense_columns(*_printed_law(formula_id, 12), 12, 30)
+        for r in range(first, 13):
+            for dmax in (0, 1, 3, 12, 30):
+                got = limit_distribution(formula_id, r, dmax)
+                want = [(deg, exact_int(p)) for deg, p in enumerate(dense[r][: dmax + 1])
+                        if p]
+                if formula_id == "noncrossing-node" and r == 0:
+                    want = [(0, 1)]
+                assert got == want, (formula_id, r, dmax)
+                assert [type(p) for _, p in got] == [type(p) for _, p in want], \
+                    (formula_id, r, dmax)
+
+
+def _printed_mean_series(formula_id, rmax):
+    """The mean series of the printed law: (N'D - power N D')/D^(power+1)
+    at y = 1.  The printed up-step D vanishes at x = 0 once y = 1, so
+    that quotient is worked two orders deep and cancels the common x^2."""
+    pad = 2 if formula_id == "dyck-upstep" else 0
+    n, d, power = _printed_law(formula_id, rmax + pad)
+    n1, dn1 = ps_eval_y1(n), ps_diff_y1(n)
+    d1, dd1 = ps_eval_y1(d), ps_diff_y1(d)
+    numer = ps_sub(ps_mul(dn1, d1), ps_scale(ps_mul(n1, dd1), power))
+    denom = ps_mul(d1, d1) if power == 1 else ps_mul(d1, ps_mul(d1, d1))
+    mean = ps_mul(ps_shift(numer, -pad), ps_inv(ps_shift(denom, -pad)))
+    return ps_retrunc(mean, Truncation(rmax, 0, 0))
+
+
+def test_derived_mean_series_match_the_printed_laws():
+    for formula_id in PRINTED_LAWS:
+        for rmax in range(12):
+            assert limit_mean_series(formula_id, rmax) == _printed_mean_series(
+                formula_id, rmax), (formula_id, rmax)
+
+
+def test_column_refuses_a_denominator_that_is_no_unit_in_y():
+    # times y, D's x^0 cell has no y^0 entry left to divide by
+    n, d, power, _ = closed._limit_law_data("binary-leaf", 2)
+    with pytest.raises(ArithmeticError, match="not a unit in y"):
+        closed._column(n, ps_mul_ypoly(d, [0, 1]), power, 2, 5)
 
 
 def test_harmonic_matches_the_plain_sum():
