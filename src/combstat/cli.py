@@ -325,8 +325,7 @@ def build_parser():
     sp.add_argument("statistic")
     sp.add_argument("--r", type=int)
     sp.add_argument("--dmax", type=int, default=20)
-    sp.add_argument("--variant", choices=("auto", "verbatim", "r0-law"),
-                    default="auto")
+    sp.add_argument("--variant", choices=closed.LIMIT_VARIANTS, default="auto")
     sp.add_argument("--mean", action="store_true",
                     help="print the limit means for r = 0..rmax instead")
     sp.add_argument("--rmax", type=int)

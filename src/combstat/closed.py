@@ -13,15 +13,14 @@ agree with it, so a formula typo cannot slip through silently.  Only
 serving path does.
 
 Each fixed-r limit law is a bivariate N/D^power (series in x,
-polynomials in y).  Those of B, D, U and G are derived from the one
+polynomials in y).  Those of B, D, U, W and G are derived from the one
 statement of their equation, gfcat.EQUATIONS: the derivative of
 S = a0/(1 - m) in the base, at the base's dominant singularity (Flajolet
 and Sedgewick, Analytic Combinatorics, Thm VI.1), is N/D^2 with
-N = a0'(1 - m) + a0 m' and D = 1 - m.  Only dyck-downstep (no series
-marks a step from the end) and schroeder-leaf (the paper's printed
-form) keep a stored N/D.  _column expands the x^r column of every law
-by the same division, one x-order at a time, over Z (Z[sqrt 2] for
-Schroeder) with one exact division per returned entry.  LIMIT_LAWS is
+N = a0'(1 - m) + a0 m' and D = 1 - m.  One law is stored, not derived:
+schroeder-leaf's, the paper's printed form.  _column expands the x^r
+column of every law by the same division, one x-order at a time, over Z
+(Z[sqrt 2] for Schroeder) with one exact division per returned entry.  LIMIT_LAWS is
 the one statement of which ids have a law and from which r.
 """
 
@@ -449,65 +448,53 @@ def _limit_law_data(formula_id, nw):
     w^r column of N/D^power, where N and D are series in w (stored on the
     z axis) with polynomial cells in y.
 
-    For an id whose family has an equation in gfcat.EQUATIONS, w = rho*x
-    keeps the base's cells int: a0 and m are evaluated at z = rho, x =
-    w/rho and the base at z, xz and x^2 z, namely tau + v, b(w) and
-    b(w^2/rho).  v squares to 0 in a box with nv = 1, so the v^1 cells
-    are the derivatives in the base; each column has mass 1 with no
+    The one stored law, schroeder-leaf's, is the paper's printed form,
+    in x itself (rho = 1), with y-degree at most 6.  Every other id's
+    family has an equation in gfcat.EQUATIONS, and w = rho*x keeps the
+    base's cells int: a0 and m are evaluated at z = rho, x = w/rho and
+    the base at z, xz and x^2 z, namely tau + v, b(w) and b(w^2/rho).
+    v squares to 0 in a box with nv = 1, so the v^1 cells are the
+    derivatives in the base; each column has mass 1 with no
     normalisation.  a0 and m are linear in y, so N and D^2 have y-degree
-    at most 2.  The two stored laws are in x itself (rho = 1) and have
-    y-degree at most 6."""
-    st = objects.STATISTICS[AVG_IDS[formula_id]]
-    if st.gf in gfcat.EQUATIONS and not st.reversed:
-        base, equation = gfcat.EQUATIONS[st.gf]
-        rho, tau = _SINGULARITY[base]
-        t = Truncation(nw, 0, 2, nv=1)
-        b, inv = solve_fixed_point(base, t), scalar_inv(rho)
-        a0, m = equation(
-            ps_one(t), ps_monomial(t, ZERO_KEY, [0, 1]), ps_const(t, rho),
-            ps_monomial(t, (1, 0, 0, 0), [inv]),
-            Series(t, cells={ZERO_KEY: [tau], (0, 0, 1, 0): [1]}),
-            b, ps_subst_scale(b, t, {"z": (inv, (2, 0, 0, 0))}))
-        (a00, a01), (m0, m1) = _dual_parts(a0), _dual_parts(m)
-        d = ps_sub(ps_one(m0.trunc), m0)
-        return ps_add(ps_mul(a01, d), ps_mul(a00, m1)), d, 2, rho
-
-    t = Truncation(nw, 0, 6)
-    one = ps_one(t)
-    x = Series(t, cells={(1, 0, 0, 0): [1]})
-
-    if formula_id == "dyck-downstep":
-        root = ps_sqrt(ps_sub(one, x))
-        n = Series(t, cells={(1, 0, 0, 0): [0, 1]})
+    at most 2.  D times the lcm L of its denominators, and N times L^2,
+    leave N/D^2 as it is with D's cells int."""
+    if formula_id == "schroeder-leaf":
+        t = Truncation(nw, 0, 6)
+        oneq = ps_one(t, "quad2")
+        kernel = Series(
+            t,
+            "quad2",
+            {
+                (0, 0, 0, 0): [1],
+                (1, 0, 0, 0): [Quad2(-18, 12)],
+                (2, 0, 0, 0): [Quad2(17, -12)],
+            },
+        )
+        root = ps_sqrt(kernel)  # sqrt((1-x)(1-rho^2 x))
+        n = Series(t, "quad2", {(0, 0, 0, 0): [0, 8]})
         d = ps_add(
-            ps_mul_ypoly(ps_add(one, root), [2, -2]),
-            Series(t, cells={(0, 0, 0, 0): [0, 0, 1], (1, 0, 0, 0): [-1]}),
+            ps_add(
+                ps_mul_ypoly(oneq, [Quad2(9, 6), Quad2(-4, -12), Quad2(13, 6)]),
+                Series(t, "quad2", {(1, 0, 0, 0): [-1, -2, -5]}),
+            ),
+            ps_mul_ypoly(root, [RHO_INV, RHO_INV * 2, RHO_INV * (-3)]),
         )
         return n, d, 1, 1
 
-    if formula_id != "schroeder-leaf":
-        raise ValueError("no limit law stored for %r" % (formula_id,))
-    # the paper's printed bivariate form
-    oneq = ps_one(t, "quad2")
-    kernel = Series(
-        t,
-        "quad2",
-        {
-            (0, 0, 0, 0): [1],
-            (1, 0, 0, 0): [Quad2(-18, 12)],
-            (2, 0, 0, 0): [Quad2(17, -12)],
-        },
-    )
-    root = ps_sqrt(kernel)  # sqrt((1-x)(1-rho^2 x))
-    n = Series(t, "quad2", {(0, 0, 0, 0): [0, 8]})
-    d = ps_add(
-        ps_add(
-            ps_mul_ypoly(oneq, [Quad2(9, 6), Quad2(-4, -12), Quad2(13, 6)]),
-            Series(t, "quad2", {(1, 0, 0, 0): [-1, -2, -5]}),
-        ),
-        ps_mul_ypoly(root, [RHO_INV, RHO_INV * 2, RHO_INV * (-3)]),
-    )
-    return n, d, 1, 1
+    base, equation = gfcat.EQUATIONS[objects.STATISTICS[AVG_IDS[formula_id]].gf]
+    rho, tau = _SINGULARITY[base]
+    t = Truncation(nw, 0, 2, nv=1)
+    b, inv = solve_fixed_point(base, t), scalar_inv(rho)
+    a0, m = equation(
+        ps_one(t), ps_monomial(t, ZERO_KEY, [0, 1]), ps_const(t, rho),
+        ps_monomial(t, (1, 0, 0, 0), [inv]),
+        Series(t, cells={ZERO_KEY: [tau], (0, 0, 1, 0): [1]}),
+        b, ps_subst_scale(b, t, {"z": (inv, (2, 0, 0, 0))}))
+    (a00, a01), (m0, m1) = _dual_parts(a0), _dual_parts(m)
+    d = ps_sub(ps_one(m0.trunc), m0)
+    ell = math.lcm(*(c.denominator for p in d.cells.values() for c in p))
+    n = ps_add(ps_mul(a01, d), ps_mul(a00, m1))
+    return ps_scale(n, ell * ell), ps_scale(d, ell), 2, rho
 
 
 def _dual_parts(s):
@@ -517,33 +504,33 @@ def _dual_parts(s):
                                      if k[2] == dv}) for dv in (0, 1))
 
 
+LIMIT_VARIANTS = ("auto", "verbatim")
+
+
 def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"):
     """Fixed-r limit law of the statistic: [(d, probability)] pairs up
     to dmax, exact.
 
-    variant applies to "schroeder-leaf" only: "auto" uses the printed
-    negative-binomial law for r = 0 and the bivariate form otherwise;
-    "verbatim" always expands the bivariate form (whose columns are
-    known not to normalize -- see the WARN in the verification suite);
-    "r0-law" is the r = 0 law itself.
+    variant is one of LIMIT_VARIANTS, and only "schroeder-leaf" takes
+    "verbatim".  There "auto" uses the printed negative-binomial law for
+    r = 0 and the bivariate form otherwise; "verbatim" always expands
+    the bivariate form (whose columns are known not to normalize -- see
+    the WARN in the verification suite).
     """
     _check_limit_law(formula_id, r)
+    if variant not in LIMIT_VARIANTS:
+        raise ValueError("unknown variant %r, not one of %s" % (variant, LIMIT_VARIANTS))
     if variant != "auto" and formula_id != "schroeder-leaf":
         raise ValueError("variants exist only for schroeder-leaf")
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
 
-    if formula_id == "schroeder-leaf":
-        if variant == "auto":
-            variant = "r0-law" if r == 0 else "verbatim"
-        if variant == "r0-law":
-            if r != 0:
-                raise ValueError("the r0 law is the r = 0 column only")
-            out, tau_d = [], Quad2(1)  # tau^(d-1), tau = sqrt(2) - 1
-            for d in range(1, dmax + 1):
-                out.append((d, RHO * (2 * d) * tau_d))
-                tau_d = tau_d * Quad2(-1, 1)
-            return out
+    if formula_id == "schroeder-leaf" and r == 0 and variant == "auto":
+        out, tau_d = [], Quad2(1)  # tau^(d-1), tau = sqrt(2) - 1
+        for d in range(1, dmax + 1):
+            out.append((d, RHO * (2 * d) * tau_d))
+            tau_d = tau_d * Quad2(-1, 1)
+        return out
 
     n, d, power, rho = _limit_law_data(formula_id, r)
     return _column(ps_scale(n, rho**r), d, power, r, dmax)

@@ -1,11 +1,11 @@
 """Catalog of the multivariate generating functions.
 
-Nine families, each with a functional equation written once in _system
+Ten families, each with a functional equation written once in _system
 (a graded linear solve, or for I and J an ODE in z), a closed form, and
 for most a product identity for the y-derivative at y = 1.  The closed
-forms of Babs, D and A are their equations solved by one series
+forms of Babs, D, W and A are their equations solved by one series
 inverse; the other six are forms of their own.  The equations of B, D,
-U and G are rational in their base series and are stated in EQUATIONS,
+U, W and G are rational in their base series and are stated in EQUATIONS,
 which also feeds closed's fixed-r limit laws: those are the same
 equations at the base's dominant singularity.  Cells are y-polynomials
 whose coefficient of y^d counts objects whose marked position has
@@ -19,6 +19,7 @@ ids, statistic counted, and field of coefficients:
 * D    Dyck walks, height of the r-th lattice point         (ordinary)
 * U    Dyck walks, height of the r-th up-step; equivalently
        plane trees, depth of the r-th preorder node, r >= 1 (ordinary)
+* W    Dyck walks, height of the r-th down-step             (ordinary)
 * P    plane trees with k leaves, depth of the r-th leaf    (ordinary)
 * A    Schroeder trees (sized by leaves-1), r-th leaf depth (ordinary)
 * G    noncrossing chord trees, depth of vertex r           (ordinary)
@@ -63,7 +64,7 @@ from .series import (
     solve_fixed_point,
 )
 
-FAMILY_IDS = ("B", "Babs", "D", "U", "P", "A", "G", "I", "J")
+FAMILY_IDS = ("B", "Babs", "D", "U", "W", "P", "A", "G", "I", "J")
 
 Y = [0, 1]  # the ypoly "y"
 
@@ -152,17 +153,18 @@ def _shift_v(s: Series, k: int) -> Series:
 def gf_closed(family: str, trunc: Truncation) -> Series:
     """The closed form of a family at the given truncation.
 
-    Babs, D and A are served as their functional equation S = a0 + S*m
-    (see _system) solved, a0/(1 - m), which for a0 = 1 is the inverse
+    Babs, D, W and A are served as their functional equation S = a0 +
+    S*m (see _system) solved, a0/(1 - m), which for a0 = 1 is the inverse
     alone; for A that is the printed form 1/(1 + y(1 - R)) itself.
-    Enumeration, gf_solve and the printed form of D kept in the tests
-    check them.  Every other family has a form of its own.
+    Enumeration, gf_solve, the printed form of D and the reflection of U
+    kept in the tests check them.  Every other family has a form of its
+    own.
     """
     _check(family, trunc)
     t = trunc
     one = ps_one(t)
 
-    if family in ("Babs", "D", "A"):
+    if family in ("Babs", "D", "W", "A"):
         a0, (m,), _ = _system(family, t)
         inv = ps_inv(ps_sub(one, m))
         return inv if a0 == one else ps_mul(a0, inv)
@@ -217,12 +219,15 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
 # series b (C, or T for G), written once: family -> (base, the map from
 # 1, y, z, x and b at z, xz and x^2 z to (a0, m)).  _system passes
 # series; closed passes values at the base's dominant singularity, where
-# the derivative in b gives the fixed-r limit laws.
+# the derivative in b gives the fixed-r limit laws.  Reversing a walk
+# makes down-step r up-step n+1-r, so W(z, x) = x U(xz, 1/x), and U's
+# equation at (xz, 1/x), times x, is W's.
 EQUATIONS = {
     "B": ("catalan", lambda one, y, z, x, c, cx, cxx: (one, y * z * (c + x * cx))),
     "D": ("catalan", lambda one, y, z, x, c, cx, cxx: (c, z * x * (y * c + x * cxx))),
     "U": ("catalan", lambda one, y, z, x, c, cx, cxx: (
         y * z * x * c * c, z * x * (y * c + cx))),
+    "W": ("catalan", lambda one, y, z, x, c, cx, cxx: (x * y * z * cx * cx, z * (y * cx + c))),
     "G": ("ternary", lambda one, y, z, x, t, tx, txx: (
         t - y * z * t * t * t * tx, y * z * t * tx * (t + x * tx))),
 }
@@ -417,13 +422,13 @@ def columns_via_gf(family, statistic, n, rs, k=None):
     """
     objects.check_positions(family, statistic, n, rs, k)
     st = objects.statistic_entry(family, statistic)
-    xs = {r: n + 1 - r if st.reversed else r for r in rs if not (st.root and r == 0)}
+    xs = {r for r in rs if not (st.root and r == 0)}
     if xs:
-        s = gf_closed(st.gf, Truncation(*st.box(n, max(xs.values()), k)))
+        s = gf_closed(st.gf, Truncation(*st.box(n, max(xs), k)))
     out = {}
     for r in rs:
         if r in xs:
-            out[r] = _cell_counts(st, s, (n + st.z_offset, xs[r], k or 0))
+            out[r] = _cell_counts(st, s, (n + st.z_offset, r, k or 0))
         else:
             from . import closed  # closed imports gfcat: load it on use
             total = closed.family_count(family, n)

@@ -637,12 +637,12 @@ class Statistic:
     The generating-function fields are plain data read by gfcat: the
     series ``gf`` is built in the box ``box(n, x, k)`` = (nz, nx, ny,
     nv, u_range), where x is the largest x-degree read, and position r
-    is the cell z^(n + z_offset) x^r v^k (v^0 without k), or x^(n+1-r)
-    when ``reversed``.  ``cell`` says how the cell reads as counts by
-    value: "y" (coefficient of y^d), "egf" (the same times n!) or "u"
-    (the signed abscissa u^d, summed over y).  A value d reads as
-    ``max(d - shift, 0)``.  With ``root`` set, position 0 is the root,
-    at depth 0 in every object, and is not read from the series.
+    is the cell z^(n + z_offset) x^r v^k (v^0 without k).  ``cell``
+    says how the cell reads as counts by value: "y" (coefficient of
+    y^d), "egf" (the same times n!) or "u" (the signed abscissa u^d,
+    summed over y).  A value d reads as ``max(d - shift, 0)``.  With
+    ``root`` set, position 0 is the root, at depth 0 in every object,
+    and is not read from the series.
     """
     walker: Callable
     positions: Callable
@@ -653,7 +653,6 @@ class Statistic:
     leaf_counts: Callable | None = None
     cell: str = "y"
     z_offset: int = 0
-    reversed: bool = False
     shift: int = 0
     root: bool = False
 
@@ -698,10 +697,9 @@ STATISTICS = {
     ("dyck", "upstep-height"): Statistic(
         dyck_upstep_heights, _one_to_n, "U", lambda n, x, k: (n, x, n),
         avg_id="dyck-upstep", uniform_id="dyck-upstep"),
-    # reversal pairs the r-th down-step with up-step n+1-r
     ("dyck", "downstep-height"): Statistic(
-        dyck_downstep_heights, _one_to_n, "U", lambda n, x, k: (n, x, n),
-        avg_id="dyck-downstep", reversed=True),
+        dyck_downstep_heights, _one_to_n, "W", lambda n, x, k: (n, x, n),
+        avg_id="dyck-downstep"),
     ("noncrossing", "node-depth"): Statistic(
         noncrossing_node_depths, _zero_to_n, "G",
         lambda n, x, k: (n, x, n),

@@ -239,12 +239,21 @@ def _mul(a, b, pascal):
     _check_compat(a, b)
     # iterate the smaller factor outside: marginally fewer dead key-adds
     # (the binomial weight is symmetric, so swapping is safe)
-    ac, bc = a.cells, b.cells
+    ac, bc = _canonical(a.cells), _canonical(b.cells)
     if len(ac) > len(bc):
         ac, bc = bc, ac
     out = {}
     _acc(out, ac.items(), list(bc.items()), a.trunc, pascal)
     return Series(a.trunc, a.field, out)
+
+
+def _canonical(cells):
+    """The cells, once none is empty or ends in a zero: _acc, where they
+    go, reads the length of each cell as its y-degree plus one."""
+    for k, p in cells.items():
+        if not (p and p[-1]):
+            raise ValueError("cell %r is not canonical: %r" % (k, p))
+    return cells
 
 
 def _acc(out, acells, bcells, t, pascal=None):
@@ -318,7 +327,7 @@ def _slices(cells, bound, grade=_grade):
     """The cells as (key, ypoly) lists by grade, slice i at index i, up to
     bound; cells past bound are left out."""
     out = [[] for _ in range(bound + 1)]
-    for k, p in cells.items():
+    for k, p in _canonical(cells).items():
         if grade(k) <= bound:
             out[grade(k)].append((k, p))
     return out

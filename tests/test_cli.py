@@ -165,10 +165,12 @@ def test_verify_bijections_reports_a_broken_transport_law(capsys, monkeypatch):
 
 
 # sha256 of `verify --suite all --max-n 8` in each format, as printed
-# before the suites moved into combstat.verify
+# before the suites moved into combstat.verify, plus the gf-residual and
+# gf-closed-vs-solve rows of the down-step system W and the two more
+# passes they add to the summary line
 VERIFY_ALL_DIGESTS = {
-    "text": "7fe188da3a03fc0c88d07bff7c2a86c24a3fa4edf953e19427de6a38b59f9181",
-    "json": "895b3f04126102b6b59b74bfa666dc2c60649a84cb02c1a5c632559019099da6",
+    "text": "490bed88cfac26b79775ed2fb5a37b89a8f56efdeb6f55874c9fda5f3c588af8",
+    "json": "8e3bf72958bfff020e59fb03a5687451c23f891e0d365c1ac02a3cdf324452df",
 }
 
 
@@ -227,7 +229,7 @@ def test_verify_gf_at_the_smallest_sizes(capsys, max_n):
     # leaf count capped by the size, so no check asks for an empty class
     code, out = run(capsys, "verify", "--suite", "gf", "--max-n", max_n)
     assert code == 0
-    assert out.splitlines()[-1] == "passed=35 warned=0 failed=0"
+    assert out.splitlines()[-1] == "passed=37 warned=0 failed=0"
 
 
 def test_usage_errors(capsys):
@@ -280,6 +282,12 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    # a limit variant is auto or verbatim; r0-law is what auto serves at r = 0
+    for variant in ("bogus", "r0-law"):
+        with pytest.raises(SystemExit) as exc:
+            main(["limit", "schroeder", "leaf-depth", "--r", "0", "--variant", variant])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_config_file(capsys, tmp_path):
@@ -396,6 +404,9 @@ def test_same_output_under_optimize():
                  ["limit", "binary", "leaf-depth", "--r", "5", "--dmax", "24"],
                  ["limit", "noncrossing", "node-depth", "--r", "0", "--dmax", "5"],
                  ["limit", "dyck", "upstep-height", "--mean", "--rmax", "3"],
+                 ["limit", "dyck", "downstep-height", "--r", "5", "--dmax", "24"],
+                 ["limit", "dyck", "downstep-height", "--mean", "--rmax", "9"],
+                 ["expand", "W", "--trunc-z", "6", "--trunc-x", "6", "--trunc-y", "6"],
                  ["table2"]):
         argv = ["-m", "combstat", *argv]
         plain = subprocess.run([sys.executable, *argv], capture_output=True, text=True,

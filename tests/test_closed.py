@@ -382,14 +382,24 @@ def test_schroeder_limit_variants():
     # the printed law, served by a running power of tau = sqrt(2) - 1
     assert all(p == RHO * (2 * d) * Quad2(-1, 1) ** (d - 1) for d, p in law.items())
     with pytest.raises(ValueError):
-        limit_distribution("schroeder-leaf", 1, 5, variant="r0-law")
-    with pytest.raises(ValueError):
         limit_distribution("binary-leaf", 0, 5, variant="verbatim")
     with pytest.raises(ValueError):
         limit_distribution("increasing-leaf", 0, 5)
 
 
-# The printed N/D^power of the four laws that closed now derives from
+def test_limit_variants_are_auto_or_verbatim():
+    # any other string is refused, "r0-law" too: at r = 0 that law is
+    # what "auto" serves
+    assert closed.LIMIT_VARIANTS == ("auto", "verbatim")
+    for variant in ("bogus", "r0-law", "AUTO", ""):
+        for r in (0, 1):
+            with pytest.raises(ValueError, match="unknown variant"):
+                limit_distribution("schroeder-leaf", r, 3, variant=variant)
+        with pytest.raises(ValueError, match="unknown variant"):
+            limit_distribution("binary-leaf", 0, 3, variant=variant)
+
+
+# The printed N/D^power of the five laws that closed now derives from
 # gfcat.EQUATIONS, kept as their reference: series in x (on the z axis),
 # polynomial cells in y.
 
@@ -467,13 +477,22 @@ def _printed_law(formula_id, nx):
             Series(t, cells={(1, 0, 0, 0): [0, -3, 4], (2, 0, 0, 0): [0, 0, 0, -1]}),
         )
         return n, d, 1
+    if formula_id == "dyck-downstep":
+        root = ps_sqrt(ps_sub(one, x))
+        n = Series(t, cells={(1, 0, 0, 0): [0, 1]})
+        d = ps_add(
+            ps_mul_ypoly(ps_add(one, root), [2, -2]),
+            Series(t, cells={(0, 0, 0, 0): [0, 0, 1], (1, 0, 0, 0): [-1]}),
+        )
+        return n, d, 1
     n_coeffs, d_coeffs = _noncrossing_printed_pieces(nx)
     n = Series(t, cells={(m, 0, 0, 0): p for m, p in enumerate(n_coeffs) if p})
     d = Series(t, cells={(m, 0, 0, 0): p for m, p in enumerate(d_coeffs) if m <= nx})
     return n, d, 2
 
 
-PRINTED_LAWS = ("binary-leaf", "dyck-vertex", "dyck-upstep", "noncrossing-node")
+PRINTED_LAWS = ("binary-leaf", "dyck-vertex", "dyck-upstep", "dyck-downstep",
+                "noncrossing-node")
 
 
 def _dense_columns(n, d, power, r, ny):

@@ -81,6 +81,7 @@ TRUNCS = {
     "Babs": Truncation(5, 5, 5, u_range=5),
     "D": Truncation(6, 6, 6),
     "U": Truncation(6, 6, 6),
+    "W": Truncation(6, 6, 6),
     "P": Truncation(5, 5, 5, nv=6),
     "A": Truncation(6, 6, 6),
     "G": Truncation(6, 6, 6),
@@ -110,7 +111,7 @@ def test_functional_equation_residual_sees_a_bump(family):
     assert not ps_is_zero(gf_residual(family, bumped))
 
 
-@pytest.mark.parametrize("family", ["B", "Babs", "D", "U", "P", "A", "G"])
+@pytest.mark.parametrize("family", ["B", "Babs", "D", "U", "W", "P", "A", "G"])
 def test_ordinary_gf_cells_are_int(family):
     # every cell of an ordinary GF counts objects, so it is kept in int
     t = Truncation(8, 8, 8, nv=9 if family == "P" else 0,
@@ -243,6 +244,14 @@ def test_walk_height_symmetry():
     for n in range(7):
         for r in range(2 * n + 1):
             assert ps_coeff(d, n, r) == ps_coeff(d, n, 2 * n - r)
+
+
+def test_downstep_series_is_the_upstep_series_reflected():
+    # reversing a walk makes down-step r up-step n+1-r: W = x U(xz, 1/x)
+    t = Truncation(12, 12, 12)
+    up = gf_closed("U", t).cells
+    assert gf_closed("W", t).cells == {
+        (n, n + 1 - r, v, u): p for (n, r, v, u), p in up.items()}
 
 
 def test_column_totals_match_counts():

@@ -605,6 +605,23 @@ def test_kernel_cancels_and_clips():
     assert [type(c) for c in cell] == [int, int]
 
 
+def test_kernel_refuses_non_canonical_cells():
+    # the kernel reads a cell's length as its y-degree plus one, so a
+    # hand-built empty cell or trailing zero is refused where it enters
+    t = Truncation(2, 0, 3)
+    one, z = ps_one(t), ps_monomial(t, (1, 0, 0, 0), [1])
+    for bad in ([], [1, 0]):
+        s = Series(t, cells={(1, 0, 0, 0): bad})
+        for build in (lambda: ps_mul(s, one), lambda: ps_mul(one, s),
+                      lambda: ps_bmul(s, one), lambda: ps_exp(s),
+                      lambda: ps_linear_solve(s, z), lambda: ps_linear_solve(one, s)):
+            with pytest.raises(ValueError, match="not canonical"):
+                build()
+    # [1, 0] times [2] would otherwise keep the trailing zero of [2, 0]
+    with pytest.raises(ValueError, match="not canonical"):
+        ps_mul(Series(t, cells={(0, 0, 0, 0): [1, 0]}), Series(t, cells={(0, 0, 0, 0): [2]}))
+
+
 def test_solvers_keep_m_as_the_outer_factor():
     # only a one-entry inner cell scales through exact_int, so the operand
     # order shows in the types: m is the outer factor of each product and
