@@ -23,21 +23,31 @@ from .exact import render_decimal, render_scalar
 from .series import Truncation, ps_coeff, ps_to_json
 
 
-def _scalar_str(value, decimal=False, digits=10):
+def _scalar_str(value, decimal, digits):
     if decimal:
         return render_decimal(value, digits)
     return render_scalar(value)
 
 
 def _load_config(path):
+    """The JSON config (--config, else $COMBSTAT_CONFIG) with its defaults
+    filled in; a bad value is a usage error that names its key."""
     if path is None:
         path = os.environ.get("COMBSTAT_CONFIG")
-    if not path:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
+    cfg = {}
+    if path:
+        with open(path) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("config must be a JSON object")
+    cfg = {"digits": 10, "budgets": {}, **cfg}
+    if type(cfg["digits"]) is not int or cfg["digits"] < 1:
+        raise ValueError('config key "digits" must be a positive integer, got %r'
+                         % (cfg["digits"],))
+    budgets = cfg["budgets"]
+    if not (isinstance(budgets, dict) and all(type(b) is int for b in budgets.values())):
+        raise ValueError('config key "budgets" must map family names to integers, got %r'
+                         % (budgets,))
     return cfg
 
 
@@ -46,7 +56,19 @@ def _budget(args, cfg, family):
     family, else None (the library default)."""
     if args.budget is not None:
         return args.budget
-    return cfg.get("budgets", {}).get(family)
+    return cfg["budgets"].get(family)
+
+
+def _format(args, cfg):
+    """--format, else the config's "format", else text.  The config's
+    value must be one of the command's own --format choices."""
+    if args.format is not None:
+        return args.format
+    fmt = cfg.get("format", "text")
+    if fmt not in args.formats:
+        raise ValueError('config key "format" must be one of %s for %s, got %r'
+                         % (", ".join(args.formats), args.command, fmt))
+    return fmt
 
 
 # ----------------------------------------------------------- subcommands
@@ -90,7 +112,7 @@ def cmd_distribution(args, cfg, out):
         columns.append((r, counts, total, agree))
     status = 1 if any(col[3] is False for col in columns) else 0
 
-    fmt = args.format or cfg.get("format", "text")
+    fmt = _format(args, cfg)
     if fmt == "json":
         doc = {
             "family": args.family, "statistic": args.statistic,
@@ -130,7 +152,7 @@ def cmd_distribution(args, cfg, out):
 
 
 def cmd_average(args, cfg, out):
-    digits = cfg.get("digits", 10)
+    digits = cfg["digits"]
     pair = (args.family, args.statistic)
     st = objects.statistic_entry(*pair)
     if args.k is not None and st.leaf_counts is None:
@@ -179,7 +201,7 @@ def cmd_average(args, cfg, out):
 
 
 def cmd_limit(args, cfg, out):
-    digits = cfg.get("digits", 10)
+    digits = cfg["digits"]
     pair = (args.family, args.statistic)
     fid = objects.statistic_entry(*pair).avg_id
     if fid is None:
@@ -196,7 +218,7 @@ def cmd_limit(args, cfg, out):
     if args.r is None:
         raise ValueError("--r is required (or use --mean)")
     law = closed.limit_distribution(fid, args.r, args.dmax, variant=args.variant)
-    fmt = args.format or cfg.get("format", "text")
+    fmt = _format(args, cfg)
     if fmt == "json":
         json.dump({
             "formula": fid, "r": args.r, "variant": args.variant,
@@ -237,7 +259,7 @@ def cmd_convert(args, cfg, out):
 
 
 def cmd_table2(args, cfg, out):
-    digits = cfg.get("digits", 10)
+    digits = cfg["digits"]
     for fid, first in closed.LIMIT_LAWS.items():
         cells = ["-"] * first + [
             _scalar_str(closed.fixed_r_limit_average(fid, r), args.decimal, digits)
@@ -251,7 +273,7 @@ def cmd_table2(args, cfg, out):
 def cmd_verify(args, cfg, out):
     rows = verify.run(args.suite, args.max_n)
     passed, warned, failed = (sum(row.status == s for row in rows) for s in verify.STATUSES)
-    if (args.format or cfg.get("format", "text")) == "json":
+    if _format(args, cfg) == "json":
         json.dump({"rows": [{key: value for key, value in vars(row).items()
                              if value is not None} for row in rows],
                    "passed": passed, "warned": warned, "failed": failed}, out, indent=2)
@@ -284,6 +306,10 @@ def build_parser():
         sp.set_defaults(fn=fn)
         return sp
 
+    def add_format(sp, *choices):
+        sp.add_argument("--format", choices=choices)
+        sp.set_defaults(formats=choices)
+
     sp = add("count", cmd_count, help="count a family at one size")
     sp.add_argument("family")
     sp.add_argument("--n", type=int, required=True)
@@ -303,7 +329,7 @@ def build_parser():
     sp.add_argument("--r", type=int)
     sp.add_argument("--k", type=int, help="leaf count (plane leaf-depth only)")
     sp.add_argument("--source", choices=("enum", "gf", "both"), default="enum")
-    sp.add_argument("--format", choices=("text", "csv", "json", "plotdata"))
+    add_format(sp, "text", "csv", "json", "plotdata")
     sp.add_argument("--budget", type=int)
 
     sp = add("average", cmd_average, help="average of a statistic at position r")
@@ -329,7 +355,7 @@ def build_parser():
     sp.add_argument("--mean", action="store_true",
                     help="print the limit means for r = 0..rmax instead")
     sp.add_argument("--rmax", type=int)
-    sp.add_argument("--format", choices=("text", "json", "plotdata"))
+    add_format(sp, "text", "json", "plotdata")
     sp.add_argument("--decimal", action="store_true")
 
     sp = add("expand", cmd_expand, help="dump a generating function as JSON")
@@ -354,7 +380,7 @@ def build_parser():
     sp = add("verify", cmd_verify, help="run a cross-checking suite")
     sp.add_argument("--suite", choices=("all", *verify.SUITES), default="all")
     sp.add_argument("--max-n", type=int, default=8, dest="max_n")
-    sp.add_argument("--format", choices=("text", "json"))
+    add_format(sp, "text", "json")
     return p
 
 

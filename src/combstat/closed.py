@@ -20,8 +20,9 @@ and Sedgewick, Analytic Combinatorics, Thm VI.1), is N/D^2 with
 N = a0'(1 - m) + a0 m' and D = 1 - m.  One law is stored, not derived:
 schroeder-leaf's, the paper's printed form.  _column expands the x^r
 column of every law by the same division, one x-order at a time, over Z
-(Z[sqrt 2] for Schroeder) with one exact division per returned entry.  LIMIT_LAWS is
-the one statement of which ids have a law and from which r.
+(Z[sqrt 2] for a law in Q(sqrt 2)) with one exact division per returned
+entry.  LIMIT_LAWS is the one statement of which ids have a law and
+from which r.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .series import (
     ps_const,
     ps_diff_y1,
     ps_eval_y1,
+    ps_has_quad2,
     ps_inv,
     ps_monomial,
     ps_mul,
@@ -460,22 +462,14 @@ def _limit_law_data(formula_id, nw):
     leave N/D^2 as it is with D's cells int."""
     if formula_id == "schroeder-leaf":
         t = Truncation(nw, 0, 6)
-        oneq = ps_one(t, "quad2")
-        kernel = Series(
-            t,
-            "quad2",
-            {
-                (0, 0, 0, 0): [1],
-                (1, 0, 0, 0): [Quad2(-18, 12)],
-                (2, 0, 0, 0): [Quad2(17, -12)],
-            },
-        )
+        kernel = Series(t, {(0, 0, 0, 0): [1], (1, 0, 0, 0): [Quad2(-18, 12)],
+                            (2, 0, 0, 0): [Quad2(17, -12)]})
         root = ps_sqrt(kernel)  # sqrt((1-x)(1-rho^2 x))
-        n = Series(t, "quad2", {(0, 0, 0, 0): [0, 8]})
+        n = Series(t, {(0, 0, 0, 0): [0, 8]})
         d = ps_add(
             ps_add(
-                ps_mul_ypoly(oneq, [Quad2(9, 6), Quad2(-4, -12), Quad2(13, 6)]),
-                Series(t, "quad2", {(1, 0, 0, 0): [-1, -2, -5]}),
+                ps_mul_ypoly(ps_one(t), [Quad2(9, 6), Quad2(-4, -12), Quad2(13, 6)]),
+                Series(t, {(1, 0, 0, 0): [-1, -2, -5]}),
             ),
             ps_mul_ypoly(root, [RHO_INV, RHO_INV * 2, RHO_INV * (-3)]),
         )
@@ -500,8 +494,8 @@ def _limit_law_data(formula_id, nw):
 def _dual_parts(s):
     """s = s0 + v*s1 in a box with nv = 1, as (s0, s1) in the box without v."""
     t = Truncation(s.trunc.nz, 0, s.trunc.ny)
-    return tuple(Series(t, s.field, {(k[0], 0, 0, 0): p for k, p in s.cells.items()
-                                     if k[2] == dv}) for dv in (0, 1))
+    return tuple(Series(t, {(k[0], 0, 0, 0): p for k, p in s.cells.items() if k[2] == dv})
+                 for dv in (0, 1))
 
 
 LIMIT_VARIANTS = ("auto", "verbatim")
@@ -560,14 +554,14 @@ class _Zrt2:
 
 def _column(n, d, power, r, dmax):
     """The x^r column of N/D^power to y^dmax, one x-order at a time, over
-    Z (Z[sqrt 2] for Schroeder).  N and E = D^power are cleared of their
-    denominators (lcms lN, lE); E's x^0 cell U(y) must be a unit in y,
-    and y = u0 t makes U(u0 t) = u0 V(t) with V monic, so C~_m =
-    u0^(m+1) C_m(u0 t) solves V C~_m = u0^m N_m(u0 t) - sum_j u0^(j-1)
-    E_j(u0 t) C~_(m-j) with no division.  Entry d is C~_(r,d) lE /
-    (lN u0^(r+1+d)): one exact division, a Quad2 or an exact_int
-    Fraction."""
-    lift, over = ((_Zrt2, _Zrt2.over) if n.field == "quad2" else
+    Z (Z[sqrt 2] once a cell of N or D holds a Quad2).  N and E = D^power
+    are cleared of their denominators (lcms lN, lE); E's x^0 cell U(y)
+    must be a unit in y, and y = u0 t makes U(u0 t) = u0 V(t) with V
+    monic, so C~_m = u0^(m+1) C_m(u0 t) solves V C~_m = u0^m N_m(u0 t) -
+    sum_j u0^(j-1) E_j(u0 t) C~_(m-j) with no division.  Entry d is
+    C~_(r,d) lE / (lN u0^(r+1+d)): one exact division, a Quad2 or an
+    exact_int Fraction."""
+    lift, over = ((_Zrt2, _Zrt2.over) if ps_has_quad2(n, d) else
                   (lambda a, b=0: a, lambda x, g: exact_int(Fraction(x, g))))
 
     def integral(s):  # the cells x^0..x^r of s times L, lifted, and L

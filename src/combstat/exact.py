@@ -159,7 +159,7 @@ RHO_INV = Quad2(3, 2)
 
 def exact_int(q):
     """q as an int if it is an integral Fraction.  Inverses and scalings apply
-    this rule; scalar_div does not, so no quotient meets ``/`` as an int."""
+    this rule, so an integral result stays an int."""
     return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
@@ -169,14 +169,6 @@ def scalar_inv(s):
     if s == 0:
         raise ZeroDivisionError("inverse of zero")
     return exact_int(Fraction(1, 1) / s)
-
-
-def scalar_div(x, y):
-    if isinstance(x, Quad2) or isinstance(y, Quad2):
-        return Quad2._coerce(x) * Quad2._coerce(y).inv()
-    if y == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(x, 1) / y
 
 
 def render_scalar(s) -> str:
@@ -279,13 +271,3 @@ def yp_deriv1(p):
             acc = acc + k * v
     return acc
 
-
-def ypoly_mean(p, total):
-    """p'(1)/total: the mean of the distribution encoded by p.
-
-    `p` holds exact counts by depth/height; `total` is the number of
-    objects.  Errors on total == 0.
-    """
-    if total == 0:
-        raise ZeroDivisionError("mean of an empty distribution")
-    return scalar_div(yp_deriv1(p), total)

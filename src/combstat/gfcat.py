@@ -12,7 +12,7 @@ whose coefficient of y^d counts objects whose marked position has
 depth/height d; x marks the position, z the size, v (for P) the leaf
 count, u (for Babs) the signed horizontal offset.
 
-ids, statistic counted, and field of coefficients:
+ids, statistic counted, and kind of generating function:
 
 * B    binary trees, depth of the r-th leaf                 (ordinary)
 * Babs binary trees, depth and abscissa of the r-th leaf    (Laurent u)
@@ -133,9 +133,7 @@ def _drop_top_z(s: Series) -> Series:
     """Forget the top z-slice (used by the ODE residual, where d/dz
     genuinely loses one order)."""
     nz = s.trunc.nz
-    return Series(
-        s.trunc, s.field, {k: p for k, p in s.cells.items() if k[0] < nz}
-    )
+    return Series(s.trunc, {k: p for k, p in s.cells.items() if k[0] < nz})
 
 
 def _shift_v(s: Series, k: int) -> Series:
@@ -145,7 +143,7 @@ def _shift_v(s: Series, k: int) -> Series:
         if dv < k:
             raise ValueError("cell v^%d nonzero, not divisible by v^%d" % (dv, k))
         out[(dz, dx, dv - k, du)] = p
-    return Series(s.trunc, s.field, out)
+    return Series(s.trunc, out)
 
 
 # -------------------------------------------------------- closed forms

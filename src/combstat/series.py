@@ -8,6 +8,11 @@ cell values.  The *grade* of a key is ``dz + dx + dv`` -- u is excluded,
 which is what lets Laurent u-cells ride along through the graded
 solvers below.
 
+A Series is its Truncation and its cells, nothing more.  Its number
+field is the type of its scalars: int and Fraction for Q, Quad2 for
+Q(sqrt 2), which mix in one product as they do in exact.  ps_to_json
+names the field it reads off them.
+
 Everything is truncated: exponents beyond the Truncation bounds are
 dropped on the spot, and y-degrees beyond ny are clipped by every
 product and builder.  So every Series is canonical: each cell is a
@@ -44,6 +49,7 @@ from math import comb, factorial
 from operator import itemgetter
 
 from .exact import (
+    Quad2,
     exact_int,
     render_scalar,
     yp_add,
@@ -96,30 +102,27 @@ def _grade(key) -> int:
 class Series:
     """Sparse truncated series; cells map (dz,dx,dv,du) -> ypoly."""
 
-    __slots__ = ("trunc", "field", "cells")
+    __slots__ = ("trunc", "cells")
 
-    def __init__(self, trunc: Truncation, field: str = "rational", cells=None):
-        if field not in ("rational", "quad2"):
-            raise ValueError("unknown field %r" % (field,))
+    def __init__(self, trunc: Truncation, cells=None):
         self.trunc = trunc
-        self.field = field
         self.cells = {} if cells is None else cells
 
     # operator sugar; the ps_* functions below are the primary API
     def __add__(self, other):
         if isinstance(other, Series):
             return ps_add(self, other)
-        return ps_add(self, ps_const(self.trunc, other, self.field))
+        return ps_add(self, ps_const(self.trunc, other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Series):
             return ps_sub(self, other)
-        return ps_sub(self, ps_const(self.trunc, other, self.field))
+        return ps_sub(self, ps_const(self.trunc, other))
 
     def __rsub__(self, other):
-        return ps_sub(ps_const(self.trunc, other, self.field), self)
+        return ps_sub(ps_const(self.trunc, other), self)
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -135,44 +138,34 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (
-            self.trunc == other.trunc
-            and self.field == other.field
-            and self.cells == other.cells
-        )
+        return self.trunc == other.trunc and self.cells == other.cells
 
     def __repr__(self):
-        return "Series(%r, %s, %d cells)" % (self.trunc, self.field, len(self.cells))
+        return "Series(%r, %d cells)" % (self.trunc, len(self.cells))
 
 
 def _check_compat(a: Series, b: Series):
     if a.trunc != b.trunc:
         raise ValueError("truncation mismatch: %r vs %r" % (a.trunc, b.trunc))
-    if a.field != b.field:
-        raise ValueError("field mismatch: %s vs %s" % (a.field, b.field))
 
 
 # ------------------------------------------------------------- builders
 
-def ps_zero(trunc, field="rational") -> Series:
-    return Series(trunc, field)
+def ps_one(trunc) -> Series:
+    return Series(trunc, {ZERO_KEY: [1]})
 
 
-def ps_one(trunc, field="rational") -> Series:
-    return Series(trunc, field, {ZERO_KEY: [1]})
-
-
-def ps_const(trunc, c, field="rational") -> Series:
+def ps_const(trunc, c) -> Series:
     if c == 0:
-        return Series(trunc, field)
-    return Series(trunc, field, {ZERO_KEY: [c]})
+        return Series(trunc)
+    return Series(trunc, {ZERO_KEY: [c]})
 
 
-def ps_monomial(trunc, key, ypoly, field="rational") -> Series:
+def ps_monomial(trunc, key, ypoly) -> Series:
     """Single-cell series; a key outside the truncation box is dropped,
     and y-degrees beyond its ny are clipped."""
     p = yp_trim(list(ypoly[: trunc.ny + 1]))
-    return Series(trunc, field, {key: p} if p and trunc.contains(key) else {})
+    return Series(trunc, {key: p} if p and trunc.contains(key) else {})
 
 
 # ----------------------------------------------------------- arithmetic
@@ -182,7 +175,7 @@ def ps_add(a: Series, b: Series) -> Series:
     out = dict(a.cells)
     for k, p in b.cells.items():
         _add_into(out, k, p)
-    return Series(a.trunc, a.field, out)
+    return Series(a.trunc, out)
 
 
 def _add_into(out, k, p):
@@ -195,7 +188,7 @@ def _add_into(out, k, p):
 
 
 def ps_neg(a: Series) -> Series:
-    return Series(a.trunc, a.field, {k: [-v for v in p] for k, p in a.cells.items()})
+    return Series(a.trunc, {k: [-v for v in p] for k, p in a.cells.items()})
 
 
 def ps_sub(a: Series, b: Series) -> Series:
@@ -204,8 +197,8 @@ def ps_sub(a: Series, b: Series) -> Series:
 
 def ps_scale(a: Series, c) -> Series:
     if c == 0:
-        return Series(a.trunc, a.field)
-    return Series(a.trunc, a.field, {k: yp_scale(p, c) for k, p in a.cells.items()})
+        return Series(a.trunc)
+    return Series(a.trunc, {k: yp_scale(p, c) for k, p in a.cells.items()})
 
 
 def ps_mul_ypoly(a: Series, p) -> Series:
@@ -216,7 +209,7 @@ def ps_mul_ypoly(a: Series, p) -> Series:
         r = yp_mul(q, p, ny)
         if r:
             out[k] = r
-    return Series(a.trunc, a.field, out)
+    return Series(a.trunc, out)
 
 
 def ps_mul(a: Series, b: Series) -> Series:
@@ -244,7 +237,7 @@ def _mul(a, b, pascal):
         ac, bc = bc, ac
     out = {}
     _acc(out, ac.items(), list(bc.items()), a.trunc, pascal)
-    return Series(a.trunc, a.field, out)
+    return Series(a.trunc, out)
 
 
 def _canonical(cells):
@@ -316,6 +309,12 @@ def ps_is_zero(a: Series) -> bool:
     return not a.cells
 
 
+def ps_has_quad2(*series) -> bool:
+    """Whether a cell of the series holds a Quad2: whether they live in
+    Q(sqrt 2) rather than Q."""
+    return any(isinstance(c, Quad2) for a in series for p in a.cells.values() for c in p)
+
+
 def ps_coeff(a: Series, dz, dx=0, dv=0, du=0):
     """The ypoly at one exponent key (a copy; [] when absent)."""
     return list(a.cells.get((dz, dx, dv, du), []))
@@ -362,7 +361,7 @@ def ps_linear_solve(a: Series, m: Series) -> Series:
     for g, cells in enumerate(_slices(a.cells, t.grade_bound)):
         rhs = _online({k: list(p) for k, p in cells}, m_sl, s, g, t)
         s.append(list(rhs.items()))
-    return Series(t, a.field, _cells(s))
+    return Series(t, _cells(s))
 
 
 def ps_ode_solve(init: Series, drive: Series, m: Series) -> Series:
@@ -386,7 +385,7 @@ def ps_ode_solve(init: Series, drive: Series, m: Series) -> Series:
     for k, cells in enumerate(d_sl):
         rhs = _online({key: list(p) for key, p in cells}, m_sl, s, k, t, pascal)
         s.append([((k + 1, dx, dv, du), p) for (_, dx, dv, du), p in rhs.items()])
-    return Series(t, init.field, _cells(s))
+    return Series(t, _cells(s))
 
 
 def ps_inv(a: Series) -> Series:
@@ -407,7 +406,7 @@ def ps_inv(a: Series) -> Series:
     # yp_inv is the exact truncated inverse, so the constant cancels exactly
     if yp_add(n.cells.pop(ZERO_KEY), [-1]):
         raise ArithmeticError("series inverse left a constant other than 1")
-    x = ps_linear_solve(ps_one(t, a.field), ps_neg(n))
+    x = ps_linear_solve(ps_one(t), ps_neg(n))
     return ps_mul_ypoly(x, c0i)
 
 
@@ -431,7 +430,7 @@ def ps_sqrt(a: Series) -> Series:
         rhs = _online({k: yp_scale(p, -1) for k, p in cells}, s, s, g, t)
         s.append([(k, yp_scale(p, neg_half)) for k, p in rhs.items()])
     s[0] = [(ZERO_KEY, [1])]
-    return Series(t, a.field, _cells(s))
+    return Series(t, _cells(s))
 
 
 def ps_exp(a: Series) -> Series:
@@ -454,7 +453,7 @@ def ps_exp(a: Series) -> Series:
     for g in range(1, t.grade_bound + 1):
         rhs = _online({}, ha, e, g, t, pascal)
         e.append([(k, yp_scale(p, Fraction(1, g))) for k, p in rhs.items()])
-    return Series(t, a.field, _cells(e))
+    return Series(t, _cells(e))
 
 
 # ------------------------------------------------------- calculus in z
@@ -463,20 +462,19 @@ def ps_borel(a: Series) -> Series:
     """The n!-scaled form of an EGF: the z^n cells times n!.  Counting
     EGFs have int cells in this form; ps_bmul, ps_exp, ps_ode_solve,
     ps_diff_z and ps_integrate_z work on it."""
-    return Series(a.trunc, a.field,
-                  {k: yp_scale(p, factorial(k[0])) for k, p in a.cells.items()})
+    return Series(a.trunc, {k: yp_scale(p, factorial(k[0])) for k, p in a.cells.items()})
 
 
 def ps_laplace(a: Series) -> Series:
     """Inverse of ps_borel: one exact division by n! per cell."""
-    return Series(a.trunc, a.field,
-                  {k: yp_scale(p, Fraction(1, factorial(k[0]))) for k, p in a.cells.items()})
+    return Series(a.trunc, {k: yp_scale(p, Fraction(1, factorial(k[0])))
+                            for k, p in a.cells.items()})
 
 
 def ps_diff_z(a: Series) -> Series:
     """d/dz of an n!-scaled series: every cell moves one z-step down."""
-    return Series(a.trunc, a.field, {(dz - 1, dx, dv, du): p
-                                     for (dz, dx, dv, du), p in a.cells.items() if dz})
+    return Series(a.trunc, {(dz - 1, dx, dv, du): p
+                            for (dz, dx, dv, du), p in a.cells.items() if dz})
 
 
 def ps_integrate_z(a: Series) -> Series:
@@ -498,7 +496,7 @@ def ps_shift(a: Series, k: int) -> Series:
         if nz > t.nz:
             continue
         out[(nz, dx, dv, du)] = p
-    return Series(t, a.field, out)
+    return Series(t, out)
 
 
 def ps_div_1mx(a: Series) -> Series:
@@ -515,12 +513,12 @@ def ps_div_1mx(a: Series) -> Series:
                 run = yp_add(run, col[dx])
             if run:
                 out[(dz, dx, dv, du)] = run
-    return Series(t, a.field, out)
+    return Series(t, out)
 
 
 # ------------------------------------------------- substitution / views
 
-def ps_subst_scale(a: Series, out_trunc: Truncation, subs, field=None) -> Series:
+def ps_subst_scale(a: Series, out_trunc: Truncation, subs) -> Series:
     """Monomial substitution: each variable goes to scale * monomial.
 
     ``subs`` maps a variable name among "z","x","v","u" to a pair
@@ -557,7 +555,7 @@ def ps_subst_scale(a: Series, out_trunc: Truncation, subs, field=None) -> Series
         if not out_trunc.contains(nk):
             continue
         _add_into(out, nk, yp_scale(p, factor))
-    return Series(out_trunc, field or a.field, out)
+    return Series(out_trunc, out)
 
 
 def ps_retrunc(a: Series, new_trunc: Truncation) -> Series:
@@ -565,7 +563,7 @@ def ps_retrunc(a: Series, new_trunc: Truncation) -> Series:
     keys outside the box and y-degrees beyond its ny."""
     out = {k: yp_trim(p[: new_trunc.ny + 1])
            for k, p in a.cells.items() if new_trunc.contains(k)}
-    return Series(new_trunc, a.field, {k: p for k, p in out.items() if p})
+    return Series(new_trunc, {k: p for k, p in out.items() if p})
 
 
 def ps_eval_y1(a: Series) -> Series:
@@ -575,7 +573,7 @@ def ps_eval_y1(a: Series) -> Series:
         s = yp_eval1(p)
         if s != 0:
             out[k] = [s]
-    return Series(a.trunc, a.field, out)
+    return Series(a.trunc, out)
 
 
 def ps_diff_y1(a: Series) -> Series:
@@ -586,7 +584,7 @@ def ps_diff_y1(a: Series) -> Series:
         s = yp_deriv1(p)
         if s != 0:
             out[k] = [s]
-    return Series(a.trunc, a.field, out)
+    return Series(a.trunc, out)
 
 
 def ps_eval_u1(a: Series) -> Series:
@@ -594,7 +592,7 @@ def ps_eval_u1(a: Series) -> Series:
     out = {}
     for (dz, dx, dv, du), p in a.cells.items():
         _add_into(out, (dz, dx, dv, 0), p)
-    return Series(a.trunc, a.field, out)
+    return Series(a.trunc, out)
 
 
 def ps_diff_u1(a: Series) -> Series:
@@ -605,7 +603,7 @@ def ps_diff_u1(a: Series) -> Series:
     for (dz, dx, dv, du), p in a.cells.items():
         if du:
             _add_into(out, (dz, dx, dv, 0), yp_scale(p, du))
-    return Series(a.trunc, a.field, out)
+    return Series(a.trunc, out)
 
 
 # ----------------------------------------------------------- JSON dump
@@ -636,7 +634,7 @@ def ps_to_json(a: Series) -> dict:
             "nv": t.nv,
             "u_range": t.u_range,
         },
-        "field": a.field,
+        "field": "quad2" if ps_has_quad2(a) else "rational",
         "entries": entries,
     }
 

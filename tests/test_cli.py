@@ -232,7 +232,7 @@ def test_verify_gf_at_the_smallest_sizes(capsys, max_n):
     assert out.splitlines()[-1] == "passed=37 warned=0 failed=0"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     assert main(["count", "widgets", "--n", "3"]) == 2
     assert main(["average", "binary", "leaf-depth", "--n", "3"]) == 2
     assert main(["distribution", "plane", "leaf-depth", "--n", "3"]) == 2
@@ -288,6 +288,26 @@ def test_usage_errors(capsys):
             main(["limit", "schroeder", "leaf-depth", "--r", "0", "--variant", variant])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+    # a bad config value exits 2 with a message that names its key; a
+    # format must be one of the command's own choices
+    cfg = tmp_path / "cfg.json"
+    for text, argv, key in (
+        ('{"digits": "x"}', ["average", "binary", "leaf-depth", "--n", "5", "--r", "1",
+                             "--decimal"], "digits"),
+        ('{"digits": -3}', ["table2", "--decimal"], "digits"),
+        ('{"digits": 0}', ["limit", "binary", "leaf-depth", "--mean", "--decimal"], "digits"),
+        ('{"budgets": [1]}', ["distribution", "binary", "leaf-depth", "--n", "3"], "budgets"),
+        ('{"budgets": {"binary": "9"}}', ["count", "binary", "--n", "3", "--source", "enum"],
+         "budgets"),
+        ('{"format": "xml"}', ["limit", "binary", "leaf-depth", "--r", "1"], "format"),
+        ('{"format": "csv"}', ["verify", "--suite", "bijections", "--max-n", "1"], "format"),
+        ('{"format": "plotdata"}', ["verify", "--suite", "bijections", "--max-n", "1"],
+         "format"),
+    ):
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), *argv]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and 'config key "%s"' % key in captured.err, text
 
 
 def test_config_file(capsys, tmp_path):

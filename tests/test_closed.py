@@ -594,9 +594,9 @@ def test_harmonic_matches_the_plain_sum():
 
 # ------------------------------------------------------- limit mean series
 
-def _xseries(nx, field="rational"):
+def _xseries(nx):
     t = Truncation(nx, 0, 0)
-    return t, ps_one(t, field), Series(t, field, {(1, 0, 0, 0): [1]})
+    return t, ps_one(t), Series(t, {(1, 0, 0, 0): [1]})
 
 
 def test_mean_series_binary():
@@ -644,14 +644,12 @@ def test_mean_series_noncrossing():
 
 def test_mean_series_schroeder_verbatim():
     nx = 8
-    t = Truncation(nx, 0, 0)
-    one = ps_one(t, "quad2")
-    kernel = Series(t, "quad2", {
+    t, one, x = _xseries(nx)
+    kernel = Series(t, {
         (0, 0, 0, 0): [1],
         (1, 0, 0, 0): [Quad2(-18, 12)],
         (2, 0, 0, 0): [Quad2(17, -12)],
     })
-    x = Series(t, "quad2", {(1, 0, 0, 0): [1]})
     den = ps_sub(ps_scale(one, 9), ps_scale(x, 4))
     inv2 = ps_inv(ps_mul(den, den))
     numer = ps_sub(ps_scale(ps_sqrt(kernel), RHO_INV), ps_sub(one, x))

@@ -10,7 +10,6 @@ from combstat.exact import (
     Quad2,
     render_decimal,
     render_scalar,
-    scalar_div,
     scalar_inv,
     yp_add,
     yp_deriv1,
@@ -19,7 +18,6 @@ from combstat.exact import (
     yp_mul,
     yp_scale,
     yp_trim,
-    ypoly_mean,
 )
 
 
@@ -87,14 +85,11 @@ def test_scalar_helpers():
     assert scalar_inv(Fraction(2, 3)) == Fraction(3, 2)
     assert scalar_inv(4) == Fraction(1, 4)
     assert scalar_inv(RHO) == RHO_INV
-    assert scalar_div(1, 3) == Fraction(1, 3)
-    assert scalar_div(RT2, 2) == Quad2(0, Fraction(1, 2))
     with pytest.raises(ZeroDivisionError):
         scalar_inv(0)
-    # integral inverses and scalings are int; a quotient stays a Fraction
+    # integral inverses and scalings are int
     assert [type(scalar_inv(u)) for u in (1, -1, Fraction(-1))] == [int] * 3
     assert [type(c) for c in yp_scale([2, 4], Fraction(1, 2))] == [int, int]
-    assert type(scalar_div(1, 3)) is Fraction and scalar_div(1, 3) == Fraction(1, 3)
 
 
 quads = st.builds(
@@ -146,14 +141,6 @@ def test_yp_eval_deriv():
     p = [0, 2, 2, 1]  # 2y + 2y^2 + y^3
     assert yp_eval1(p) == 5
     assert yp_deriv1(p) == 9
-
-
-def test_ypoly_mean():
-    assert ypoly_mean([0, 2, 2, 1], 5) == Fraction(9, 5)
-    assert ypoly_mean([0, 4, 0, 1], 5) == Fraction(7, 5)
-    assert ypoly_mean([0, 0, 0, 1], 1) == 3
-    with pytest.raises(ZeroDivisionError):
-        ypoly_mean([0, 1], 0)
 
 
 @given(

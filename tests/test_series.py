@@ -37,7 +37,6 @@ from combstat.series import (
     ps_sub,
     ps_subst_scale,
     ps_to_json,
-    ps_zero,
     solve_fixed_point,
 )
 
@@ -75,8 +74,15 @@ def test_mul_and_mismatch():
     other = Series(Truncation(5, 0, 4))
     with pytest.raises(ValueError):
         ps_mul(geom, other)
-    with pytest.raises(ValueError):
-        ps_mul(geom, Series(t, field="quad2"))
+    # a Quad2 series times an int one: each scalar brings its own field
+    q = Series(t, {(0, 0, 0, 0): [Quad2(1, 1)], (2, 0, 0, 0): [0, Quad2(0, -3)]})
+    want = {}
+    for (i, _, _, _), p in q.cells.items():
+        for (j, _, _, _), r in geom.cells.items():
+            if i + j <= 4:
+                want[(i + j, 0, 0, 0)] = yp_add(want.get((i + j, 0, 0, 0), []),
+                                                yp_mul(p, r, 4))
+    assert ps_mul(q, geom) == ps_mul(geom, q) == Series(t, want)
     # a product keeps exactly the keys inside the box, u on both sides
     tb = Truncation(1, 1, 0, nv=1, u_range=1)
     keys = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]
@@ -133,7 +139,7 @@ def test_sqrt_one_minus_4z():
     assert zcoeffs(s, 4) == [[1], [-2], [-2], [-4], [-10]]
     assert ps_is_zero(ps_sub(ps_mul(s, s), 1 - zmono(t, 1, (4,))))
     with pytest.raises(ValueError):
-        ps_sqrt(ps_zero(t))
+        ps_sqrt(Series(t))
     with pytest.raises(ValueError):
         ps_sqrt(2 * ps_one(t))
 
@@ -152,7 +158,7 @@ def test_sqrt_quad2_field():
     # (1-x)(1-rho^2 x) over Q(sqrt 2)
     rho2 = Quad2(17, -12)
     t = Truncation(0, 10, 0)
-    x = ps_monomial(t, (0, 1, 0, 0), [1], field="quad2")
+    x = ps_monomial(t, (0, 1, 0, 0), [1])
     a = ps_mul(1 - x, 1 - rho2 * x)
     s = ps_sqrt(a)
     assert ps_is_zero(ps_sub(ps_mul(s, s), a))
@@ -227,7 +233,7 @@ A_ODE = Series(T_ODE, cells={
 def test_ode_solve_is_exp():
     # E = exp(a) solves E' = E a' with E = 1 at z = 0 (all n!-scaled)
     a = ps_borel(A_ODE)
-    got = ps_ode_solve(ps_one(T_ODE), ps_zero(T_ODE), ps_diff_z(a))
+    got = ps_ode_solve(ps_one(T_ODE), Series(T_ODE), ps_diff_z(a))
     assert got == ps_exp(a)
 
 
@@ -243,13 +249,13 @@ def test_borel_laplace_and_binomial_product():
 def test_ode_solve_without_m_integrates():
     init = Series(T_ODE, cells={(0, 0, 0, 0): [1, 2], (0, 2, 1, -1): [3]})
     drive = ps_add(A_ODE, Series(T_ODE, cells={(0, 1, 0, 0): [5], (6, 0, 0, 0): [7]}))
-    got = ps_ode_solve(init, drive, ps_zero(T_ODE))
+    got = ps_ode_solve(init, drive, Series(T_ODE))
     assert got == ps_add(init, ps_integrate_z(drive))
 
 
 def test_ode_solve_rejects_z_in_init():
     with pytest.raises(ValueError):
-        ps_ode_solve(A_ODE, ps_zero(T_ODE), ps_zero(T_ODE))
+        ps_ode_solve(A_ODE, Series(T_ODE), Series(T_ODE))
 
 
 def test_diff_integrate_z():
@@ -377,7 +383,7 @@ def _reference_fixed_point(eq_id, t):
         t1 = Truncation(t.nz + 1, t.nx, t.ny, t.nv, t.u_range)
         z = zmono(t1, 1)
         st = _iterate(lambda s: ps_add(z, ps_mul(s, ps_sub(ps_scale(s, 2), z))),
-                      ps_zero(t1))
+                      Series(t1))
         return ps_retrunc(ps_shift(st, -1), t)
     z = zmono(t, 1)
     if eq_id == "catalan":
@@ -415,7 +421,7 @@ def test_fixed_point_matches_inverse_form(eq_id):
             z, one = zmono(t1, 1), ps_one(t1)
             st = _iterate(
                 lambda s: ps_add(z, ps_mul(ps_mul(s, s), ps_inv(ps_sub(one, s)))),
-                ps_zero(t1),
+                Series(t1),
             )
             want = ps_retrunc(ps_shift(st, -1), t)
         else:
@@ -464,6 +470,10 @@ def test_json_dump():
     tu = Truncation(1, 0, 0, nv=1, u_range=1)
     su = Series(tu, cells={(1, 0, 1, -1): [1]})
     assert ps_to_json(su)["entries"] == [{"z": 1, "x": 0, "v": 1, "u": -1, "ypoly": ["1"]}]
+    # the field is read off the scalars: one Quad2 cell puts the series in Q(sqrt 2)
+    sq = ps_add(s, Series(t, {(2, 0, 0, 0): [Quad2(1, -2)]}))
+    assert ps_to_json(sq)["field"] == "quad2"
+    assert ps_to_json(sq)["entries"][-1] == {"z": 2, "x": 0, "ypoly": ["1-2*rt2"]}
 
 
 # ------------------------------------------------- the product kernel
@@ -487,7 +497,7 @@ def _per_pair_acc(out, acells, bcells, t, pascal=None):
 
 
 def _typed(s):
-    return s.trunc, s.field, {k: [(type(c), c) for c in p] for k, p in s.cells.items()}
+    return s.trunc, {k: [(type(c), c) for c in p] for k, p in s.cells.items()}
 
 
 def _with_per_pair_kernel(fn, *args):
@@ -534,7 +544,7 @@ def _series_pair(draw, exact_u=False):
     def one():
         cells = draw(st.dictionaries(keys, ypolys, max_size=6))
         cells = {k: p for k, p in ((k, yp_add(p, [])) for k, p in cells.items()) if p}
-        return Series(t, "quad2" if kind == "quad2" else "rational", cells)
+        return Series(t, cells)
 
     return one(), one()
 
@@ -545,11 +555,11 @@ def test_kernel_matches_per_pair_products(pair):
     # the in-place kernel gives the per-pair yp_mul + yp_add sums, scalar
     # types included, in every product and solver built on it
     a, b = pair
-    t, field = a.trunc, a.field
-    m = Series(t, field, {k: p for k, p in b.cells.items() if series._grade(k)})
-    init = Series(t, field, {k: p for k, p in a.cells.items() if not k[0]})
+    t = a.trunc
+    m = Series(t, {k: p for k, p in b.cells.items() if series._grade(k)})
+    init = Series(t, {k: p for k, p in a.cells.items() if not k[0]})
     for fn, args in ((ps_mul, (a, b)), (ps_bmul, (a, b)), (ps_linear_solve, (a, m)),
-                     (ps_sqrt, (ps_add(ps_one(t, field), m),)), (ps_exp, (m,)),
+                     (ps_sqrt, (ps_add(ps_one(t), m),)), (ps_exp, (m,)),
                      (ps_ode_solve, (init, b, m))):
         got = fn(*args)
         _assert_canonical(got)
@@ -561,7 +571,7 @@ def _newton_sqrt(a):
     product per pass.  Each pass doubles the correct grade range, so
     ceil(log2(G+1)) + 1 passes cover grade bound G with margin."""
     t = a.trunc
-    cur = ps_one(t, a.field)
+    cur = ps_one(t)
     for _ in range(t.grade_bound.bit_length() + 1):
         cur = ps_scale(ps_add(cur, ps_mul(a, ps_inv(cur))), Fraction(1, 2))
     return cur
@@ -572,8 +582,8 @@ def _newton_sqrt(a):
 def test_sqrt_matches_newton(pair):
     # slice by slice, the root has Newton's cells and scalar types
     a = pair[0]
-    square = ps_add(ps_one(a.trunc, a.field), Series(
-        a.trunc, a.field, {k: p for k, p in a.cells.items() if series._grade(k)}))
+    square = ps_add(ps_one(a.trunc), Series(
+        a.trunc, {k: p for k, p in a.cells.items() if series._grade(k)}))
     assert _typed(ps_sqrt(square)) == _typed(_newton_sqrt(square))
 
 
@@ -589,10 +599,9 @@ def test_kernel_cancels_and_clips():
     # (1 - zy)(1 + zy) = 1 - z^2 y^2, and y^2 is past ny = 1
     t = Truncation(2, 0, 1)
     for c in (1, Fraction(1, 2), Quad2(0, 1)):
-        field = "quad2" if isinstance(c, Quad2) else "rational"
-        a = ps_add(ps_one(t, field), ps_monomial(t, (1, 0, 0, 0), [0, -c], field))
-        b = ps_add(ps_one(t, field), ps_monomial(t, (1, 0, 0, 0), [0, c], field))
-        assert _typed(ps_mul(a, b)) == _typed(ps_one(t, field))
+        a = ps_add(ps_one(t), ps_monomial(t, (1, 0, 0, 0), [0, -c]))
+        b = ps_add(ps_one(t), ps_monomial(t, (1, 0, 0, 0), [0, c]))
+        assert _typed(ps_mul(a, b)) == _typed(ps_one(t))
     # a Fraction sum that cancels, then an int one into the same cell:
     # the cell starts over from the int, as yp_add's trim leaves it
     t = Truncation(2, 0, 1)
@@ -630,7 +639,7 @@ def test_solvers_keep_m_as_the_outer_factor():
     a = Series(t, cells={(0, 0, 0, 0): [2, 4]})
     half = Fraction(1, 2)
     got = [ps_linear_solve(a, Series(t, cells={(1, 0, 0, 0): [half]})),
-           ps_ode_solve(a, ps_zero(t), Series(t, cells={(0, 0, 0, 0): [half]}))]
+           ps_ode_solve(a, Series(t), Series(t, cells={(0, 0, 0, 0): [half]}))]
     for s in got:
         assert [(type(c), c) for c in s.cells[(1, 0, 0, 0)]] == [(Fraction, 1), (Fraction, 2)]
 
