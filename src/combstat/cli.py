@@ -48,6 +48,11 @@ def _load_config(path):
     if not (isinstance(budgets, dict) and all(type(b) is int for b in budgets.values())):
         raise ValueError('config key "budgets" must map family names to integers, got %r'
                          % (budgets,))
+    enumerable = [f for f, fam in objects.FAMILIES.items() if fam.budget is not None]
+    for family in budgets:
+        if family not in enumerable:
+            raise ValueError('config key "budgets" names %r, not one of the enumerable '
+                             'families %s' % (family, ", ".join(enumerable)))
     return cfg
 
 
@@ -207,7 +212,10 @@ def cmd_limit(args, cfg, out):
     if fid is None:
         raise ValueError("no limit law for %s %s" % pair)
 
+    fmt = _format(args, cfg)
     if args.mean:
+        if fmt != "text":
+            raise ValueError("--mean prints text only, not %s" % fmt)
         rmax = args.rmax if args.rmax is not None else 7
         series = closed.limit_mean_series(fid, rmax)
         for r in range(rmax + 1):
@@ -218,7 +226,6 @@ def cmd_limit(args, cfg, out):
     if args.r is None:
         raise ValueError("--r is required (or use --mean)")
     law = closed.limit_distribution(fid, args.r, args.dmax, variant=args.variant)
-    fmt = _format(args, cfg)
     if fmt == "json":
         json.dump({
             "formula": fid, "r": args.r, "variant": args.variant,

@@ -12,6 +12,10 @@ whose coefficient of y^d counts objects whose marked position has
 depth/height d; x marks the position, z the size, v (for P) the leaf
 count, u (for Babs) the signed horizontal offset.
 
+Each pair of objects.STATISTICS names the id it is read off, and the
+read-off is worked out here from that id and the family's smallest size:
+position r at size n is the cell z^(n - min_n) x^r, built in gf_box.
+
 ids, statistic counted, and kind of generating function:
 
 * B    binary trees, depth of the r-th leaf                 (ordinary)
@@ -412,21 +416,31 @@ def egf_cell_counts(s: Series, dz: int, dx: int):
 
 # ---------------------------------------- per-statistic distributions
 
+def gf_box(family: str, nz: int, nx: int, nv: int = 0) -> Truncation:
+    """The box that holds the family's series to z^nz x^nx (v^nv): no
+    depth exceeds the size, so ny = nz, and every z-step moves u by at
+    most one, so Babs needs u_range = nz."""
+    return Truncation(nz, nx, nz, nv, nz if family == "Babs" else 0)
+
+
 def columns_via_gf(family, statistic, n, rs, k=None):
     """Distributions at every requested position r for size n, read off
-    the generating function: {r: (dict value -> count, total)}.  The
-    series is built once, in the box of the largest x-degree read, and
-    every column is cut out of it.  Mirrors objects.distribution_columns.
+    the generating function: {r: (dict value -> count, total)}.  Every
+    series counts its family's smallest object at z^0, so position r is
+    the cell z^(n - min_n) x^r (v^k with a leaf count).  The series is
+    built once, in the box of the largest x-degree read, and every
+    column is cut out of it.  Mirrors objects.distribution_columns.
     """
     objects.check_positions(family, statistic, n, rs, k)
     st = objects.statistic_entry(family, statistic)
+    dz = n - objects.FAMILIES[family].min_n
     xs = {r for r in rs if not (st.root and r == 0)}
     if xs:
-        s = gf_closed(st.gf, Truncation(*st.box(n, max(xs), k)))
+        s = gf_closed(st.gf, gf_box(st.gf, dz, max(xs), k or 0))
     out = {}
     for r in rs:
         if r in xs:
-            out[r] = _cell_counts(st, s, (n + st.z_offset, r, k or 0))
+            out[r] = _cell_counts(st, s, (dz, r, k or 0))
         else:
             from . import closed  # closed imports gfcat: load it on use
             total = closed.family_count(family, n)
@@ -435,12 +449,14 @@ def columns_via_gf(family, statistic, n, rs, k=None):
 
 
 def _cell_counts(st, s, key):
-    """One cell of the series as counts by value (see objects.Statistic)."""
-    if st.cell == "u":
+    """One cell of the series as counts by value: for Babs the signed
+    abscissa u^d summed over y, for the EGFs I and J the coefficient of
+    y^d times n!, else the coefficient of y^d (see objects.Statistic)."""
+    if st.gf == "Babs":
         u = s.trunc.u_range
         counts = {du: yp_eval1(ps_coeff(s, *key, du)) for du in range(-u, u + 1)}
     else:
-        p = egf_cell_counts(s, *key[:2]) if st.cell == "egf" else ps_coeff(s, *key)
+        p = egf_cell_counts(s, *key[:2]) if st.gf in ("I", "J") else ps_coeff(s, *key)
         counts = {max(d - st.shift, 0): c for d, c in enumerate(p)}
     counts = {d: c for d, c in counts.items() if c}
     return counts, sum(counts.values())

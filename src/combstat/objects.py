@@ -6,10 +6,12 @@ statistics off them by walking the object.  It is the ground truth that
 the generating-function machinery elsewhere is checked against, so it
 shares no code with that machinery.
 
-It also holds the registry every other module reads: ``FAMILIES`` (the
-smallest size and the text codec of each family) and ``STATISTICS`` (one
-entry per (family, statistic) pair).  What a registry entry says about
-generating functions is plain data, which gfcat interprets.
+It also holds the registry every other module reads: ``FAMILIES`` (one
+entry per family: its smallest size, text codec, enumerator and
+enumeration budget) and ``STATISTICS`` (one entry per (family,
+statistic) pair).  A pair names the generating function it is read off;
+where its cells sit and the box that holds them follow from that id and
+the family's smallest size, and gfcat works them out.
 
 Representations:
 
@@ -37,19 +39,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-# default caps on exhaustive enumeration, keyed by family; the schroeder
-# entry is a leaf count, everything else the usual size parameter
-BUDGETS = {
-    "binary": 11,
-    "plane": 11,
-    "dyck": 11,
-    "schroeder": 10,
-    "noncrossing": 8,
-    "increasing": 8,
-    "triangulation": 11,
-    "dissection": 9,
-}
-
 @dataclass(frozen=True)
 class PolygonSubdivision:
     n: int
@@ -60,52 +49,43 @@ class PolygonSubdivision:
 # ---------------------------------------------------------- enumerators
 
 @lru_cache(maxsize=None)
-def _binary_trees(n: int):
+def _catalan(n: int, join, leaf):
+    """The objects of size n in a Catalan family, from the one
+    decomposition into a first part of size i and a rest of size n-1-i,
+    i rising: ``join(first, rest)`` builds an object and ``leaf`` is the
+    one of size 0."""
     if n == 0:
-        return (None,)
-    out = []
-    for i in range(n):
-        for left in _binary_trees(i):
-            for right in _binary_trees(n - 1 - i):
-                out.append((left, right))
-    return tuple(out)
+        return (leaf,)
+    return tuple([join(first, rest) for i in range(n)
+                  for first in _catalan(i, join, leaf)
+                  for rest in _catalan(n - 1 - i, join, leaf)])
+
+
+def _binary_join(left, right):
+    return (left, right)
+
+
+def _plane_join(first, rest):
+    return (first,) + rest
+
+
+def _dyck_join(inner, tail):
+    return "U" + inner + "D" + tail
 
 
 def binary_trees(n: int):
-    return iter(_binary_trees(n))
-
-
-@lru_cache(maxsize=None)
-def _plane_trees(n: int):
-    """Plane trees with n edges, by first-subtree/rest decomposition."""
-    if n == 0:
-        return ((),)
-    out = []
-    for i in range(n):
-        for first in _plane_trees(i):
-            for rest in _plane_trees(n - 1 - i):
-                out.append((first,) + rest)
-    return tuple(out)
+    """Binary trees with n internal nodes, split at the root."""
+    return iter(_catalan(n, _binary_join, None))
 
 
 def plane_trees(n: int):
-    return iter(_plane_trees(n))
-
-
-@lru_cache(maxsize=None)
-def _dyck_paths(n: int):
-    if n == 0:
-        return ("",)
-    out = []
-    for i in range(n):
-        for inner in _dyck_paths(i):
-            for tail in _dyck_paths(n - 1 - i):
-                out.append("U" + inner + "D" + tail)
-    return tuple(out)
+    """Plane trees with n edges, by first-subtree/rest decomposition."""
+    return iter(_catalan(n, _plane_join, ()))
 
 
 def dyck_paths(n: int):
-    return iter(_dyck_paths(n))
+    """Dyck paths of length 2n, split at the first return."""
+    return iter(_catalan(n, _dyck_join, ""))
 
 
 def _compositions(total: int, parts: int):
@@ -245,29 +225,17 @@ def dissections(n: int):
         yield PolygonSubdivision(n, diags, "dissection")
 
 
-_ENUMERATORS = {
-    "binary": binary_trees,
-    "plane": plane_trees,
-    "dyck": dyck_paths,
-    "schroeder": schroeder_trees,
-    "noncrossing": noncrossing_trees,
-    "increasing": increasing_trees,
-    "triangulation": triangulations,
-    "dissection": dissections,
-}
-
-
 def enumerate_family(family: str, n: int, budget=None):
-    if family not in _ENUMERATORS:
+    if family not in FAMILIES or FAMILIES[family].enumerate is None:
         raise ValueError("unknown family %r" % (family,))
     check_size(family, n)
-    cap = BUDGETS[family] if budget is None else budget
+    cap = FAMILIES[family].budget if budget is None else budget
     if n > cap:
         raise ValueError(
             "size %d exceeds the %s enumeration budget %d "
             "(pass a larger budget to override)" % (n, family, cap)
         )
-    return _ENUMERATORS[family](n)
+    return FAMILIES[family].enumerate(n)
 
 
 def count_family(family: str, n: int, budget=None) -> int:
@@ -602,25 +570,36 @@ def schroeder_from_text(s: str):
 
 @dataclass(frozen=True)
 class Family:
-    min_n: int             # the smallest size
+    """One family, described once: its smallest size ``min_n`` and its
+    text codec; and, for the families that enumerate, ``enumerate(n)``,
+    the iterator over its objects of size n, and ``budget``, the default
+    cap on the n it enumerates (for schroeder a leaf count).  Both are
+    None for permutation, which only convert parses."""
+    min_n: int
     to_text: Callable      # object -> text
     from_text: Callable    # (text, n) -> object; only polygons need n
+    enumerate: Callable | None = None
+    budget: int | None = None
 
 
 FAMILIES = {
-    "binary": Family(0, binary_to_text, lambda s, n: binary_from_text(s)),
-    "plane": Family(0, plane_to_text, lambda s, n: plane_from_text(s)),
-    "dyck": Family(0, str, lambda s, n: dyck_from_text(s)),
-    "schroeder": Family(1, plane_to_text, lambda s, n: schroeder_from_text(s)),
-    "noncrossing": Family(0, pairs_to_text, lambda s, n: pairs_from_text(s)),
+    "binary": Family(0, binary_to_text, lambda s, n: binary_from_text(s), binary_trees, 11),
+    "plane": Family(0, plane_to_text, lambda s, n: plane_from_text(s), plane_trees, 11),
+    "dyck": Family(0, str, lambda s, n: dyck_from_text(s), dyck_paths, 11),
+    "schroeder": Family(1, plane_to_text, lambda s, n: schroeder_from_text(s),
+                        schroeder_trees, 10),
+    "noncrossing": Family(0, pairs_to_text, lambda s, n: pairs_from_text(s),
+                          noncrossing_trees, 8),
     "increasing": Family(
         0, lambda t: permutation_to_text(increasing_to_perm(t)),
-        lambda s, n: perm_to_increasing(permutation_from_text(s))),
+        lambda s, n: perm_to_increasing(permutation_from_text(s)), increasing_trees, 8),
     "permutation": Family(0, permutation_to_text, lambda s, n: permutation_from_text(s)),
     "triangulation": Family(0, lambda sub: pairs_to_text(sub.diagonals),
-                            lambda s, n: subdivision_from_text(s, n, "triangulation")),
+                            lambda s, n: subdivision_from_text(s, n, "triangulation"),
+                            triangulations, 11),
     "dissection": Family(0, lambda sub: pairs_to_text(sub.diagonals),
-                         lambda s, n: subdivision_from_text(s, n, "dissection")),
+                         lambda s, n: subdivision_from_text(s, n, "dissection"),
+                         dissections, 9),
 }
 
 
@@ -634,25 +613,19 @@ class Statistic:
     is the range of valid k for the one pair restricted to k leaves;
     every other pair takes no k.
 
-    The generating-function fields are plain data read by gfcat: the
-    series ``gf`` is built in the box ``box(n, x, k)`` = (nz, nx, ny,
-    nv, u_range), where x is the largest x-degree read, and position r
-    is the cell z^(n + z_offset) x^r v^k (v^0 without k).  ``cell``
-    says how the cell reads as counts by value: "y" (coefficient of
-    y^d), "egf" (the same times n!) or "u" (the signed abscissa u^d,
-    summed over y).  A value d reads as ``max(d - shift, 0)``.  With
-    ``root`` set, position 0 is the root, at depth 0 in every object,
-    and is not read from the series.
+    ``gf`` names the generating function that gfcat reads the pair off:
+    position r at size n is its cell z^(n - min_n) x^r (times v^k with
+    k), in a box gfcat derives from the id (``gfcat.gf_box``).  A value
+    d reads as ``max(d - shift, 0)``.  With ``root`` set, position 0 is
+    the root, at depth 0 in every object, and is not read from the
+    series.
     """
     walker: Callable
     positions: Callable
     gf: str
-    box: Callable
     avg_id: str | None = None      # closed-form average id
     uniform_id: str | None = None  # uniform-position average id
     leaf_counts: Callable | None = None
-    cell: str = "y"
-    z_offset: int = 0
     shift: int = 0
     root: bool = False
 
@@ -671,56 +644,43 @@ def _zero_to_n_minus_1(n, k):
 
 STATISTICS = {
     ("binary", "leaf-depth"): Statistic(
-        binary_leaf_depths, _zero_to_n, "B", lambda n, x, k: (n, x, n),
+        binary_leaf_depths, _zero_to_n, "B",
         avg_id="binary-leaf", uniform_id="binary-leaf"),
     ("binary", "leaf-abscissa"): Statistic(
-        binary_leaf_abscissas, _zero_to_n, "Babs",
-        lambda n, x, k: (n, x, n, 0, n),
-        avg_id="binary-abscissa", cell="u"),
+        binary_leaf_abscissas, _zero_to_n, "Babs", avg_id="binary-abscissa"),
     ("plane", "leaf-depth"): Statistic(
         plane_leaf_depths, lambda n, k: range(k), "P",
-        lambda n, x, k: (n, x, n, k),
         leaf_counts=lambda n: range(1, n + 2)),
     # preorder node r >= 1 is the r-th up-step of the walk
     ("plane", "node-depth"): Statistic(
-        plane_node_depths_preorder, _zero_to_n, "U", lambda n, x, k: (n, x, n),
-        root=True),
-    # sized by leaves, so the series' z-degree is one less
+        plane_node_depths_preorder, _zero_to_n, "U", root=True),
     ("schroeder", "leaf-depth"): Statistic(
-        plane_leaf_depths, _zero_to_n_minus_1, "A",
-        lambda n, x, k: (n - 1, x, max(n - 1, 0)),
-        avg_id="schroeder-leaf", z_offset=-1),
+        plane_leaf_depths, _zero_to_n_minus_1, "A", avg_id="schroeder-leaf"),
     ("dyck", "vertex-height"): Statistic(
         dyck_vertex_heights, lambda n, k: range(2 * n + 1), "D",
-        lambda n, x, k: (n, x, n),
         avg_id="dyck-vertex", uniform_id="dyck-area"),
     ("dyck", "upstep-height"): Statistic(
-        dyck_upstep_heights, _one_to_n, "U", lambda n, x, k: (n, x, n),
+        dyck_upstep_heights, _one_to_n, "U",
         avg_id="dyck-upstep", uniform_id="dyck-upstep"),
     ("dyck", "downstep-height"): Statistic(
-        dyck_downstep_heights, _one_to_n, "W", lambda n, x, k: (n, x, n),
-        avg_id="dyck-downstep"),
+        dyck_downstep_heights, _one_to_n, "W", avg_id="dyck-downstep"),
     ("noncrossing", "node-depth"): Statistic(
         noncrossing_node_depths, _zero_to_n, "G",
-        lambda n, x, k: (n, x, n),
         avg_id="noncrossing-node", uniform_id="noncrossing-node"),
     ("increasing", "leaf-depth"): Statistic(
-        increasing_leaf_depths, _zero_to_n, "I", lambda n, x, k: (n, x, n),
-        avg_id="increasing-leaf", uniform_id="increasing-leaf", cell="egf"),
+        increasing_leaf_depths, _zero_to_n, "I",
+        avg_id="increasing-leaf", uniform_id="increasing-leaf"),
     ("increasing", "internal-depth"): Statistic(
         increasing_internal_depths_inorder, _zero_to_n_minus_1, "J",
-        lambda n, x, k: (n, x, max(n - 1, 0)),
-        avg_id="increasing-internal", cell="egf"),
+        avg_id="increasing-internal"),
     # side r of the polygon is d - 1 diagonals away from the root side,
     # where d is the depth of leaf r of the dual tree: a binary tree of
     # size n, or a Schroeder tree with n+1 leaves; the 2-gon's lone leaf
     # has depth 0 and no diagonals either
     ("triangulation", "separating-diagonals"): Statistic(
-        separating_diagonal_counts, _zero_to_n, "B",
-        lambda n, x, k: (n, x, n), shift=1),
+        separating_diagonal_counts, _zero_to_n, "B", shift=1),
     ("dissection", "separating-diagonals"): Statistic(
-        separating_diagonal_counts, _zero_to_n, "A", lambda n, x, k: (n, x, n),
-        shift=1),
+        separating_diagonal_counts, _zero_to_n, "A", shift=1),
 }
 
 

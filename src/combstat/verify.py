@@ -128,7 +128,7 @@ def _bijections(max_n):
     for name in sorted(maps.BIJECTIONS):
         src, dst, fwd, inv = maps.BIJECTIONS[name]
         lo = objects.FAMILIES[src].min_n
-        cap = min(max_n, objects.BUDGETS.get(src, max_n))
+        cap = min(max_n, objects.FAMILIES[src].budget)
         # the depth <-> separating-diagonals law needs a genuine polygon:
         # a single leaf maps to the degenerate 2-gon, where root and leaf
         # side coincide and the offset of one does not apply
@@ -202,7 +202,7 @@ def _gf(max_n):
         ok = ps_is_zero(_fixed_point_residual(eq_id, Truncation(8, 0, 0, nv=8)))
         rows.append(Row.check("fixed-point", eq_id, 8, ok))
     for fam in gfcat.FAMILY_IDS:
-        t = Truncation(8, 8, 8, nv=8 * (fam == "P"), u_range=8 * (fam == "Babs"))
+        t = gfcat.gf_box(fam, 8, 8, nv=8 * (fam == "P"))
         s = gfcat.gf_closed(fam, t)
         rows.append(Row.check("gf-residual", fam, 8, ps_is_zero(gfcat.gf_residual(fam, s))))
         rows.append(Row.check("gf-closed-vs-solve", fam, 8, s == gfcat.gf_solve(fam, t)))

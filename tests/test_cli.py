@@ -182,6 +182,30 @@ def test_verify_all_output_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[fmt]
 
 
+# sha256 of `enumerate` at every size from the family's smallest to the
+# cap below, in that order, as printed before binary trees, plane trees
+# and Dyck paths shared one Catalan decomposition
+ENUMERATE_DIGESTS = {
+    ("binary", 9): "55fb5ec956949cc53b74c4b539ad94dea21068fc0c9f1f78f98b5d4670b2b63f",
+    ("plane", 9): "a81d0b01608ab9316f5e3dfcca59953fdc21721c29548c4450aed3439f254053",
+    ("dyck", 9): "85874496c744390aca751590256183393c881859ca78884b9a246a4ffb57d95b",
+    ("triangulation", 9): "358f229ca9ba1c224f46e0b1e5ffe75458f97bc87224778d305ba4bffb032e01",
+    ("schroeder", 8): "ec9cba9f4f4466df37a317c78a727dfcf44aa0d3a15fe87abaee721221bd2855",
+    ("noncrossing", 6): "973a10853d7de7e6c58514fcf675a45a5a0e6162176e357b80f8014ff3065aa7",
+    ("increasing", 6): "d63851cfb21489c194140149378c714588f4dce5960ee86ec817ab3cb30add46",
+    ("dissection", 6): "e3fbc243a852c40a3d867936942656e36af7868b6b30f16ebbd82c9701c1e367",
+}
+
+
+@pytest.mark.parametrize("family,cap", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_output_is_pinned(capsys, family, cap):
+    digest = hashlib.sha256()
+    for n in range(objects.FAMILIES[family].min_n, cap + 1):
+        assert main(["enumerate", family, "--n", str(n)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == ENUMERATE_DIGESTS[family, cap]
+
+
 # each limit-law pair and the first r of its law
 LIMIT_LAW_PAIRS = (("binary", "leaf-depth", 0), ("dyck", "vertex-height", 0),
                    ("dyck", "upstep-height", 1), ("dyck", "downstep-height", 1),
@@ -308,6 +332,25 @@ def test_usage_errors(capsys, tmp_path):
         assert main(["--config", str(cfg), *argv]) == 2, text
         captured = capsys.readouterr()
         assert captured.out == "" and 'config key "%s"' % key in captured.err, text
+    # a budget for a family that does not enumerate is named, not ignored
+    for family in ("binari", "permutation"):
+        cfg.write_text('{"budgets": {"%s": 2}}' % family)
+        assert main(["--config", str(cfg), "count", "binary", "--n", "3",
+                     "--source", "enum"]) == 2, family
+        captured = capsys.readouterr()
+        assert captured.out == "" and 'config key "budgets" names %r' % family in captured.err
+    # the limit means print text only, whether the format comes from
+    # --format or from the config
+    for argv in (["--format", "json"], ["--format", "plotdata"]):
+        assert main(["limit", "binary", "leaf-depth", "--mean", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--mean prints text only" in captured.err
+    for text, message in (('{"format": "json"}', "--mean prints text only"),
+                          ('{"format": "xml"}', 'config key "format"')):
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "limit", "binary", "leaf-depth", "--mean"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, text
 
 
 def test_config_file(capsys, tmp_path):

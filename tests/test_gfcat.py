@@ -423,6 +423,30 @@ def test_sweep_matches_single_reads(family, statistic, monkeypatch):
         assert dict(walked[r][0]) == swept[r][0]
 
 
+@pytest.mark.parametrize("family,statistic", list(objects.STATISTICS))
+def test_derived_box_loses_nothing(family, statistic, monkeypatch):
+    # a box bigger in every bound reads the same columns, so gf_box cut
+    # no cell a read-off needs
+    entry = objects.STATISTICS[family, statistic]
+    cases = [(n, k) for n in range(objects.FAMILIES[family].min_n, 7)
+             for k in (entry.leaf_counts(n) if entry.leaf_counts else [None])]
+
+    def sweep():
+        return [gfcat.columns_via_gf(family, statistic, n,
+                                     objects.positions(family, statistic, n, k), k)
+                for n, k in cases]
+
+    derived = sweep()
+    box = gfcat.gf_box
+
+    def bigger(fam, nz, nx, nv=0):
+        t = box(fam, nz, nx, nv)
+        return Truncation(t.nz, t.nx + 1, t.ny + 2, t.nv + 1, t.u_range + 2)
+
+    monkeypatch.setattr(gfcat, "gf_box", bigger)
+    assert sweep() == derived
+
+
 def test_distribution_via_gf_range_errors():
     with pytest.raises(ValueError):
         distribution_via_gf("binary", "leaf-depth", 3, 4)

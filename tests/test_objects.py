@@ -243,7 +243,7 @@ def _reference_separating_counts(sub):
 
 @pytest.mark.parametrize("family", ["triangulation", "dissection"])
 def test_separating_counts_match_the_reference_walker(family):
-    for n in range(ob.BUDGETS[family] + 1):
+    for n in range(ob.FAMILIES[family].budget + 1):
         for sub in ob.enumerate_family(family, n):
             assert ob.separating_diagonal_counts(sub) == \
                 _reference_separating_counts(sub)
