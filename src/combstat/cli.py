@@ -16,11 +16,10 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import closed, gfcat, maps, objects, verify
 from .exact import render_decimal, render_scalar
-from .series import Truncation, ps_coeff, ps_to_json
+from .series import Truncation, ps_to_json
 
 
 def _scalar_str(value, decimal, digits):
@@ -216,10 +215,7 @@ def cmd_limit(args, cfg, out):
     if args.mean:
         if fmt != "text":
             raise ValueError("--mean prints text only, not %s" % fmt)
-        rmax = args.rmax if args.rmax is not None else 7
-        series = closed.limit_mean_series(fid, rmax)
-        for r in range(rmax + 1):
-            value = (ps_coeff(series, r) or [Fraction(0)])[0]
+        for r, value in enumerate(closed.limit_mean_series(fid, args.rmax)):
             print("r=%d %s" % (r, _scalar_str(value, args.decimal, digits)), file=out)
         return 0
 
@@ -361,7 +357,7 @@ def build_parser():
     sp.add_argument("--variant", choices=closed.LIMIT_VARIANTS, default="auto")
     sp.add_argument("--mean", action="store_true",
                     help="print the limit means for r = 0..rmax instead")
-    sp.add_argument("--rmax", type=int)
+    sp.add_argument("--rmax", type=int, default=7)
     add_format(sp, "text", "json", "plotdata")
     sp.add_argument("--decimal", action="store_true")
 

@@ -17,12 +17,12 @@ polynomials in y).  Those of B, D, U, W and G are derived from the one
 statement of their equation, gfcat.EQUATIONS: the derivative of
 S = a0/(1 - m) in the base, at the base's dominant singularity (Flajolet
 and Sedgewick, Analytic Combinatorics, Thm VI.1), is N/D^2 with
-N = a0'(1 - m) + a0 m' and D = 1 - m.  One law is stored, not derived:
-schroeder-leaf's, the paper's printed form.  _column expands the x^r
-column of every law by the same division, one x-order at a time, over Z
-(Z[sqrt 2] for a law in Q(sqrt 2)) with one exact division per returned
-entry.  LIMIT_LAWS is the one statement of which ids have a law and
-from which r.
+N = a0'(1 - m) + a0 m' and D = 1 - m.  Schroeder-leaf's law and its
+r = 0 law are stored: the paper's printed forms.  _column is the one expansion
+of every law, over Z (Z[sqrt 2] for a law in Q(sqrt 2)) with one exact
+division per returned entry; at y = 1 + t the t^1 entries of its
+columns are the limit means.  LIMIT_LAWS is the one statement of which
+ids have a law and from which r.
 """
 
 from __future__ import annotations
@@ -49,12 +49,10 @@ from .series import (
     ps_diff_y1,
     ps_eval_y1,
     ps_has_quad2,
-    ps_inv,
     ps_monomial,
     ps_mul,
     ps_mul_ypoly,
     ps_one,
-    ps_retrunc,
     ps_scale,
     ps_sqrt,
     ps_sub,
@@ -336,8 +334,8 @@ def plane_leaf_total(n, k, r):
     """Summed depth of leaf r over plane trees of size n with k leaves."""
     if not (1 <= k <= max(n, 1) and 0 <= r < k):
         raise ValueError("no plane trees with n=%d, k=%d, r=%d" % (n, k, r))
-    nn = narayana_number
-    return narayana_number(n, k) + sum(
+    nn = narayana_number  # N(n, k) counts each leaf's first edge; size 0 has none
+    return (nn(n, k) if n else 0) + sum(
         nn(j, i) * nn(n - j, k + 1 - i) * min(r + 1, k - r, i, k + 1 - i)
         for j in range(1, n)
         for i in range(1, k + 1)
@@ -459,7 +457,7 @@ def _limit_law_data(formula_id, nw):
     derivatives in the base; each column has mass 1 with no
     normalisation.  a0 and m are linear in y, so N and D^2 have y-degree
     at most 2.  D times the lcm L of its denominators, and N times L^2,
-    leave N/D^2 as it is with D's cells int."""
+    leave N/D^2 as it is with D's cells int, so D^2 is formed over Z."""
     if formula_id == "schroeder-leaf":
         t = Truncation(nw, 0, 6)
         kernel = Series(t, {(0, 0, 0, 0): [1], (1, 0, 0, 0): [Quad2(-18, 12)],
@@ -520,14 +518,14 @@ def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"
         raise ValueError("dmax must be nonnegative")
 
     if formula_id == "schroeder-leaf" and r == 0 and variant == "auto":
-        out, tau_d = [], Quad2(1)  # tau^(d-1), tau = sqrt(2) - 1
-        for d in range(1, dmax + 1):
-            out.append((d, RHO * (2 * d) * tau_d))
-            tau_d = tau_d * Quad2(-1, 1)
-        return out
+        # the printed law 2 rho d tau^(d-1), tau = sqrt(2) - 1, is N/D^2
+        # with N = 2 rho y and D = 1 - tau y
+        t = Truncation(0, 0, 2)
+        n, d = Series(t, {ZERO_KEY: [0, 2 * RHO]}), Series(t, {ZERO_KEY: [1, Quad2(1, -1)]})
+        return _column(n, d, 2, [0], dmax)[0]
 
     n, d, power, rho = _limit_law_data(formula_id, r)
-    return _column(ps_scale(n, rho**r), d, power, r, dmax)
+    return _column(ps_scale(n, rho**r), d, power, [r], dmax)[0]
 
 
 class _Zrt2:
@@ -552,21 +550,22 @@ class _Zrt2:
         return Quad2(Fraction(num.a, norm), Fraction(num.b, norm))
 
 
-def _column(n, d, power, r, dmax):
-    """The x^r column of N/D^power to y^dmax, one x-order at a time, over
+def _column(n, d, power, rs, dmax):
+    """The x^r columns of N/D^power for r in rs, as lists of nonzero (d,
+    entry) pairs to y^dmax: one x-order at a time up to the largest r, over
     Z (Z[sqrt 2] once a cell of N or D holds a Quad2).  N and E = D^power
     are cleared of their denominators (lcms lN, lE); E's x^0 cell U(y)
     must be a unit in y, and y = u0 t makes U(u0 t) = u0 V(t) with V
     monic, so C~_m = u0^(m+1) C_m(u0 t) solves V C~_m = u0^m N_m(u0 t) -
-    sum_j u0^(j-1) E_j(u0 t) C~_(m-j) with no division.  Entry d is
-    C~_(r,d) lE / (lN u0^(r+1+d)): one exact division, a Quad2 or an
-    exact_int Fraction."""
+    sum_j u0^(j-1) E_j(u0 t) C~_(m-j) with no division.  Entry d of column
+    r is C~_(r,d) lE / (lN u0^(r+1+d)), a Quad2 or an exact_int Fraction."""
+    top = max(rs)
     lift, over = ((_Zrt2, _Zrt2.over) if ps_has_quad2(n, d) else
                   (lambda a, b=0: a, lambda x, g: exact_int(Fraction(x, g))))
 
-    def integral(s):  # the cells x^0..x^r of s times L, lifted, and L
+    def integral(s):  # the cells x^0..x^top of s times L, lifted, and L
         cells = [[(x.a, x.b) if isinstance(x, Quad2) else (x, 0) for x in ps_coeff(s, m)]
-                 for m in range(r + 1)]
+                 for m in range(top + 1)]
         lcm = math.lcm(*(c.denominator for p in cells for x in p for c in x))
         return [[lift(*(c.numerator * (lcm // c.denominator) for c in x)) for x in p]
                 for p in cells], lcm
@@ -575,11 +574,11 @@ def _column(n, d, power, r, dmax):
     if not (em[0] and em[0][0]):
         raise ArithmeticError("the x^0 cell of D^%d is not a unit in y" % power)
     pw = [lift(1)]  # powers of u0
-    for _ in range(r + dmax + len(em[0])):
+    for _ in range(top + dmax + len(em[0])):
         pw.append(pw[-1] * em[0][0])
     v = [c * pw[i] for i, c in enumerate(em[0][1:])]  # v_1, v_2, ...
     cols = []
-    for m in range(r + 1):
+    for m in range(top + 1):
         acc = [c * pw[m + i] for i, c in enumerate(nm[m][: dmax + 1])]
         acc += [lift(0)] * (dmax + 1 - len(acc))
         for j in range(1, m + 1):
@@ -591,24 +590,20 @@ def _column(n, d, power, r, dmax):
             for i, c in enumerate(v[:dd], 1):
                 acc[dd] = acc[dd] - c * acc[dd - i]
         cols.append(acc)
-    return [(deg, over(q * lift(le), pw[r + 1 + deg] * lift(ln)))
-            for deg, q in enumerate(cols[r]) if q]
+    return [[(deg, over(q * lift(le), pw[r + 1 + deg] * lift(ln)))
+             for deg, q in enumerate(cols[r]) if q] for r in rs]
 
 
-def limit_mean_series(formula_id: str, rmax: int) -> Series:
-    """Exact series in x whose x^r coefficient is the mean of the
-    fixed-r limit law (the y-derivative at 1, column by column)."""
+def limit_mean_series(formula_id: str, rmax: int) -> list:
+    """The exact means of the fixed-r laws, r = 0..rmax: the t^1 entry (the
+    y-derivative at 1; int 0 if absent) of each column, N and D at y = 1 + t."""
     _check_limit_law(formula_id)
     if rmax < 0:
         raise ValueError("rmax must be nonnegative")
     n, d, power, rho = _limit_law_data(formula_id, rmax)
-    n1, dn1 = ps_eval_y1(n), ps_diff_y1(n)
-    d1, dd1 = ps_eval_y1(d), ps_diff_y1(d)
-    numer = ps_sub(ps_mul(dn1, d1), ps_scale(ps_mul(n1, dd1), power))
-    denom = functools.reduce(ps_mul, [d1] * (power + 1))
-    t = Truncation(rmax, 0, 0)
-    mean = ps_retrunc(ps_mul(numer, ps_inv(denom)), t)
-    return ps_subst_scale(mean, t, {"z": (rho, (1, 0, 0, 0))})  # w = rho*x
+    n, d = (ps_add(ps_eval_y1(s), ps_mul_ypoly(ps_diff_y1(s), [0, 1])) for s in (n, d))
+    cols = _column(n, d, power, range(rmax + 1), 1)
+    return [exact_int(rho**r * dict(col).get(1, 0)) for r, col in enumerate(cols)]
 
 
 # ----------------------------------------------------------- asymptotics

@@ -650,7 +650,7 @@ STATISTICS = {
         binary_leaf_abscissas, _zero_to_n, "Babs", avg_id="binary-abscissa"),
     ("plane", "leaf-depth"): Statistic(
         plane_leaf_depths, lambda n, k: range(k), "P",
-        leaf_counts=lambda n: range(1, n + 2)),
+        leaf_counts=lambda n: range(1, max(n, 1) + 1)),
     # preorder node r >= 1 is the r-th up-step of the walk
     ("plane", "node-depth"): Statistic(
         plane_node_depths_preorder, _zero_to_n, "U", root=True),

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import closed, gfcat, maps, objects, series
 from .exact import Quad2, render_scalar
-from .series import Truncation, ps_coeff, ps_inv, ps_is_zero, ps_monomial, ps_one, ps_shift
+from .series import Truncation, ps_inv, ps_is_zero, ps_monomial, ps_one, ps_shift
 
 STATUSES = ("PASS", "WARN", "FAIL")
 
@@ -82,9 +82,8 @@ def _limits(max_n):
         if fid == "schroeder-leaf":
             continue  # its bivariate form does not normalize: the WARN row below
         mean = closed.limit_mean_series(fid, 7)
-        got = {r: (ps_coeff(mean, r) or [Fraction(0)])[0] for r in range(start, 8)}
-        bad = next(({"r": r, "series": render_scalar(v)} for r, v in got.items()
-                    if v != closed.fixed_r_limit_average(fid, r)), None)
+        bad = next(({"r": r, "series": render_scalar(mean[r])} for r in range(start, 8)
+                    if mean[r] != closed.fixed_r_limit_average(fid, r)), None)
         rows.append(Row.check("limit-gf-mean-vs-closed", fid, 7, counterexample=bad))
 
     col = dict(closed.limit_distribution("binary-leaf", 0, 20))
@@ -170,14 +169,23 @@ _TRANSPORT_LAWS = {
     "schroeder-to-dissection": lambda obj, image: (
         objects.plane_leaf_depths(obj),
         [c + 1 for c in objects.separating_diagonal_counts(image)]),
-    "increasing-to-permutation": lambda obj, image: (list(image), _inorder_labels(obj)),
+    "increasing-to-permutation": lambda obj, image: (
+        objects.increasing_internal_depths_inorder(obj), _min_between_counts(image)),
 }
 
 
-def _inorder_labels(t):
-    if t is None:
-        return []
-    return _inorder_labels(t[1]) + [t[0]] + _inorder_labels(t[2])
+def _min_between_counts(perm):
+    """For each i, the j != i where perm[j] is the minimum of perm between i
+    and j, i's ancestors in the increasing tree: a monotone stack per end."""
+    counts = [0] * len(perm)
+    for order in (range(len(perm)), range(len(perm) - 1, -1, -1)):
+        stack = []  # the values passed so far that are below all after them
+        for i in order:
+            while stack and stack[-1] > perm[i]:
+                stack.pop()
+            counts[i] += len(stack)
+            stack.append(perm[i])
+    return counts
 
 
 def _fixed_point_residual(eq_id, t):

@@ -100,7 +100,7 @@ def test_criterion_02_triple_agreement():
                     family, statistic, n, r)
                 cols += 1
     for n in range(8):
-        for k in range(1, n + 2):
+        for k in range(1, max(n, 1) + 1):  # no plane tree has more leaves than edges
             for r in range(k):
                 got = gfcat.distribution_via_gf("plane", "leaf-depth", n, r, k=k)
                 want = objects.distribution("plane", "leaf-depth", n, r, k=k)
@@ -162,9 +162,7 @@ def test_criterion_05_limit_gf_means():
                        ("noncrossing-node", 0)):
         mean = closed.limit_mean_series(fid, 7)
         for r in range(start, 8):
-            cell = ps_coeff(mean, r)
-            got = cell[0] if cell else Fraction(0)
-            assert got == closed.fixed_r_limit_average(fid, r), (fid, r)
+            assert mean[r] == closed.fixed_r_limit_average(fid, r), (fid, r)
     # sum d * 2*rho*d*tau^(d-1) = 2*rho*(1+tau)/(1-tau)^3 with tau = rt2-1
     law_mean = RHO * 2 * RT2 * (Quad2(2, -1) ** 3).inv()
     assert law_mean == closed.fixed_r_limit_average("schroeder-leaf", 0) == Quad2(1, 1)

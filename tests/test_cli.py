@@ -164,6 +164,23 @@ def test_verify_bijections_reports_a_broken_transport_law(capsys, monkeypatch):
                for n in range(5))
 
 
+def test_verify_bijections_reports_an_increasing_tree_depth_fault(capsys, monkeypatch):
+    # the permutation side reads each depth off the image alone, so an
+    # off-by-one in the tree's depth walker cannot agree with it
+    depths = objects.increasing_internal_depths_inorder
+    monkeypatch.setattr(objects, "increasing_internal_depths_inorder",
+                        lambda t: [d + 1 for d in depths(t)])
+    code, out = run(capsys, "verify", "--suite", "bijections", "--max-n", "3",
+                    "--format", "json")
+    rows = {(r["check_id"], r["n_or_r"]): r for r in json.loads(out)["rows"]}
+    assert code == 1
+    row = rows["transport-increasing-to-permutation", 3]
+    assert row["status"] == "FAIL"
+    assert row["counterexample"] == {"n": 1, "object": "1", "want": [1], "got": [0]}
+    assert all(r["status"] == "PASS" for key, r in rows.items()
+               if key[0] != "transport-increasing-to-permutation")
+
+
 # sha256 of `verify --suite all --max-n 8` in each format, as printed
 # before the suites moved into combstat.verify, plus the gf-residual and
 # gf-closed-vs-solve rows of the down-step system W and the two more
@@ -232,6 +249,23 @@ def test_limit_layer_output_is_pinned(capsys):
     assert digest.hexdigest() == LIMIT_LAYER_DIGEST
 
 
+# sha256 of `limit <pair> --mean --rmax R` for each limit-law pair and
+# R = 0..12, plain then --decimal, as printed when the means came from a
+# quotient-rule series of their own
+LIMIT_MEAN_DIGEST = "39e4321dc657aaa17ba4b4185e8b526e5cb2e22e07390f3136711d34c640fcd1"
+
+
+def test_limit_means_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for family, statistic, _ in LIMIT_LAW_PAIRS:
+        for rmax in range(13):
+            for extra in ([], ["--decimal"]):
+                argv = ["limit", family, statistic, "--mean", "--rmax", str(rmax), *extra]
+                assert main(argv) == 0, argv
+                digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == LIMIT_MEAN_DIGEST
+
+
 def test_verify_row_status():
     assert verify.Row.check("c", "f", 1).status == "PASS"
     assert verify.Row.check("c", "f", 1, ok=False).status == "FAIL"
@@ -288,6 +322,7 @@ def test_usage_errors(capsys, tmp_path):
     # no plane tree has more leaves than nodes: nothing to average over
     assert main(["average", "plane", "leaf-depth", "--n", "3", "--k", "4", "--r", "0",
                  "--method", "exact"]) == 2
+    assert main(["distribution", "plane", "leaf-depth", "--n", "3", "--k", "4"]) == 2
     capsys.readouterr()
     assert main(["expand", "B", "--trunc-z", "-1", "--trunc-x", "2",
                  "--trunc-y", "2"]) == 2
@@ -469,6 +504,8 @@ def test_same_output_under_optimize():
                  ["limit", "dyck", "upstep-height", "--mean", "--rmax", "3"],
                  ["limit", "dyck", "downstep-height", "--r", "5", "--dmax", "24"],
                  ["limit", "dyck", "downstep-height", "--mean", "--rmax", "9"],
+                 ["limit", "schroeder", "leaf-depth", "--r", "0", "--dmax", "40"],
+                 ["limit", "noncrossing", "node-depth", "--mean", "--rmax", "12"],
                  ["expand", "W", "--trunc-z", "6", "--trunc-x", "6", "--trunc-y", "6"],
                  ["table2"]):
         argv = ["-m", "combstat", *argv]

@@ -171,11 +171,13 @@ def test_cross_check_catches_a_schroeder_limit_off_by_one(monkeypatch):
 
 
 def test_plane_formula_against_oracle():
-    for k in range(1, 6):
-        for r in range(k):
-            assert plane_leaf_average(5, k, r) == objects.average(
-                "plane", "leaf-depth", 5, r, k=k
-            )
+    # size 0 is the one-node tree: its leaf sits at depth 0
+    for n in range(7):
+        for k in range(1, max(n, 1) + 1):
+            for r in range(k):
+                assert plane_leaf_average(n, k, r) == objects.average(
+                    "plane", "leaf-depth", n, r, k=k
+                ), (n, k, r)
 
 
 def test_range_errors():
@@ -519,18 +521,24 @@ def test_column_matches_dense_reference():
     # one reference run at r = 12 holds every lower column: N and D are
     # exact series, so their x-truncation does not move a column
     for formula_id, first in closed.LIMIT_LAWS.items():
-        n, d, power, _ = closed._limit_law_data(formula_id, 12)
-        dense = _dense_columns(n, d, power, 12, 30)
-        for r in [*range(first, 8), 12]:
-            n, d, power, _ = closed._limit_law_data(formula_id, r)
-            for dmax in (0, 1, 3, 12, 30):
-                got = closed._column(n, d, power, r, dmax)
+        n12, d12, power, _ = closed._limit_law_data(formula_id, 12)
+        dense = _dense_columns(n12, d12, power, 12, 30)
+        rs = [*range(first, 8), 12]
+        for dmax in (0, 1, 3, 12, 30):
+            cols = []
+            for r in rs:
+                n, d, power, _ = closed._limit_law_data(formula_id, r)
+                got = closed._column(n, d, power, [r], dmax)[0]
                 want = [(deg, p) for deg, p in enumerate(dense[r][: dmax + 1]) if p]
                 assert got == want, (formula_id, r, dmax)
                 # one type rule: Quad2 over Q(sqrt 2), else int where integral
                 for (_, g), (_, w) in zip(got, want):
                     assert type(g) is (Quad2 if formula_id == "schroeder-leaf"
                                        else type(exact_int(w))), (formula_id, r, dmax, g)
+                cols.append(got)
+            # one call returns every column asked for, in the order asked
+            assert closed._column(n12, d12, power, rs[::-1], dmax) == cols[::-1], \
+                (formula_id, dmax)
     # the first step's height is 1 for sure: the one integral entry
     assert closed.limit_distribution("dyck-upstep", 1, 3) == [(1, 1)]
     assert type(closed.limit_distribution("dyck-upstep", 1, 3)[0][1]) is int
@@ -571,15 +579,15 @@ def _printed_mean_series(formula_id, rmax):
 def test_derived_mean_series_match_the_printed_laws():
     for formula_id in PRINTED_LAWS:
         for rmax in range(12):
-            assert limit_mean_series(formula_id, rmax) == _printed_mean_series(
-                formula_id, rmax), (formula_id, rmax)
+            assert limit_mean_series(formula_id, rmax) == _coeffs(
+                _printed_mean_series(formula_id, rmax), rmax), (formula_id, rmax)
 
 
 def test_column_refuses_a_denominator_that_is_no_unit_in_y():
     # times y, D's x^0 cell has no y^0 entry left to divide by
     n, d, power, _ = closed._limit_law_data("binary-leaf", 2)
     with pytest.raises(ArithmeticError, match="not a unit in y"):
-        closed._column(n, ps_mul_ypoly(d, [0, 1]), power, 2, 5)
+        closed._column(n, ps_mul_ypoly(d, [0, 1]), power, [2], 5)
 
 
 def test_harmonic_matches_the_plain_sum():
@@ -599,11 +607,16 @@ def _xseries(nx):
     return t, ps_one(t), Series(t, {(1, 0, 0, 0): [1]})
 
 
+def _coeffs(series, rmax):
+    """The x^0..x^rmax coefficients of a series in x, 0 where it has no cell."""
+    return [(ps_coeff(series, r) or [0])[0] for r in range(rmax + 1)]
+
+
 def test_mean_series_binary():
     t, one, x = _xseries(9)
     inv_root3 = ps_mul(ps_inv(ps_sqrt(ps_sub(one, x))), ps_inv(ps_sub(one, x)))
     want = ps_sub(ps_scale(inv_root3, 4), ps_inv(ps_sub(one, x)))
-    assert limit_mean_series("binary-leaf", 9) == want
+    assert limit_mean_series("binary-leaf", 9) == _coeffs(want, 9)
 
 
 def test_mean_series_vertex():
@@ -611,19 +624,19 @@ def test_mean_series_vertex():
     inv1 = ps_inv(ps_sub(one, x))
     root = ps_sqrt(ps_sub(one, ps_mul(x, x)))
     want = ps_sub(ps_mul(root, ps_mul(inv1, inv1)), inv1)
-    assert limit_mean_series("dyck-vertex", 9) == want
+    assert limit_mean_series("dyck-vertex", 9) == _coeffs(want, 9)
 
 
 def test_mean_series_steps():
     t, one, x = _xseries(9)
     inv1 = ps_inv(ps_sub(one, x))
     inv_root3 = ps_mul(ps_inv(ps_sqrt(ps_sub(one, x))), inv1)
-    assert limit_mean_series("dyck-upstep", 9) == ps_scale(
+    assert limit_mean_series("dyck-upstep", 9) == _coeffs(ps_scale(
         ps_sub(inv_root3, inv1), 2
-    )
-    assert limit_mean_series("dyck-downstep", 9) == ps_add(
+    ), 9)
+    assert limit_mean_series("dyck-downstep", 9) == _coeffs(ps_add(
         ps_mul(x, inv1), ps_scale(ps_mul(x, inv_root3), 2)
-    )
+    ), 9)
 
 
 def test_mean_series_noncrossing():
@@ -639,7 +652,7 @@ def test_mean_series_noncrossing():
     inv2 = ps_inv(ps_mul(ps_sub(one, x), ps_sub(one, x)))
     numer = ps_sub(ps_scale(x, 18), ps_scale(ps_mul(ps_mul(x, x), tsq), 8))
     want = ps_mul(ps_scale(numer, Fraction(1, 9)), inv2)
-    assert limit_mean_series("noncrossing-node", nx) == want
+    assert limit_mean_series("noncrossing-node", nx) == _coeffs(want, nx)
 
 
 def test_mean_series_schroeder_verbatim():
@@ -654,7 +667,7 @@ def test_mean_series_schroeder_verbatim():
     inv2 = ps_inv(ps_mul(den, den))
     numer = ps_sub(ps_scale(ps_sqrt(kernel), RHO_INV), ps_sub(one, x))
     want = ps_mul(ps_scale(numer, 8), inv2)
-    assert limit_mean_series("schroeder-leaf", nx) == want
+    assert limit_mean_series("schroeder-leaf", nx) == _coeffs(want, nx)
 
 
 def test_mean_series_matches_fixed_r():
@@ -663,10 +676,12 @@ def test_mean_series_matches_fixed_r():
         ("dyck-downstep", 1), ("noncrossing-node", 0),
     ):
         mean = limit_mean_series(formula_id, 7)
+        assert len(mean) == 8 and mean[:start] == [0] * start, formula_id
         for r in range(start, 8):
-            cell = ps_coeff(mean, r, 0)
-            got = cell[0] if cell else Fraction(0)
-            assert got == fixed_r_limit_average(formula_id, r), (formula_id, r)
+            want = fixed_r_limit_average(formula_id, r)
+            # one type rule: an int where integral, else a Fraction
+            assert mean[r] == want and type(mean[r]) is type(exact_int(want)), \
+                (formula_id, r)
 
 
 # ------------------------------------------------------------- asymptotics
