@@ -518,14 +518,17 @@ def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"
         raise ValueError("dmax must be nonnegative")
 
     if formula_id == "schroeder-leaf" and r == 0 and variant == "auto":
-        # the printed law 2 rho d tau^(d-1), tau = sqrt(2) - 1, is N/D^2
-        # with N = 2 rho y and D = 1 - tau y
-        t = Truncation(0, 0, 2)
-        n, d = Series(t, {ZERO_KEY: [0, 2 * RHO]}), Series(t, {ZERO_KEY: [1, Quad2(1, -1)]})
-        return _column(n, d, 2, [0], dmax)[0]
+        return _column(*_schroeder_r0_law(), [0], dmax)[0]
 
     n, d, power, rho = _limit_law_data(formula_id, r)
     return _column(ps_scale(n, rho**r), d, power, [r], dmax)[0]
+
+
+def _schroeder_r0_law():
+    """(N, D, power) of the printed schroeder-leaf r = 0 law 2 rho d
+    tau^(d-1), tau = sqrt(2) - 1: N/D^2 with N = 2 rho y, D = 1 - tau y."""
+    t = Truncation(0, 0, 2)
+    return Series(t, {ZERO_KEY: [0, 2 * RHO]}), Series(t, {ZERO_KEY: [1, Quad2(1, -1)]}), 2
 
 
 class _Zrt2:
@@ -601,9 +604,15 @@ def limit_mean_series(formula_id: str, rmax: int) -> list:
     if rmax < 0:
         raise ValueError("rmax must be nonnegative")
     n, d, power, rho = _limit_law_data(formula_id, rmax)
+    means = _column_means(n, d, power, range(rmax + 1))
+    return [exact_int(rho**r * mean) for r, mean in enumerate(means)]
+
+
+def _column_means(n, d, power, rs):
+    """The t^1 entries (int 0 if absent) of the x^r columns of N/D^power
+    at y = 1 + t, r in rs: each column's y-derivative at 1, its mean."""
     n, d = (ps_add(ps_eval_y1(s), ps_mul_ypoly(ps_diff_y1(s), [0, 1])) for s in (n, d))
-    cols = _column(n, d, power, range(rmax + 1), 1)
-    return [exact_int(rho**r * dict(col).get(1, 0)) for r, col in enumerate(cols)]
+    return [dict(col).get(1, 0) for col in _column(n, d, power, rs, 1)]
 
 
 # ----------------------------------------------------------- asymptotics

@@ -4,7 +4,8 @@ This module is deliberately brute force: it produces the actual objects
 (trees, lattice paths, chord diagrams, polygon subdivisions) and reads
 statistics off them by walking the object.  It is the ground truth that
 the generating-function machinery elsewhere is checked against, so it
-shares no code with that machinery.
+shares no code with that machinery.  The enumerators stream their
+objects, from a memo of sub-problems that lasts for one enumeration.
 
 It also holds the registry every other module reads: ``FAMILIES`` (one
 entry per family: its smallest size, text codec, enumerator and
@@ -33,10 +34,10 @@ Representations:
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 @dataclass(frozen=True)
@@ -48,17 +49,37 @@ class PolygonSubdivision:
 
 # ---------------------------------------------------------- enumerators
 
-@lru_cache(maxsize=None)
-def _catalan(n: int, join, leaf):
+def _streamed(gen, *top):
+    """Stream the objects of the top problem of ``gen(*key, sub)``, an
+    enumerator that takes its strictly smaller sub-problems from
+    ``sub(*key)``.  sub builds each once into a memo that lives only for
+    this call.  It is emptied when the stream ends or is closed: sub
+    reaches itself through its closure, so the memo would otherwise wait
+    for the cyclic collector."""
+    memo = {}
+
+    def sub(*key):
+        if key not in memo:
+            memo[key] = tuple(gen(*key, sub))
+        return memo[key]
+
+    try:
+        yield from gen(*top, sub)
+    finally:
+        memo.clear()
+
+
+def _catalan(n: int, join, leaf, sub):
     """The objects of size n in a Catalan family, from the one
     decomposition into a first part of size i and a rest of size n-1-i,
     i rising: ``join(first, rest)`` builds an object and ``leaf`` is the
     one of size 0."""
     if n == 0:
-        return (leaf,)
-    return tuple([join(first, rest) for i in range(n)
-                  for first in _catalan(i, join, leaf)
-                  for rest in _catalan(n - 1 - i, join, leaf)])
+        yield leaf
+    for i in range(n):
+        for first in sub(i, join, leaf):
+            for rest in sub(n - 1 - i, join, leaf):
+                yield join(first, rest)
 
 
 def _binary_join(left, right):
@@ -75,17 +96,17 @@ def _dyck_join(inner, tail):
 
 def binary_trees(n: int):
     """Binary trees with n internal nodes, split at the root."""
-    return iter(_catalan(n, _binary_join, None))
+    return _streamed(_catalan, n, _binary_join, None)
 
 
 def plane_trees(n: int):
     """Plane trees with n edges, by first-subtree/rest decomposition."""
-    return iter(_catalan(n, _plane_join, ()))
+    return _streamed(_catalan, n, _plane_join, ())
 
 
 def dyck_paths(n: int):
     """Dyck paths of length 2n, split at the first return."""
-    return iter(_catalan(n, _dyck_join, ""))
+    return _streamed(_catalan, n, _dyck_join, "")
 
 
 def _compositions(total: int, parts: int):
@@ -97,25 +118,20 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-@lru_cache(maxsize=None)
-def _schroeder_trees(leaves: int):
+def _schroeder_trees(leaves: int, sub):
     """Plane trees with no unary node and the given number of leaves."""
     if leaves == 1:
-        return ((),)
-    out = []
+        yield ()
     for j in range(2, leaves + 1):
         for comp in _compositions(leaves, j):
-            for kids in itertools.product(*(_schroeder_trees(c) for c in comp)):
-                out.append(tuple(kids))
-    return tuple(out)
+            yield from itertools.product(*(sub(c) for c in comp))
 
 
 def schroeder_trees(leaves: int):
-    return iter(_schroeder_trees(leaves))
+    return _streamed(_schroeder_trees, leaves)
 
 
-@lru_cache(maxsize=None)
-def _noncrossing_interval(x: int, y: int):
+def _noncrossing_interval(x: int, y: int, sub):
     """Noncrossing trees on the points x..y, rooted at x.
 
     Butterfly decomposition: the largest neighbour c of the root splits
@@ -125,24 +141,22 @@ def _noncrossing_interval(x: int, y: int):
     Each tree arises from exactly one (m, c) pair.
     """
     if x == y:
-        return (frozenset(),)
-    out = []
+        yield frozenset()
     for m in range(x + 1, y + 1):
         for c in range(m, y + 1):
             base = (x, c)
-            for wing in _noncrossing_interval(m, c):
+            for wing in sub(m, c):
                 mirrored = frozenset(
                     (m + c - b, m + c - a) for (a, b) in wing
                 )
-                for left in _noncrossing_interval(x, m - 1):
+                for left in sub(x, m - 1):
                     partial = left | {base} | mirrored
-                    for tail in _noncrossing_interval(c, y):
-                        out.append(partial | tail)
-    return tuple(out)
+                    for tail in sub(c, y):
+                        yield partial | tail
 
 
 def noncrossing_trees(n: int):
-    return iter(_noncrossing_interval(0, n))
+    return _streamed(_noncrossing_interval, 0, n)
 
 
 def perm_to_increasing(perm):
@@ -173,12 +187,11 @@ def increasing_trees(n: int):
     return map(perm_to_increasing, itertools.permutations(range(1, n + 1)))
 
 
-def _triangulation_diagonals(a: int, b: int):
+def _triangulation_diagonals(a: int, b: int, sub):
     """Triangulations of the sub-polygon on consecutive vertices a..b,
     as diagonal sets; the base edge (a, b) itself is not recorded."""
     if b - a < 2:
         yield frozenset()
-        return
     for m in range(a + 1, b):
         extra = set()
         if m - a >= 2:
@@ -186,23 +199,21 @@ def _triangulation_diagonals(a: int, b: int):
         if b - m >= 2:
             extra.add((m, b))
         extra = frozenset(extra)
-        for left in _triangulation_diagonals(a, m):
-            for right in _triangulation_diagonals(m, b):
+        for left in sub(a, m):
+            for right in sub(m, b):
                 yield left | extra | right
 
 
 def triangulations(n: int):
-    for diags in _triangulation_diagonals(0, n + 1):
+    for diags in _streamed(_triangulation_diagonals, 0, n + 1):
         yield PolygonSubdivision(n, diags, "triangulation")
 
 
-@lru_cache(maxsize=None)
-def _dissection_diagonals(a: int, b: int):
+def _dissection_diagonals(a: int, b: int, sub):
     """All dissections (any noncrossing diagonal set) of the sub-polygon
     a..b, decomposed by the face that contains the base edge (a, b)."""
     if b - a < 2:
-        return (frozenset(),)
-    out = []
+        yield frozenset()
     interior = list(range(a + 1, b))
     for size in range(1, len(interior) + 1):
         for chosen in itertools.combinations(interior, size):
@@ -213,15 +224,12 @@ def _dissection_diagonals(a: int, b: int):
                 if q - p >= 2
             ]
             base = frozenset(gaps)
-            for combo in itertools.product(
-                *(_dissection_diagonals(p, q) for p, q in gaps)
-            ):
-                out.append(base.union(*combo))
-    return tuple(out)
+            for combo in itertools.product(*(sub(p, q) for p, q in gaps)):
+                yield base.union(*combo)
 
 
 def dissections(n: int):
-    for diags in _dissection_diagonals(0, n + 1):
+    for diags in _streamed(_dissection_diagonals, 0, n + 1):
         yield PolygonSubdivision(n, diags, "dissection")
 
 
@@ -410,10 +418,15 @@ def distribution_columns(family, statistic, n, rs, k=None, budget=None):
     """
     first = check_positions(family, statistic, n, rs, k).start
     walker = statistic_entry(family, statistic).walker
-    counts = {r: Counter() for r in rs}
-    where = [r - first for r in counts]
     vectors = map(walker, enumerate_family(family, n, budget))
-    rows = ([vec[i] for i in where] for vec in vectors if k is None or len(vec) == k)
+    counts = {r: Counter() for r in rs}
+    if not counts:
+        return {}
+    if k is not None:
+        vectors = (vec for vec in vectors if len(vec) == k)
+    rows = map(operator.itemgetter(*(r - first for r in counts)), vectors)
+    if len(counts) == 1:
+        rows = zip(rows)  # one index picks the entry itself, not a 1-tuple
     # count a bounded batch of rows at a time, column by column, in C
     total = 0
     while batch := list(itertools.islice(rows, 256)):

@@ -201,7 +201,8 @@ def test_verify_all_output_is_pinned(capsys, fmt):
 
 # sha256 of `enumerate` at every size from the family's smallest to the
 # cap below, in that order, as printed before binary trees, plane trees
-# and Dyck paths shared one Catalan decomposition
+# and Dyck paths shared one Catalan decomposition (noncrossing and
+# dissection at 7: before the enumerators streamed)
 ENUMERATE_DIGESTS = {
     ("binary", 9): "55fb5ec956949cc53b74c4b539ad94dea21068fc0c9f1f78f98b5d4670b2b63f",
     ("plane", 9): "a81d0b01608ab9316f5e3dfcca59953fdc21721c29548c4450aed3439f254053",
@@ -209,8 +210,10 @@ ENUMERATE_DIGESTS = {
     ("triangulation", 9): "358f229ca9ba1c224f46e0b1e5ffe75458f97bc87224778d305ba4bffb032e01",
     ("schroeder", 8): "ec9cba9f4f4466df37a317c78a727dfcf44aa0d3a15fe87abaee721221bd2855",
     ("noncrossing", 6): "973a10853d7de7e6c58514fcf675a45a5a0e6162176e357b80f8014ff3065aa7",
+    ("noncrossing", 7): "12299035752d7014d3abaac8f2bca586000cceaf3bfde78590f20302fe94c4b4",
     ("increasing", 6): "d63851cfb21489c194140149378c714588f4dce5960ee86ec817ab3cb30add46",
     ("dissection", 6): "e3fbc243a852c40a3d867936942656e36af7868b6b30f16ebbd82c9701c1e367",
+    ("dissection", 7): "90724cf6426fb312fdc9041d2906820e1b2c58e6efd2a54c0caaa6f0e85a4874",
 }
 
 

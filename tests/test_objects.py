@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -255,6 +256,10 @@ def test_separating_counts_match_the_reference_walker(family):
     ("plane", "leaf-depth", 5, 3, [2, 0]),
     # 4,862 paths: more rows than one counting batch holds
     ("dyck", "vertex-height", 9, None, [18, 0, 9, 4]),
+    # one position picks a bare entry; no position picks nothing
+    ("noncrossing", "node-depth", 4, None, [3]),
+    ("plane", "leaf-depth", 5, 2, [1]),
+    ("binary", "leaf-depth", 4, None, []),
 ])
 def test_columns_match_per_position_distributions(family, statistic, n, k, rs):
     cols = ob.distribution_columns(family, statistic, n, rs, k)
@@ -266,6 +271,24 @@ def test_columns_match_per_position_distributions(family, statistic, n, k, rs):
     for r in rs:
         assert cols[r] == ob.distribution(family, statistic, n, r, k)
         assert cols[r] == (Counter(v[r - first] for v in vecs), len(vecs))
+
+
+def test_enumeration_keeps_no_memo():
+    # noncrossing n = 7 builds about 2 MB of sub-interval trees; all of
+    # it is gone once the sweep returns or a stream is dropped half-read
+    tracemalloc.start()
+    try:
+        ob.distribution_columns("noncrossing", "node-depth", 7, range(8))
+        swept, peak = tracemalloc.get_traced_memory()
+        stream = ob.enumerate_family("noncrossing", 7)
+        next(stream)
+        del stream
+        dropped, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert swept < 2**20 and dropped < 2**20
+    assert peak < 4 * 2**20
+    assert not [name for name, value in vars(ob).items() if hasattr(value, "cache_info")]
 
 
 def test_unknown_statistic():
