@@ -17,8 +17,9 @@ polynomials in y).  Those of B, D, U, W and G are derived from the one
 statement of their equation, gfcat.EQUATIONS: the derivative of
 S = a0/(1 - m) in the base, at the base's dominant singularity (Flajolet
 and Sedgewick, Analytic Combinatorics, Thm VI.1), is N/D^2 with
-N = a0'(1 - m) + a0 m' and D = 1 - m.  Schroeder-leaf's law and its
-r = 0 law are stored: the paper's printed forms.  _column is the one expansion
+N = a0'(1 - m) + a0 m' and D = 1 - m.  Schroeder-leaf's family A has
+an equation there too, but its law and its r = 0 law are still stored:
+the paper's printed forms.  _column is the one expansion
 of every law, over Z (Z[sqrt 2] for a law in Q(sqrt 2)) with one exact
 division per returned entry; at y = 1 + t the t^1 entries of its
 columns are the limit means.  LIMIT_LAWS is the one statement of which
@@ -449,8 +450,10 @@ def _limit_law_data(formula_id, nw):
     z axis) with polynomial cells in y.
 
     The one stored law, schroeder-leaf's, is the paper's printed form,
-    in x itself (rho = 1), with y-degree at most 6.  Every other id's
-    family has an equation in gfcat.EQUATIONS, and w = rho*x keeps the
+    in x itself (rho = 1), with y-degree at most 6.  Its family A has an
+    equation in gfcat.EQUATIONS, but _SINGULARITY has no Schroeder entry
+    yet, so it is not derived from it.  Every other id's law is derived
+    from its family's equation there, and w = rho*x keeps the
     base's cells int: a0 and m are evaluated at z = rho, x = w/rho and
     the base at z, xz and x^2 z, namely tau + v, b(w) and b(w^2/rho).
     v squares to 0 in a box with nv = 1, so the v^1 cells are the

@@ -2,12 +2,14 @@
 
 Ten families, each with a functional equation written once in _system
 (a graded linear solve, or for I and J an ODE in z), a closed form, and
-for most a product identity for the y-derivative at y = 1.  The closed
-forms of Babs, D, W and A are their equations solved by one series
-inverse; the other six are forms of their own.  The equations of B, D,
-U, W and G are rational in their base series and are stated in EQUATIONS,
-which also feeds closed's fixed-r limit laws: those are the same
-equations at the base's dominant singularity.  Cells are y-polynomials
+for most a product identity for the y-derivative at y = 1.  No ordinary
+equation forms a series inverse.  The closed forms of Babs, D, W and P
+are their equations solved by one series inverse; those of B, U, A, G,
+I and J are forms of their own.  The equations of B, D, U, W, A and G
+are rational in their base series and are stated in EQUATIONS, which
+also feeds closed's fixed-r limit laws (all but A's, which is still
+served the stored printed law): those are the same equations at the
+base's dominant singularity.  Cells are y-polynomials
 whose coefficient of y^d counts objects whose marked position has
 depth/height d; x marks the position, z the size, v (for P) the leaf
 count, u (for Babs) the signed horizontal offset.
@@ -86,7 +88,7 @@ def _check(family, t):
 
 # ------------------------------------------------------- base builders
 
-def _z(t, p=Y):
+def _z(t, p):
     return ps_monomial(t, (1, 0, 0, 0), p)
 
 
@@ -101,11 +103,6 @@ def _v(t):
 def _sub_x(s, powx):
     """z -> x^powx * z, i.e. C(z) -> C(xz) or C(x^2 z)."""
     return ps_subst_scale(s, s.trunc, {"z": (1, (1, powx, 0, 0))})
-
-
-def _schroeder_tilde(t):
-    """zS(z): the small Schroeder series with its z restored."""
-    return ps_shift(solve_fixed_point("schroeder", t), 1)
 
 
 def _geom(t, powx):
@@ -155,20 +152,20 @@ def _shift_v(s: Series, k: int) -> Series:
 def gf_closed(family: str, trunc: Truncation) -> Series:
     """The closed form of a family at the given truncation.
 
-    Babs, D, W and A are served as their functional equation S = a0 +
+    Babs, D, W and P are served as their functional equation S = a0 +
     S*m (see _system) solved, a0/(1 - m), which for a0 = 1 is the inverse
-    alone; for A that is the printed form 1/(1 + y(1 - R)) itself.
-    Enumeration, gf_solve, the printed form of D and the reflection of U
-    kept in the tests check them.  Every other family has a form of its
-    own.
+    alone.  Enumeration, gf_solve, the printed forms of D and P and the
+    reflection of U kept in the tests check them.  B, U, A, G, I and J
+    have forms of their own, which gf_solve and gf_residual check against
+    their equations.
     """
     _check(family, trunc)
     t = trunc
     one = ps_one(t)
 
-    if family in ("Babs", "D", "W", "A"):
-        a0, (m,), _ = _system(family, t)
-        inv = ps_inv(ps_sub(one, m))
+    if family in ("Babs", "D", "W", "P"):
+        a0, factors, _ = _system(family, t)
+        inv = ps_inv(ps_sub(one, functools.reduce(ps_mul, factors)))
         return inv if a0 == one else ps_mul(a0, inv)
 
     if family == "B":
@@ -184,24 +181,22 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
     if family == "U":
         c = solve_fixed_point("catalan", t)
         cx = _sub_x(c, 1)
-        xyz_c2 = ps_mul(ps_mul(_z(t), _x(t)), ps_mul(c, c))
-        den = ps_sub(one, ps_mul(_z(t), ps_mul(_x(t), ps_mul(c, cx))))
+        xyz_c2 = ps_mul(ps_mul(_z(t, Y), _x(t)), ps_mul(c, c))
+        den = ps_sub(one, ps_mul(_z(t, Y), ps_mul(_x(t), ps_mul(c, cx))))
         return ps_mul(ps_mul(xyz_c2, cx), ps_inv(den))
 
-    if family == "P":
-        nar = solve_fixed_point("narayana", t)
-        narx = ps_subst_scale(nar, t, {"v": (1, (0, 1, 1, 0))})
-        r2 = ps_add(ps_sub(nar, _v(t)), one)
-        r1 = ps_add(ps_sub(narx, ps_monomial(t, (0, 1, 1, 0), [1])), one)
-        den = ps_sub(one, ps_mul(_z(t), ps_mul(r1, r2)))
-        return ps_mul(_v(t), ps_inv(den))
+    if family == "A":
+        # 1/(1 + y(1 - R)), R = 1/((1 - zS(z))(1 - xzS(xz)))
+        st = ps_shift(solve_fixed_point("schroeder", t), 1)
+        r = ps_inv(ps_mul(ps_sub(one, st), ps_sub(one, _sub_x(st, 1))))
+        return ps_inv(ps_sub(one, ps_mul_ypoly(ps_sub(r, one), Y)))
 
     if family == "G":
         tt = solve_fixed_point("ternary", t)
         ttx = _sub_x(tt, 1)
         num = ps_add(tt, ps_mul_ypoly(ps_mul(ps_sub(one, tt), ttx), Y))
         wings = ps_add(tt, ps_mul(_x(t), ttx))
-        den = ps_sub(one, ps_mul(_z(t), ps_mul(ps_mul(tt, ttx), wings)))
+        den = ps_sub(one, ps_mul(_z(t, Y), ps_mul(ps_mul(tt, ttx), wings)))
         return ps_mul(num, ps_inv(den))
 
     if family == "I":
@@ -218,18 +213,22 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
 # ------------------------------------------------ functional equations
 
 # S = a0 + S*m for the families whose equation is rational in their base
-# series b (C, or T for G), written once: family -> (base, the map from
-# 1, y, z, x and b at z, xz and x^2 z to (a0, m)).  _system passes
-# series; closed passes values at the base's dominant singularity, where
-# the derivative in b gives the fixed-r limit laws.  Reversing a walk
-# makes down-step r up-step n+1-r, so W(z, x) = x U(xz, 1/x), and U's
-# equation at (xz, 1/x), times x, is W's.
+# series b (C, S for A, or T for G), written once: family -> (base, the
+# map from 1, y, z, x and b at z, xz and x^2 z to (a0, m)).  _system
+# passes series; closed passes values at the base's dominant singularity,
+# where the derivative in b gives the fixed-r limit laws (A's law is still
+# the stored printed form).  A's a0 is 1/R in its printed form (see
+# gf_closed), divided through.  Reversing a walk makes down-step r
+# up-step n+1-r, so W(z, x) = x U(xz, 1/x), and U's equation at
+# (xz, 1/x), times x, is W's.
 EQUATIONS = {
     "B": ("catalan", lambda one, y, z, x, c, cx, cxx: (one, y * z * (c + x * cx))),
     "D": ("catalan", lambda one, y, z, x, c, cx, cxx: (c, z * x * (y * c + x * cxx))),
     "U": ("catalan", lambda one, y, z, x, c, cx, cxx: (
         y * z * x * c * c, z * x * (y * c + cx))),
     "W": ("catalan", lambda one, y, z, x, c, cx, cxx: (x * y * z * cx * cx, z * (y * cx + c))),
+    "A": ("schroeder", lambda one, y, z, x, s, sx, sxx: (
+        a0 := (one - z * s) * (one - x * z * sx), (one + y) * (one - a0))),
     "G": ("ternary", lambda one, y, z, x, t, tx, txx: (
         t - y * z * t * t * t * tx, y * z * t * tx * (t + x * tx))),
 }
@@ -238,7 +237,7 @@ EQUATIONS = {
 def _system(family: str, t: Truncation):
     """The family's functional equation, written once: gf_solve and
     gf_residual are both derived from it, and for the families in
-    EQUATIONS so are closed's limit laws.
+    EQUATIONS but A so are closed's limit laws.
 
     Returns (a0, factors, init), where m is the product of the factors.
     With init None the equation is S = a0 + S*m; otherwise it is
@@ -265,18 +264,12 @@ def _system(family: str, t: Truncation):
         return one, (m,), None
 
     if family == "P":
+        # P = v + yzP/((1 - zN(z, xv))(1 - zN)), where 1/(1 - zN) = N + 1 - v
         nar = solve_fixed_point("narayana", t)
         narx = ps_subst_scale(nar, t, {"v": (1, (0, 1, 1, 0))})
-        zmono = ps_monomial(t, (1, 0, 0, 0), [1])
-        inv1 = ps_inv(ps_sub(one, ps_mul(zmono, narx)))
-        inv2 = ps_inv(ps_sub(one, ps_mul(zmono, nar)))
-        return _v(t), (_z(t), ps_mul(inv1, inv2)), None
-
-    if family == "A":
-        st = _schroeder_tilde(t)
-        stx = _sub_x(st, 1)
-        r = ps_inv(ps_mul(ps_sub(one, st), ps_sub(one, stx)))
-        return one, (ps_mul_ypoly(ps_sub(r, one), Y),), None
+        r1 = ps_add(ps_sub(narx, ps_monomial(t, (0, 1, 1, 0), [1])), one)
+        r2 = ps_add(ps_sub(nar, _v(t)), one)
+        return _v(t), (_z(t, Y), ps_mul(r1, r2)), None
 
     if family == "I":
         # d/dz I = y I (F(z) + x F(xz)), I(x,y,0) = 1

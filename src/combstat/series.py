@@ -587,14 +587,6 @@ def ps_diff_y1(a: Series) -> Series:
     return Series(a.trunc, out)
 
 
-def ps_eval_u1(a: Series) -> Series:
-    """Set u = 1: fold every Laurent u-cell onto du = 0."""
-    out = {}
-    for (dz, dx, dv, du), p in a.cells.items():
-        _add_into(out, (dz, dx, dv, 0), p)
-    return Series(a.trunc, out)
-
-
 def ps_diff_u1(a: Series) -> Series:
     """(u d/du) then u = 1: each cell scaled by its u-exponent, folded
     onto du = 0.  With the usual log-derivative reading this is the

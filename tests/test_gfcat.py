@@ -111,7 +111,10 @@ def test_functional_equation_residual_sees_a_bump(family):
     assert not ps_is_zero(gf_residual(family, bumped))
 
 
-@pytest.mark.parametrize("family", ["B", "Babs", "D", "U", "W", "P", "A", "G"])
+ORDINARY = ["B", "Babs", "D", "U", "W", "P", "A", "G"]
+
+
+@pytest.mark.parametrize("family", ORDINARY)
 def test_ordinary_gf_cells_are_int(family):
     # every cell of an ordinary GF counts objects, so it is kept in int
     t = Truncation(8, 8, 8, nv=9 if family == "P" else 0,
@@ -119,6 +122,18 @@ def test_ordinary_gf_cells_are_int(family):
     for build in (gf_closed, gf_solve):
         cells = build(family, t).cells.values()
         assert all(type(c) is int for p in cells for c in p)
+
+
+@pytest.mark.parametrize("family", ORDINARY)
+def test_ordinary_equations_form_no_series_inverse(family, monkeypatch):
+    # each ordinary equation is polynomial in its base series, so neither
+    # solving it nor checking a series against it divides by a series
+    s = gf_closed(family, TRUNCS[family])
+    calls = []
+    monkeypatch.setattr(gfcat, "ps_inv", lambda a: calls.append(a) or ps_inv(a))
+    gf_solve(family, s.trunc)
+    gf_residual(family, s)
+    assert not calls
 
 
 @pytest.mark.parametrize("family", ["I", "J"])
@@ -146,13 +161,26 @@ def _walk_heights_printed(t):
     return ps_mul(cc, ps_inv(ps_sub(ps_one(t), ps_mul(xyz, cc))))
 
 
+def _plane_leaves_printed(t):
+    """P's printed form, S = v + S*yz/((1 - zN(z, xv))(1 - zN)) solved.
+    P's equation writes 1/(1 - zN) as N + 1 - v and its x-marked copy as
+    N(z, xv) + 1 - xv; this keeps both identities checked."""
+    nar = solve_fixed_point("narayana", t)
+    narx = ps_subst_scale(nar, t, {"v": (1, (0, 1, 1, 0))})
+    z, one = ps_monomial(t, (1, 0, 0, 0), [1]), ps_one(t)
+    r = ps_mul(ps_inv(ps_sub(one, ps_mul(z, narx))), ps_inv(ps_sub(one, ps_mul(z, nar))))
+    yz = ps_monomial(t, (1, 0, 0, 0), [0, 1])
+    return ps_mul(ps_monomial(t, (0, 0, 1, 0), [1]), ps_inv(ps_sub(one, ps_mul(yz, r))))
+
+
 # second printed closed forms, kept as references for gf_closed
-PRINTED = {"D": _walk_heights_printed}
+PRINTED = {"D": _walk_heights_printed, "P": _plane_leaves_printed}
 
 
 @pytest.mark.parametrize("family", sorted(PRINTED))
 def test_alternate_closed_forms_agree(family):
-    for t in (TRUNCS[family], Truncation(4, 9, 3)):
+    thin = Truncation(4, 9, 3, nv=3 if family == "P" else 0)
+    for t in (TRUNCS[family], thin):
         assert gf_closed(family, t) == PRINTED[family](t)
 
 

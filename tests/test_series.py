@@ -18,7 +18,6 @@ from combstat.series import (
     ps_diff_y1,
     ps_diff_z,
     ps_div_1mx,
-    ps_eval_u1,
     ps_eval_y1,
     ps_exp,
     ps_integrate_z,
@@ -326,8 +325,6 @@ def test_u_views():
         t,
         cells={(1, 0, 0, -1): [1], (1, 0, 0, 1): [3], (2, 0, 0, 2): [1]},
     )
-    e = ps_eval_u1(s)
-    assert ps_coeff(e, 1) == [4]
     d = ps_diff_u1(s)
     assert ps_coeff(d, 1) == [2]  # -1*1 + 1*3
     assert ps_coeff(d, 2) == [2]
