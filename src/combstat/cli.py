@@ -166,6 +166,11 @@ def cmd_average(args, cfg, out):
             raise ValueError("no uniform average for %s %s" % pair)
         if args.n is None:
             raise ValueError("--uniform needs --n")
+        if args.r is not None:
+            raise ValueError("--uniform averages over every r; it takes no --r")
+        if args.method != "closed":
+            raise ValueError("--uniform has a closed form only; it takes no --method %s"
+                             % args.method)
         value = closed.uniform_average(st.uniform_id, args.n)
         print(_scalar_str(value, args.decimal, digits), file=out)
         return 0
@@ -213,6 +218,8 @@ def cmd_limit(args, cfg, out):
 
     fmt = _format(args, cfg)
     if args.mean:
+        if args.variant != "auto" and fid != "schroeder-leaf":
+            raise ValueError("variants exist only for schroeder-leaf")
         if fmt != "text":
             raise ValueError("--mean prints text only, not %s" % fmt)
         for r, value in enumerate(closed.limit_mean_series(fid, args.rmax)):
@@ -394,6 +401,9 @@ def main(argv=None):
         return args.fn(args, cfg, sys.stdout)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the input nests too deeply", file=sys.stderr)
         return 2
 
 

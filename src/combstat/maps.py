@@ -4,78 +4,69 @@ Every map here carries a statistic along with it (depth to height,
 depth to separating diagonals, labels to permutation entries); the
 transport laws are checked by the test-suite and by
 ``combstat.verify`` (the ``bijections`` suite) rather than here.
+
+Three of the six maps are built from the other three:
+
+* a plane tree's text is its Dyck walk inside one pair of parentheses,
+  ``(`` for U and ``)`` for D, so plane <-> Dyck translates the plane
+  codec of ``objects``;
+* f_R is f_L conjugated by the mirror image: f_R = rc . f_L . mirror,
+  where rc reverses a walk and swaps U and D;
+* a triangulation is the dissection of the Schroeder tree whose nodes
+  all have two children: a binary tree's leaf becomes ``()`` and its
+  node the pair of its children.
+
+The recursions stay in private or inner functions: a tracer that wraps
+the public names would otherwise see one call per tree node.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .objects import (
     PolygonSubdivision,
     increasing_to_perm,
     perm_to_increasing,
-    plane_leaf_count,
+    plane_from_text,
+    plane_to_text,
 )
+
+_TEXT_TO_WALK = str.maketrans("()", "UD")
+_WALK_TO_TEXT = str.maketrans("UD", "()")
+_REVERSE_STEP = str.maketrans("UD", "DU")
 
 
 # ------------------------------------------------- plane <-> Dyck
 
 def plane_to_dyck(t) -> str:
     """Preorder edge walk: U going down to each child, D coming back."""
-    return "".join("U" + plane_to_dyck(c) + "D" for c in t)
+    return plane_to_text(t)[1:-1].translate(_TEXT_TO_WALK)
 
 
 def dyck_to_plane(w: str):
-    def parse(i):
-        kids = []
-        while i < len(w) and w[i] == "U":
-            child, i = parse(i + 1)
-            if i >= len(w) or w[i] != "D":
-                raise ValueError("unbalanced walk")
-            kids.append(child)
-            i += 1
-        return tuple(kids), i
-
-    t, i = parse(0)
-    if i != len(w):
+    # without this check the text "()" would read as a plane tree
+    if set(w) - {"U", "D"}:
         raise ValueError("walk is not a Dyck path")
-    return t
+    return plane_from_text("(%s)" % w.translate(_WALK_TO_TEXT))
 
 
 # ------------------------------------------------ binary <-> Dyck
 
-def binary_to_dyck(t, emit: str) -> str:
-    """One preorder edge walker for both maps: steps are emitted only on
-    edges toward the chosen child direction ("L" or "R").  Emitting on
-    right edges gives f_R (leftmost-leaf depth -> number of returns);
-    emitting on left edges gives f_L (leftmost-leaf depth -> initial
-    run of up-steps)."""
-    if emit not in ("L", "R"):
-        raise ValueError("emit must be 'L' or 'R'")
+def binary_to_dyck_fl(t) -> str:
+    """f_L: U, the left subtree's walk, D, the right subtree's walk, so
+    the leftmost leaf's depth is the initial run of up-steps."""
     steps = []
 
     def walk(node):
-        if node is None:
-            return
-        if emit == "L":
+        while node is not None:
             steps.append("U")
-        walk(node[0])
-        if emit == "L":
+            walk(node[0])
             steps.append("D")
-        else:
-            steps.append("U")
-        walk(node[1])
-        if emit == "R":
-            steps.append("D")
+            node = node[1]
 
     walk(t)
     return "".join(steps)
-
-
-def binary_to_dyck_fr(t) -> str:
-    return binary_to_dyck(t, "R")
-
-
-def binary_to_dyck_fl(t) -> str:
-    return binary_to_dyck(t, "L")
 
 
 def dyck_to_binary_fl(w: str):
@@ -97,119 +88,97 @@ def dyck_to_binary_fl(w: str):
     return t
 
 
+def _mirror(t):
+    return None if t is None else (_mirror(t[1]), _mirror(t[0]))
+
+
+def _reverse_walk(w: str) -> str:
+    """rc: the walk read backwards, so each U becomes a D and each D a U."""
+    return w[::-1].translate(_REVERSE_STEP)
+
+
+def binary_to_dyck_fr(t) -> str:
+    """f_R = rc . f_L . mirror: the leftmost leaf's depth, the mirror's
+    rightmost, is the number of returns to the axis."""
+    return _reverse_walk(binary_to_dyck_fl(_mirror(t)))
+
+
 def dyck_to_binary_fr(w: str):
-    """Invert f_R.  Words satisfy W ::= "" | W U W D -- the mirror
-    grammar -- so parse right to left."""
-
-    def parse(j):
-        if j <= 0 or w[j - 1] == "U":
-            return None, j
-        right, j = parse(j - 1)
-        if j <= 0 or w[j - 1] != "U":
-            raise ValueError("unbalanced walk")
-        left, j = parse(j - 1)
-        return (left, right), j
-
-    t, j = parse(len(w))
-    if j != 0:
-        raise ValueError("walk is not in the image of f_R")
-    return t
-
-
-# -------------------------------------- binary <-> triangulation
-
-def binary_leaf_count(t) -> int:
-    if t is None:
-        return 1
-    return binary_leaf_count(t[0]) + binary_leaf_count(t[1])
-
-
-def binary_to_triangulation(t) -> PolygonSubdivision:
-    """Nodes become sides and diagonals of the (n+2)-gon: a node whose
-    subtree covers leaves a..b-1 gets the chord (a, b); the root gets
-    the root side, each other internal node a diagonal, each leaf a
-    side.  The split point is a + (leaves of the left subtree)."""
-    n = binary_leaf_count(t) - 1
-    diags = set()
-
-    def assign(node, a, b, root):
-        if node is None:
-            return
-        if not root:
-            diags.add((a, b))
-        m = a + binary_leaf_count(node[0])
-        assign(node[0], a, m, False)
-        assign(node[1], m, b, False)
-
-    assign(t, 0, n + 1, True)
-    return PolygonSubdivision(n, frozenset(diags), "triangulation")
-
-
-def triangulation_to_binary(sub: PolygonSubdivision):
-    diags = sub.diagonals
-
-    def build(a, b):
-        if b == a + 1:
-            return None
-        for m in range(a + 1, b):
-            if (m == a + 1 or (a, m) in diags) and (m == b - 1 or (m, b) in diags):
-                return (build(a, m), build(m, b))
-        raise ValueError("no apex over chord (%d,%d): not a triangulation" % (a, b))
-
-    return build(0, sub.n + 1)
+    return _mirror(dyck_to_binary_fl(_reverse_walk(w)))
 
 
 # ------------------------------------- schroeder <-> dissection
 
 def schroeder_to_dissection(t) -> PolygonSubdivision:
-    """Same span construction with multiway nodes: a node's children
-    split its chord at the partial sums of their leaf counts, and the
-    node's face is that whole fan."""
-    n = plane_leaf_count(t) - 1
+    """Each node becomes a chord of the polygon: a node whose subtree
+    covers leaves a..b-1 gets (a, b), its children split (a, b) at the
+    partial sums of their leaf counts, and its face is that whole fan.
+    The root gets the root side, each other internal node a diagonal,
+    each leaf a side."""
     diags = set()
 
-    def assign(node, a, b, root):
+    def walk(node, a):  # -> the end b of node's chord (a, b)
         if not node:
-            return
-        if not root:
-            diags.add((a, b))
-        m = a
+            return a + 1
+        b = a
         for child in node:
-            m2 = m + plane_leaf_count(child)
-            assign(child, m, m2, False)
-            m = m2
+            b = walk(child, b)
+        diags.add((a, b))
+        return b
 
-    assign(t, 0, n + 1, True)
+    n = walk(t, 0) - 1
+    diags.discard((0, n + 1))
     return PolygonSubdivision(n, frozenset(diags), "dissection")
 
 
 def dissection_to_schroeder(sub: PolygonSubdivision):
-    diags = sub.diagonals
-
-    def face_points(a, b):
-        """Walk the face that has the chord (a, b) as its base: from each
-        vertex the next one is the farthest reachable by a chord of the
-        dissection (or a polygon side), never using the base itself."""
-        pts = [a]
-        cur = a
-        while cur < b:
-            stop = b - 1 if cur == a else b
-            for m in range(stop, cur, -1):
-                if m == cur + 1 or (cur, m) in diags:
-                    pts.append(m)
-                    cur = m
-                    break
-        return pts
+    # ends[v]: v + 1 and the far ends of v's diagonals, ascending
+    ends = [[v + 1] for v in range(sub.n + 1)]
+    for a, b in sub.diagonals:
+        ends[a].append(b)
+    for row in ends:
+        row.sort()
 
     def build(a, b):
+        """The subtree under the chord (a, b): walk the face on its far
+        side, from each vertex to the farthest one reachable by a chord
+        of the dissection or a side, never the base itself."""
         if b == a + 1:
             return ()
-        pts = face_points(a, b)
-        return tuple(build(p, q) for p, q in zip(pts, pts[1:]))
+        kids = []
+        cur = a
+        while cur < b:
+            row = ends[cur]
+            nxt = row[bisect_right(row, b - 1 if cur == a else b) - 1]
+            kids.append(build(cur, nxt))
+            cur = nxt
+        return tuple(kids)
 
-    if sub.n == 0:
-        return ()
     return build(0, sub.n + 1)
+
+
+# -------------------------------------- binary <-> triangulation
+
+def _binary_to_plane(t):
+    return () if t is None else (_binary_to_plane(t[0]), _binary_to_plane(t[1]))
+
+
+def _plane_to_binary(t):
+    if not t:
+        return None
+    if len(t) != 2:
+        raise ValueError("a face with %d sides is not a triangle: not a triangulation"
+                         % (len(t) + 1))
+    return (_plane_to_binary(t[0]), _plane_to_binary(t[1]))
+
+
+def binary_to_triangulation(t) -> PolygonSubdivision:
+    sub = schroeder_to_dissection(_binary_to_plane(t))
+    return PolygonSubdivision(sub.n, sub.diagonals, "triangulation")
+
+
+def triangulation_to_binary(sub: PolygonSubdivision):
+    return _plane_to_binary(dissection_to_schroeder(sub))
 
 
 # ------------------------------------------------------- registry

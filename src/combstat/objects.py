@@ -478,7 +478,11 @@ def binary_from_text(s: str):
 
 
 def plane_to_text(t) -> str:
-    return "(%s)" % "".join(plane_to_text(c) for c in t)
+    # recursing through the public name would put one tracer call per node
+    def walk(node):
+        return "(%s)" % "".join(map(walk, node))
+
+    return walk(t)
 
 
 def plane_from_text(s: str):
@@ -553,6 +557,7 @@ def subdivision_from_text(s: str, n: int, kind: str) -> PolygonSubdivision:
     if n is None:
         raise ValueError("parsing a %s needs its size n (the polygon has n+2 sides)"
                          % kind)
+    check_size(kind, n)
     diags = pairs_from_text(s)
     for a, b in diags:
         if not (0 <= a < b <= n + 1) or b - a < 2 or (a, b) == (0, n + 1):

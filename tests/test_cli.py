@@ -87,6 +87,23 @@ def test_convert(capsys):
     assert (code, out) == (0, "231")
 
 
+def test_convert_refuses_input_that_nests_too_deeply(capsys):
+    # deeper than the interpreter's recursion limit: an input error, not a crash
+    deep = 1200
+    for argv in (["plane-to-dyck", "(" * deep + ")" * deep],
+                 ["binary-to-dyck-fl", "(" * deep + "." + ".)" * deep]):
+        assert main(["convert", *argv]) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nests too deeply" in captured.err
+
+
+def test_convert_refuses_a_negative_polygon_size(capsys):
+    for name in ("binary-to-triangulation", "schroeder-to-dissection"):
+        assert main(["convert", name, "--inverse", "", "--n", "-1"]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "" and "size -1 out of range" in captured.err
+
+
 def test_table2(capsys):
     code, out = run(capsys, "table2")
     lines = out.splitlines()
@@ -344,6 +361,19 @@ def test_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    # a flag the command would ignore is refused: the uniform average is a
+    # closed form over every r, and only schroeder-leaf has limit variants
+    for argv, message in (
+        (["average", "binary", "leaf-depth", "--uniform", "--n", "5", "--method", "exact"],
+         "takes no --method exact"),
+        (["average", "binary", "leaf-depth", "--uniform", "--n", "5", "--r", "3"],
+         "takes no --r"),
+        (["limit", "binary", "leaf-depth", "--mean", "--variant", "verbatim"],
+         "variants exist only for schroeder-leaf"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, argv
     # a limit variant is auto or verbatim; r0-law is what auto serves at r = 0
     for variant in ("bogus", "r0-law"):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import pytest
 
 from combstat import maps as mp
 from combstat import objects as ob
+from combstat import verify
 
 
 FIG_PLANE = ((), ((),), ((), ()))
@@ -22,9 +23,20 @@ def test_binary_to_dyck_figure():
     assert mp.dyck_initial_run("UUUDDUDDUD") == 3
 
 
-def test_binary_walker_rejects_bad_direction():
-    with pytest.raises(ValueError):
-        mp.binary_to_dyck(FIG_BINARY, "X")
+def test_dyck_to_plane_reads_only_walks():
+    for w in ("()", "U)", "UDX"):
+        with pytest.raises(ValueError, match="not a Dyck path"):
+            mp.dyck_to_plane(w)
+
+
+def test_mirror_conjugation_is_checked(monkeypatch):
+    # without the mirror f_R stays a bijection, so its round trips pass,
+    # but its returns count the rightmost leaf's depth, not the leftmost's
+    monkeypatch.setattr(mp, "_mirror", lambda t: t)
+    rows = {(row.check_id, row.n_or_r): row.status for row in verify.run("bijections", 3)}
+    assert rows["transport-binary-to-dyck-fr", 3] == "FAIL"
+    assert all(rows["roundtrip-binary-to-dyck-fr", n] == "PASS" for n in range(4))
+    assert rows["transport-binary-to-dyck-fl", 3] == "PASS"
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -96,7 +108,7 @@ def test_increasing_permutation_roundtrip(n):
 
 def test_triangulation_inverse_rejects_garbage():
     bad = ob.PolygonSubdivision(3, frozenset({(0, 2)}), "triangulation")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a triangle"):
         mp.triangulation_to_binary(bad)
 
 
