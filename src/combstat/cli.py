@@ -161,6 +161,8 @@ def cmd_average(args, cfg, out):
     st = objects.statistic_entry(*pair)
     if args.k is not None and st.leaf_counts is None:
         raise ValueError("%s %s takes no --k" % pair)
+    if args.budget is not None and args.method != "exact":
+        raise ValueError("only --method exact enumerates; it alone takes --budget")
     if args.uniform:
         if st.uniform_id is None:
             raise ValueError("no uniform average for %s %s" % pair)
@@ -178,8 +180,8 @@ def cmd_average(args, cfg, out):
     if args.method == "asymptotic-fixed-r":
         if st.avg_id is None:
             raise ValueError("no fixed-r limit for %s %s" % pair)
-        if args.r is None:
-            raise ValueError("--r is required")
+        if args.r is None or args.n is not None:
+            raise ValueError("--method asymptotic-fixed-r takes --r and no --n")
         value = closed.fixed_r_limit_average(st.avg_id, args.r)
         print(_scalar_str(value, args.decimal, digits), file=out)
         return 0
@@ -222,13 +224,19 @@ def cmd_limit(args, cfg, out):
             raise ValueError("variants exist only for schroeder-leaf")
         if fmt != "text":
             raise ValueError("--mean prints text only, not %s" % fmt)
-        for r, value in enumerate(closed.limit_mean_series(fid, args.rmax)):
+        if args.dmax is not None:
+            raise ValueError("--mean prints means, not a law; it takes no --dmax")
+        rmax = 7 if args.rmax is None else args.rmax
+        for r, value in enumerate(closed.limit_mean_series(fid, rmax)):
             print("r=%d %s" % (r, _scalar_str(value, args.decimal, digits)), file=out)
         return 0
 
     if args.r is None:
         raise ValueError("--r is required (or use --mean)")
-    law = closed.limit_distribution(fid, args.r, args.dmax, variant=args.variant)
+    if args.rmax is not None:
+        raise ValueError("--rmax bounds the --mean series only")
+    dmax = 20 if args.dmax is None else args.dmax
+    law = closed.limit_distribution(fid, args.r, dmax, variant=args.variant)
     if fmt == "json":
         json.dump({
             "formula": fid, "r": args.r, "variant": args.variant,
@@ -360,11 +368,11 @@ def build_parser():
     sp.add_argument("family")
     sp.add_argument("statistic")
     sp.add_argument("--r", type=int)
-    sp.add_argument("--dmax", type=int, default=20)
+    sp.add_argument("--dmax", type=int, help="largest d of the law (default 20)")
     sp.add_argument("--variant", choices=closed.LIMIT_VARIANTS, default="auto")
     sp.add_argument("--mean", action="store_true",
                     help="print the limit means for r = 0..rmax instead")
-    sp.add_argument("--rmax", type=int, default=7)
+    sp.add_argument("--rmax", type=int, help="largest r of --mean (default 7)")
     add_format(sp, "text", "json", "plotdata")
     sp.add_argument("--decimal", action="store_true")
 

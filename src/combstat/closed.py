@@ -6,11 +6,14 @@ except the explicitly-named asymptotic helpers, which return floats.
 Most totals are printed in several shapes (a min-kernel convolution,
 a partial-sum form, a subtracted form, a binomial form).  The public
 functions serve one shape per answer -- the binomial form where there
-is one, a few bigint products -- and cross_check(formula_id, n, r)
-evaluates all the others and raises ClosedFormMismatch unless they
-agree with it, so a formula typo cannot slip through silently.  Only
-`verify --suite identities` and the tests call it; nothing on the
-serving path does.
+is one, a few bigint products -- and form each big integer once per
+call: an average hands its family count to the total (c(n + 1) comes
+from c(n)), H_a + H_b sums the terms 1..min(a, b) once, and a Schroeder
+leaf total, symmetric in r and n - 1 - r, sums from the nearer end.
+cross_check(formula_id, n, r) evaluates all the others and raises
+ClosedFormMismatch unless they agree with it, so a formula typo cannot
+slip through silently.  Only `verify --suite identities` and the tests
+call it; nothing on the serving path does.
 
 Each fixed-r limit law is a bivariate N/D^power (series in x,
 polynomials in y).  Those of B, D, U, W and G are derived from the one
@@ -110,14 +113,24 @@ def ternary_edge(n: int) -> int:
     return _TERNARY_EDGE[n]
 
 
-def harmonic(n: int) -> Fraction:
-    """H_n = 1 + 1/2 + ... + 1/n, by binary splitting into one int pair p/q."""
-    def split(a, b):  # the sum of 1/i for a <= i < b, as (p, q)
-        if b - a == 1:
-            return 1, a
+_RUN = 32  # consecutive terms 1/i that one leaf of harmonic's splitting adds
+
+
+def harmonic(n: int, m: int = 0) -> Fraction:
+    """H_n + H_m (H_n alone by default), H_k = 1 + 1/2 + ... + 1/k (0 for
+    k <= 0), as 2 H_min(n, m) plus the terms past min(n, m): binary
+    splitting into int pairs p/q, each leaf a run of _RUN terms in one loop."""
+    def split(a, b):  # the sum of 1/i for 0 < a <= i < b, as (p, q)
+        if b - a <= _RUN:
+            p, q = 0, 1
+            for i in range(a, b):
+                p, q = p * i + q, q * i
+            return p, q
         (p1, q1), (p2, q2) = split(a, (a + b) // 2), split((a + b) // 2, b)
         return p1 * q2 + p2 * q1, q1 * q2
-    return Fraction(*split(1, n + 1)) if n > 0 else Fraction(0)
+    lo, hi = sorted((max(n, 0), max(m, 0)))
+    (p, q), (p2, q2) = split(1, lo + 1), split(lo + 1, hi + 1)
+    return Fraction(2 * p * q2 + p2 * q, q * q2)
 
 
 _COUNTS = {
@@ -182,54 +195,53 @@ def exact_total(formula_id: str, n: int, r: int):
     the z-grading, matching the enumerator); elsewhere n is the usual
     size.  Abscissa totals may be negative."""
     _check_position(formula_id, n, r)
-    c = catalan_number
+    return _total(formula_id, n, r, family_count(AVG_IDS[formula_id][0], n))
+
+
+def _total(formula_id, n, r, c):
+    """exact_total at a checked position, c the family count at size n."""
     if formula_id == "dyck-downstep":
         formula_id, r = "dyck-upstep", n + 1 - r  # reversal: up-step n+1-r
 
-    if formula_id == "binary-leaf":
-        return -c(n) + _as_int(
-            Fraction(2 * (2 * r + 1) * (2 * (n - r) + 1), (n + 1) * (n + 2))
-            * math.comb(2 * r, r) * math.comb(2 * (n - r), n - r))
+    if formula_id in ("binary-leaf", "dyck-upstep"):  # x ties them (the leaf-tie form)
+        x = (Fraction((2 * r + 1) * (2 * (n - r) + 1), (n + 1) * (n + 2))
+             * math.comb(2 * r, r) * math.comb(2 * (n - r), n - r))
+        if formula_id == "binary-leaf":
+            return -c + _as_int(2 * x)
+        c1 = c * 2 * (2 * n + 1) // (n + 2)  # c(n + 1)
+        return _as_int(2 * r * c - Fraction(r + 1, 2) * c1 + x)
     if formula_id == "binary-abscissa":
-        return _as_int(Fraction(3 * c(n) * (2 * r - n), n + 2))
+        return _as_int(Fraction(3 * c * (2 * r - n), n + 2))
     if formula_id == "dyck-vertex":
         if n == 0:
             return 0
         delta = n if r % 2 == 0 else 2 * n + 1
-        return -c(n) + _as_int(
+        return -c + _as_int(
             Fraction(delta + r * (2 * n - r), n * (n + 1))
             * math.comb(r, r // 2) * math.comb(2 * n - r, n - r // 2))
-    if formula_id == "dyck-upstep":
-        return _as_int(
-            2 * r * c(n) - Fraction(r + 1, 2) * c(n + 1)
-            + Fraction((2 * r + 1) * (2 * (n - r) + 1), (n + 1) * (n + 2))
-            * math.comb(2 * r, r) * math.comb(2 * (n - r), n - r))
     if formula_id == "schroeder-leaf":
         s, m = little_schroeder, n - 1
-        return (
-            (r + 1) * (s(m + 1) + s(m)) // 2
-            - s(m)
-            - 2 * sum((r - i) * s(i) * s(m - i) for i in range(r))
-        )
+        r = min(r, m - r)  # leaves r and n-1-r mirror each other
+        return ((r + 1) * (s(m + 1) + c) // 2 - c
+                - 2 * sum((r - i) * s(i) * s(m - i) for i in range(r)))
     if formula_id == "noncrossing-node":
         tp = ternary_edge
         rr = min(r, n + 1 - r)  # columns r and n+1-r agree; 0 at the root
-        return rr * (tp(n) - ternary_count(n)) - 2 * sum(
-            (rr - i) * tp(i - 1) * tp(n - i) for i in range(1, rr)
-        )
+        return rr * (tp(n) - c) - 2 * sum(
+            (rr - i) * tp(i - 1) * tp(n - i) for i in range(1, rr))
     # increasing trees: n! times the average, which is served directly
-    return _as_int(math.factorial(n) * exact_average(formula_id, n, r))
+    return _as_int(c * exact_average(formula_id, n, r))
 
 
 def exact_average(formula_id: str, n: int, r: int) -> Fraction:
     """Average of the statistic at position r, size n, as a Fraction."""
     _check_position(formula_id, n, r)
     if formula_id == "increasing-leaf":
-        return harmonic(r) + harmonic(n - r)
+        return harmonic(r, n - r)
     if formula_id == "increasing-internal":
-        return harmonic(r + 1) + harmonic(n - r) - 2
-    total = exact_total(formula_id, n, r)
-    return Fraction(total, family_count(AVG_IDS[formula_id][0], n))
+        return harmonic(r + 1, n - r) - 2
+    count = family_count(AVG_IDS[formula_id][0], n)
+    return Fraction(_total(formula_id, n, r, count), count)
 
 
 def _printed_forms(formula_id, n, r):
@@ -351,16 +363,16 @@ def plane_leaf_average(n, k, r) -> Fraction:
 
 def uniform_average(formula_id: str, n: int) -> Fraction:
     """Average over a uniformly random position AND object."""
-    c = catalan_number(n)
+    if n < 0:
+        raise ValueError("n must be a non-negative integer")
     if formula_id == "binary-leaf":
         return Fraction(4**n, math.comb(2 * n, n)) - 1
-    if formula_id == "dyck-area":
-        # summed vertex heights = walk area
-        return Fraction(4**n - math.comb(2 * n + 2, n + 1) // 2, c)
+    if formula_id == "dyck-area":  # summed vertex heights = walk area
+        return Fraction((n + 1) * 4**n, math.comb(2 * n, n)) - (2 * n + 1)
     if formula_id == "dyck-upstep":
         if n == 0:
             raise ValueError("the empty walk has no up-steps")
-        return Fraction(4**n - math.comb(2 * n, n), 2 * n * c)
+        return Fraction((n + 1) * 4**n, 2 * n * math.comb(2 * n, n)) - Fraction(n + 1, 2 * n)
     if formula_id == "noncrossing-node":
         if n == 0:
             return Fraction(0)
@@ -370,7 +382,7 @@ def uniform_average(formula_id: str, n: int) -> Fraction:
         )
         return Fraction(tot, n * ternary_count(n))
     if formula_id == "increasing-leaf":
-        return 2 * harmonic(n) - Fraction(2 * n, n + 1)
+        return harmonic(n, n) - Fraction(2 * n, n + 1)
     raise ValueError("no uniform average for %r" % (formula_id,))
 
 

@@ -370,6 +370,16 @@ def test_usage_errors(capsys, tmp_path):
          "takes no --r"),
         (["limit", "binary", "leaf-depth", "--mean", "--variant", "verbatim"],
          "variants exist only for schroeder-leaf"),
+        # the fixed-r limit has no size; only enumeration reads a budget;
+        # --dmax bounds a law and --rmax the mean series
+        (["average", "binary", "leaf-depth", "--method", "asymptotic-fixed-r",
+          "--r", "1", "--n", "5"], "no --n"),
+        (["average", "binary", "leaf-depth", "--n", "5", "--r", "2", "--budget", "3"],
+         "--budget"),
+        (["average", "binary", "leaf-depth", "--uniform", "--n", "5", "--budget", "3"],
+         "--budget"),
+        (["limit", "binary", "leaf-depth", "--mean", "--dmax", "3"], "--dmax"),
+        (["limit", "binary", "leaf-depth", "--r", "1", "--rmax", "3"], "--rmax"),
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

@@ -600,6 +600,61 @@ def test_harmonic_matches_the_plain_sum():
     assert got == sum(Fraction(1, i) for i in range(1, 2001)) and type(got) is Fraction
 
 
+
+def test_harmonic_pairs_match_fraction_sums():
+    # every a, b <= 150 spans 0, each edge of a leaf run (31, 32, 33, 64,
+    # 65, ...) and splits several levels deep; the increasing ids have one
+    # form each, so cross_check cannot catch a fault in the shared split
+    assert 150 > 4 * closed._RUN
+    h = [Fraction(0)]
+    for i in range(1, 151):
+        h.append(h[-1] + Fraction(1, i))
+    for a in range(151):
+        for b in range(151):
+            got = harmonic(a, b)
+            assert got == h[a] + h[b] and type(got) is Fraction, (a, b)
+            assert exact_average("increasing-leaf", a + b, a) == got, (a, b)
+            if a and b:  # the internal-node form H(r+1) + H(n-r) - 2
+                assert exact_average("increasing-internal", a + b - 1, a - 1) \
+                    == got - 2, (a, b)
+
+
+def _central_binomials(monkeypatch, call):
+    """How many times call() forms comb(2n, n), n = 41, and its value."""
+    calls = []
+    comb = math.comb
+
+    def counting(*args):
+        calls.append(args)
+        return comb(*args)
+
+    monkeypatch.setattr(math, "comb", counting)
+    value = call(41)
+    return calls.count((82, 41)), value
+
+
+@pytest.mark.parametrize("formula_id", ["binary-leaf", "binary-abscissa", "dyck-vertex",
+                                        "dyck-upstep", "dyck-downstep"])
+def test_catalan_averages_form_one_central_binomial(formula_id, monkeypatch):
+    want = exact_average(formula_id, 41, 17)  # no position comb is comb(82, 41)
+    got = _central_binomials(monkeypatch, lambda n: exact_average(formula_id, n, 17))
+    assert got == (1, want)
+
+
+@pytest.mark.parametrize("uniform_id", ["binary-leaf", "dyck-area", "dyck-upstep"])
+def test_catalan_uniform_averages_form_one_central_binomial(uniform_id, monkeypatch):
+    want = uniform_average(uniform_id, 41)
+    got = _central_binomials(monkeypatch, lambda n: uniform_average(uniform_id, n))
+    assert got == (1, want)
+
+
+def test_schroeder_leaf_totals_are_mirror_symmetric():
+    for n in range(1, 61):
+        for r in range(n):
+            assert exact_total("schroeder-leaf", n, r) \
+                == exact_total("schroeder-leaf", n, n - 1 - r), (n, r)
+
+
 # ------------------------------------------------------- limit mean series
 
 def _xseries(nx):
