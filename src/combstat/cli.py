@@ -226,6 +226,8 @@ def cmd_limit(args, cfg, out):
             raise ValueError("--mean prints text only, not %s" % fmt)
         if args.dmax is not None:
             raise ValueError("--mean prints means, not a law; it takes no --dmax")
+        if args.r is not None:
+            raise ValueError("--mean prints every r up to --rmax; it takes no --r")
         rmax = 7 if args.rmax is None else args.rmax
         for r, value in enumerate(closed.limit_mean_series(fid, rmax)):
             print("r=%d %s" % (r, _scalar_str(value, args.decimal, digits)), file=out)

@@ -58,7 +58,7 @@ from .series import (
     ps_mul_ypoly,
     ps_one,
     ps_scale,
-    ps_sqrt,
+    ps_shift,
     ps_sub,
     ps_subst_scale,
     solve_fixed_point,
@@ -462,9 +462,12 @@ def _limit_law_data(formula_id, nw):
     z axis) with polynomial cells in y.
 
     The one stored law, schroeder-leaf's, is the paper's printed form,
-    in x itself (rho = 1), with y-degree at most 6.  Its family A has an
-    equation in gfcat.EQUATIONS, but _SINGULARITY has no Schroeder entry
-    yet, so it is not derived from it.  Every other id's law is derived
+    with y-degree at most 6, stated in w = rho*x for rho = 3 - 2 sqrt 2:
+    its root sqrt((1 - x)(1 - rho^2 x)) is sqrt(1 - 6w + w^2) =
+    1 + w - 4wS(w), S the little Schroeder series, so every cell of D is
+    a Quad2 with integer parts.  Its family A has an equation in
+    gfcat.EQUATIONS, but _SINGULARITY has no Schroeder entry yet, so it
+    is not derived from it.  Every other id's law is derived
     from its family's equation there, and w = rho*x keeps the
     base's cells int: a0 and m are evaluated at z = rho, x = w/rho and
     the base at z, xz and x^2 z, namely tau + v, b(w) and b(w^2/rho).
@@ -475,18 +478,17 @@ def _limit_law_data(formula_id, nw):
     leave N/D^2 as it is with D's cells int, so D^2 is formed over Z."""
     if formula_id == "schroeder-leaf":
         t = Truncation(nw, 0, 6)
-        kernel = Series(t, {(0, 0, 0, 0): [1], (1, 0, 0, 0): [Quad2(-18, 12)],
-                            (2, 0, 0, 0): [Quad2(17, -12)]})
-        root = ps_sqrt(kernel)  # sqrt((1-x)(1-rho^2 x))
+        w, s = ps_monomial(t, (1, 0, 0, 0), [1]), solve_fixed_point("schroeder", t)
+        root = ps_sub(ps_add(ps_one(t), w), ps_shift(ps_scale(s, 4), 1))
         n = Series(t, {(0, 0, 0, 0): [0, 8]})
         d = ps_add(
             ps_add(
                 ps_mul_ypoly(ps_one(t), [Quad2(9, 6), Quad2(-4, -12), Quad2(13, 6)]),
-                Series(t, {(1, 0, 0, 0): [-1, -2, -5]}),
+                Series(t, {(1, 0, 0, 0): [-RHO_INV, RHO_INV * (-2), RHO_INV * (-5)]}),
             ),
             ps_mul_ypoly(root, [RHO_INV, RHO_INV * 2, RHO_INV * (-3)]),
         )
-        return n, d, 1, 1
+        return n, d, 1, RHO
 
     base, equation = gfcat.EQUATIONS[objects.STATISTICS[AVG_IDS[formula_id]].gf]
     rho, tau = _SINGULARITY[base]

@@ -5,7 +5,10 @@ Ten families, each with a functional equation written once in _system
 for most a product identity for the y-derivative at y = 1.  No ordinary
 equation forms a series inverse.  The closed forms of Babs, D, W and P
 are their equations solved by one series inverse; those of B, U, A, G,
-I and J are forms of their own.  The equations of B, D, U, W, A and G
+I and J are forms of their own, built with no square root or
+exponential solver: B's sqrt(1 - 4z) is 1 - 2zC(z), and the
+exponentials of I and J are products of rising factorials (see
+gf_closed).  The equations of B, D, U, W, A and G
 are rational in their base series and are stated in EQUATIONS, which
 also feeds closed's fixed-r limit laws (all but A's, which is still
 served the stored printed law): those are the same equations at the
@@ -41,7 +44,7 @@ import math
 from fractions import Fraction
 
 from . import objects
-from .exact import yp_eval1
+from .exact import yp_add, yp_eval1, yp_mul
 from .series import (
     ZERO_KEY,
     Series,
@@ -52,7 +55,6 @@ from .series import (
     ps_coeff,
     ps_div_1mx,
     ps_diff_z,
-    ps_exp,
     ps_integrate_z,
     ps_inv,
     ps_laplace,
@@ -63,8 +65,8 @@ from .series import (
     ps_ode_solve,
     ps_one,
     ps_retrunc,
+    ps_scale,
     ps_shift,
-    ps_sqrt,
     ps_sub,
     ps_subst_scale,
     solve_fixed_point,
@@ -105,13 +107,16 @@ def _sub_x(s, powx):
     return ps_subst_scale(s, s.trunc, {"z": (1, (1, powx, 0, 0))})
 
 
-def _geom(t, powx):
-    """1/(1 - x^powx z), n!-scaled: the z^k cell is k!."""
-    cells = {}
+def _rising(t, powx, p):
+    """(1 - x^powx z)^(-p) for a y-polynomial p, n!-scaled: the z^k cell is
+    the rising factorial p(p+1)...(p+k-1), which is k! for p = 1."""
+    cells, cell = {}, [1]
     for k in range(t.nz + 1):
         key = (k, powx * k, 0, 0)
-        if t.contains(key):
-            cells[key] = [math.factorial(k)]
+        if not (cell and t.contains(key)):
+            break
+        cells[key] = cell
+        cell = yp_mul(cell, yp_add(p, [k]), t.ny)
     return Series(t, cells=cells)
 
 
@@ -126,8 +131,9 @@ def _log_geom(t, powx):
 
 
 def _exp_logs(t, p):
-    """exp(p(y) (L(z) + L(xz))) with L(z) = -log(1 - z), n!-scaled."""
-    return ps_exp(ps_mul_ypoly(ps_add(_log_geom(t, 0), _log_geom(t, 1)), p))
+    """exp(p(y) (L(z) + L(xz))) with L(z) = -log(1 - z), n!-scaled: the
+    product (1 - z)^(-p) (1 - xz)^(-p)."""
+    return ps_bmul(_rising(t, 0, p), _rising(t, 1, p))
 
 
 def _drop_top_z(s: Series) -> Series:
@@ -157,7 +163,11 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
     alone.  Enumeration, gf_solve, the printed forms of D and P and the
     reflection of U kept in the tests check them.  B, U, A, G, I and J
     have forms of their own, which gf_solve and gf_residual check against
-    their equations.
+    their equations.  B's roots are sqrt(1 - 4z) = 1 - 2zC(z) and its
+    copy at xz.  I is exp(y(L(z) + L(xz))) with L(z) = -log(1 - z), that
+    is (1 - z)^(-y) (1 - xz)^(-y), and J's integrand is the same at
+    1 - y: n!-scaled, each factor (1 - z)^(-p) has the rising factorial
+    p(p+1)...(p+k-1) as its z^k cell (_rising).
     """
     _check(family, trunc)
     t = trunc
@@ -169,8 +179,9 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
         return inv if a0 == one else ps_mul(a0, inv)
 
     if family == "B":
-        # 2/(2 - 2y + y sqrt(1-4z) + y sqrt(1-4xz))
-        root = ps_sqrt(ps_sub(one, ps_monomial(t, (1, 0, 0, 0), [4])))
+        # 2/(2 - 2y + y sqrt(1-4z) + y sqrt(1-4xz)), sqrt(1-4z) = 1 - 2zC(z)
+        c = solve_fixed_point("catalan", t)
+        root = ps_sub(one, ps_shift(ps_scale(c, 2), 1))
         rootx = _sub_x(root, 1)
         den = ps_add(
             ps_mul_ypoly(one, [2, -2]),
@@ -271,17 +282,15 @@ def _system(family: str, t: Truncation):
         r2 = ps_add(ps_sub(nar, _v(t)), one)
         return _v(t), (_z(t, Y), ps_mul(r1, r2)), None
 
-    if family == "I":
-        # d/dz I = y I (F(z) + x F(xz)), I(x,y,0) = 1
-        f = ps_add(_geom(t, 0), ps_mul(_x(t), _geom(t, 1)))
-        return Series(t), (ps_mul_ypoly(f, Y),), one
-
-    if family == "J":
-        # d/dz J = F(z)F(xz) + J (y F(z) + xy F(xz)), J(x,y,0) = 0
-        f0 = _geom(t, 0)
-        fx = _geom(t, 1)
-        m = ps_mul_ypoly(ps_add(f0, ps_mul(_x(t), fx)), Y)
-        return ps_bmul(f0, fx), (m,), Series(t)
+    if family in ("I", "J"):
+        # d/dz I = y I (F(z) + x F(xz)), I(x,y,0) = 1, and
+        # d/dz J = F(z)F(xz) + J (y F(z) + xy F(xz)), J(x,y,0) = 0,
+        # with F(z) = 1/(1 - z)
+        f = ps_add(_rising(t, 0, [1]), ps_mul(_x(t), _rising(t, 1, [1])))
+        m = ps_mul_ypoly(f, Y)
+        if family == "I":
+            return Series(t), (m,), one
+        return _exp_logs(t, [1]), (m,), Series(t)
 
     raise AssertionError  # pragma: no cover
 
@@ -367,7 +376,7 @@ def gf_dy1_closed(family: str, trunc: Truncation) -> Series:
         return ps_mul(ps_mul(_z(t, [1]), _x(t)), ps_mul(g1, g1))
     if family == "I":
         ell = ps_add(_log_geom(t, 0), _log_geom(t, 1))
-        return ps_laplace(ps_bmul(ell, ps_bmul(_geom(t, 0), _geom(t, 1))))
+        return ps_laplace(ps_bmul(ell, _exp_logs(t, [1])))
     raise ValueError("no product identity for the y-derivative of %r" % (family,))
 
 

@@ -307,12 +307,6 @@ def plane_node_depths_preorder(t):
     return out
 
 
-def plane_leaf_count(t) -> int:
-    if not t:
-        return 1
-    return sum(plane_leaf_count(c) for c in t)
-
-
 def dyck_vertex_heights(w):
     heights = [0]
     h = 0

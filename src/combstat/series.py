@@ -26,18 +26,20 @@ multiplied by a u^+1 cell.  The box is exact in u only when no dropped
 cell can come back, e.g. when every u-step comes with a z-step and
 u_range >= nz, which is what gfcat requires of Babs.
 
-The five solvers (ps_linear_solve, ps_ode_solve, ps_exp, ps_sqrt,
-solve_fixed_point) are online: each fixes one slice (of a grade, or of
-z) at a time from the slices already fixed, forming its products with
-one kernel, _online, so a solve costs about one product.  All the
-products share one kernel, _acc, which multiplies each pair of cells
-straight into its output cell.
+The three solvers (ps_linear_solve, ps_ode_solve, solve_fixed_point)
+are online: each fixes one slice (of a grade, or of z) at a time from
+the slices already fixed, forming its products with one kernel,
+_online, so a solve costs about one product.  All the products share
+one kernel, _acc, which multiplies each pair of cells straight into its
+output cell.  No square root or exponential is taken here: gfcat and
+closed build each one they need from a base series of
+solve_fixed_point or from rising factorials.
 
 Exponential GFs are handled n!-scaled (ps_borel): the z^n cells carry
 n! times the coefficient, so a series counting labelled objects has int
-cells.  ps_bmul, ps_exp, ps_ode_solve, ps_diff_z and ps_integrate_z
-work on that form (a product is a binomial convolution in z, d/dz and
-the z-integral are index shifts); ps_laplace divides by n! again.
+cells.  ps_bmul, ps_ode_solve, ps_diff_z and ps_integrate_z work on
+that form (a product is a binomial convolution in z, d/dz and the
+z-integral are index shifts); ps_laplace divides by n! again.
 """
 
 from __future__ import annotations
@@ -410,58 +412,12 @@ def ps_inv(a: Series) -> Series:
     return ps_mul_ypoly(x, c0i)
 
 
-def ps_sqrt(a: Series) -> Series:
-    """Square root of a series with constant cell exactly 1 and no other
-    grade-0 cell, slice by slice: S_0 = 1 and
-
-        2 * S_g = a_g - sum_{0<j<g} S_j * S_(g-j),
-
-    which needs no series inverse.  The halving keeps integral cells int
-    (exact.exact_int): sqrt(1 - 4z) is over int.
-    """
-    if a.cells.get(ZERO_KEY) != [1]:
-        raise ValueError("ps_sqrt needs constant cell exactly [1]")
-    if any(not _grade(k) for k in a.cells if k != ZERO_KEY):
-        raise ValueError("ps_sqrt needs no grade-0 cell but the constant")
-    t = a.trunc
-    neg_half = Fraction(-1, 2)
-    s = [[]]  # slice 0, the 1, takes no part in the sum
-    for g, cells in enumerate(_slices(a.cells, t.grade_bound)[1:], 1):
-        rhs = _online({k: yp_scale(p, -1) for k, p in cells}, s, s, g, t)
-        s.append([(k, yp_scale(p, neg_half)) for k, p in rhs.items()])
-    s[0] = [(ZERO_KEY, [1])]
-    return Series(t, _cells(s))
-
-
-def ps_exp(a: Series) -> Series:
-    """exp(a) for an n!-scaled a (see ps_borel) with no grade-0 cell.
-
-    The Euler operator z d/dz + x d/dx + v d/dv multiplies a grade-g cell
-    by g and commutes with the n! scaling, so grade by grade
-
-        g * E_g = sum_{0<h<=g} (h * A_h) * E_(g-h)     (products ps_bmul)
-
-    and the division by g keeps integral cells int (exact.exact_int).
-    """
-    if any(not _grade(k) for k in a.cells):
-        raise ValueError("ps_exp needs a series with no grade-0 cell")
-    t = a.trunc
-    pascal = _pascal(t.nz)
-    ha = [[(k, yp_scale(p, h)) for k, p in cells]
-          for h, cells in enumerate(_slices(a.cells, t.grade_bound))]
-    e = [[(ZERO_KEY, [1])]]
-    for g in range(1, t.grade_bound + 1):
-        rhs = _online({}, ha, e, g, t, pascal)
-        e.append([(k, yp_scale(p, Fraction(1, g))) for k, p in rhs.items()])
-    return Series(t, _cells(e))
-
-
 # ------------------------------------------------------- calculus in z
 
 def ps_borel(a: Series) -> Series:
     """The n!-scaled form of an EGF: the z^n cells times n!.  Counting
-    EGFs have int cells in this form; ps_bmul, ps_exp, ps_ode_solve,
-    ps_diff_z and ps_integrate_z work on it."""
+    EGFs have int cells in this form; ps_bmul, ps_ode_solve, ps_diff_z
+    and ps_integrate_z work on it."""
     return Series(a.trunc, {k: yp_scale(p, factorial(k[0])) for k, p in a.cells.items()})
 
 

@@ -379,6 +379,8 @@ def test_usage_errors(capsys, tmp_path):
         (["average", "binary", "leaf-depth", "--uniform", "--n", "5", "--budget", "3"],
          "--budget"),
         (["limit", "binary", "leaf-depth", "--mean", "--dmax", "3"], "--dmax"),
+        (["limit", "binary", "leaf-depth", "--mean", "--r", "3", "--rmax", "1"],
+         "it takes no --r"),
         (["limit", "binary", "leaf-depth", "--r", "1", "--rmax", "3"], "--rmax"),
     ):
         assert main(argv) == 2, argv

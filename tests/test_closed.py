@@ -45,9 +45,9 @@ from combstat.series import (
     ps_retrunc,
     ps_scale,
     ps_shift,
-    ps_sqrt,
     ps_sub,
 )
+from series_references import newton_sqrt
 
 
 def test_sequences():
@@ -459,12 +459,12 @@ def _printed_law(formula_id, nx):
     one = ps_one(t)
     x = Series(t, cells={(1, 0, 0, 0): [1]})
     if formula_id == "binary-leaf":
-        root = ps_sqrt(ps_sub(one, x))
+        root = newton_sqrt(ps_sub(one, x))
         n = Series(t, cells={(0, 0, 0, 0): [0, 1]})
         d = ps_add(ps_mul_ypoly(one, [2, -2]), ps_mul_ypoly(root, [0, 1]))
         return n, d, 2
     if formula_id == "dyck-vertex":
-        root = ps_sqrt(ps_sub(one, ps_mul(x, x)))
+        root = newton_sqrt(ps_sub(one, ps_mul(x, x)))
         n = Series(t, cells={(0, 0, 0, 0): [2]})
         d = ps_add(
             ps_sub(ps_mul_ypoly(one, [1, 0, 1]), ps_mul_ypoly(x, [0, 2])),
@@ -472,7 +472,7 @@ def _printed_law(formula_id, nx):
         )
         return n, d, 1
     if formula_id == "dyck-upstep":
-        root = ps_sqrt(ps_sub(one, x))
+        root = newton_sqrt(ps_sub(one, x))
         n = Series(t, cells={(1, 0, 0, 0): [0, 4, -4], (2, 0, 0, 0): [0, 0, 0, 1]})
         d = ps_add(
             ps_mul_ypoly(ps_add(one, root), [2, -2]),
@@ -480,7 +480,7 @@ def _printed_law(formula_id, nx):
         )
         return n, d, 1
     if formula_id == "dyck-downstep":
-        root = ps_sqrt(ps_sub(one, x))
+        root = newton_sqrt(ps_sub(one, x))
         n = Series(t, cells={(1, 0, 0, 0): [0, 1]})
         d = ps_add(
             ps_mul_ypoly(ps_add(one, root), [2, -2]),
@@ -669,7 +669,7 @@ def _coeffs(series, rmax):
 
 def test_mean_series_binary():
     t, one, x = _xseries(9)
-    inv_root3 = ps_mul(ps_inv(ps_sqrt(ps_sub(one, x))), ps_inv(ps_sub(one, x)))
+    inv_root3 = ps_mul(ps_inv(newton_sqrt(ps_sub(one, x))), ps_inv(ps_sub(one, x)))
     want = ps_sub(ps_scale(inv_root3, 4), ps_inv(ps_sub(one, x)))
     assert limit_mean_series("binary-leaf", 9) == _coeffs(want, 9)
 
@@ -677,7 +677,7 @@ def test_mean_series_binary():
 def test_mean_series_vertex():
     t, one, x = _xseries(9)
     inv1 = ps_inv(ps_sub(one, x))
-    root = ps_sqrt(ps_sub(one, ps_mul(x, x)))
+    root = newton_sqrt(ps_sub(one, ps_mul(x, x)))
     want = ps_sub(ps_mul(root, ps_mul(inv1, inv1)), inv1)
     assert limit_mean_series("dyck-vertex", 9) == _coeffs(want, 9)
 
@@ -685,7 +685,7 @@ def test_mean_series_vertex():
 def test_mean_series_steps():
     t, one, x = _xseries(9)
     inv1 = ps_inv(ps_sub(one, x))
-    inv_root3 = ps_mul(ps_inv(ps_sqrt(ps_sub(one, x))), inv1)
+    inv_root3 = ps_mul(ps_inv(newton_sqrt(ps_sub(one, x))), inv1)
     assert limit_mean_series("dyck-upstep", 9) == _coeffs(ps_scale(
         ps_sub(inv_root3, inv1), 2
     ), 9)
@@ -720,9 +720,30 @@ def test_mean_series_schroeder_verbatim():
     })
     den = ps_sub(ps_scale(one, 9), ps_scale(x, 4))
     inv2 = ps_inv(ps_mul(den, den))
-    numer = ps_sub(ps_scale(ps_sqrt(kernel), RHO_INV), ps_sub(one, x))
+    numer = ps_sub(ps_scale(newton_sqrt(kernel), RHO_INV), ps_sub(one, x))
     want = ps_mul(ps_scale(numer, 8), inv2)
     assert limit_mean_series("schroeder-leaf", nx) == _coeffs(want, nx)
+
+
+def test_stored_schroeder_law_is_the_printed_law_in_w():
+    # the printed law in x, with Newton's root of (1-x)(1-rho^2 x), has
+    # rho^r times the columns of the stored law in w = rho x, whose D has
+    # only integral cells
+    n, d, power, rho = closed._limit_law_data("schroeder-leaf", 12)
+    assert rho == RHO and power == 1
+    assert all(isinstance(c, int) or (isinstance(c, Quad2) and c.a.denominator == 1
+                                      and c.b.denominator == 1)
+               for p in d.cells.values() for c in p)
+    t, one = n.trunc, ps_one(n.trunc)
+    x = Series(t, {(1, 0, 0, 0): [1]})
+    kernel = ps_mul(ps_sub(one, x), ps_sub(one, ps_scale(x, RHO * RHO)))
+    d_x = ps_add(
+        ps_add(ps_mul_ypoly(one, [Quad2(9, 6), Quad2(-4, -12), Quad2(13, 6)]),
+               ps_mul_ypoly(x, [-1, -2, -5])),
+        ps_mul_ypoly(newton_sqrt(kernel), [RHO_INV, RHO_INV * 2, RHO_INV * (-3)]))
+    in_w, in_x = _dense_columns(n, d, 1, 12, 20), _dense_columns(n, d_x, 1, 12, 20)
+    for r in range(13):
+        assert in_x[r] == yp_scale(in_w[r], RHO ** r), r
 
 
 def test_mean_series_matches_fixed_r():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,14 +19,17 @@ from combstat.gfcat import (
     gf_x1z_slice,
 )
 from combstat.series import (
+    Series,
     Truncation,
     ps_add,
+    ps_bmul,
     ps_coeff,
     ps_diff_y1,
     ps_inv,
     ps_is_zero,
     ps_monomial,
     ps_mul,
+    ps_mul_ypoly,
     ps_one,
     ps_retrunc,
     ps_sub,
@@ -33,11 +37,10 @@ from combstat.series import (
     ps_to_json,
     solve_fixed_point,
 )
+from series_references import newton_sqrt, power_exp
 
 
 def catalan(n):
-    import math
-
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -141,15 +144,39 @@ def test_scaled_egf_cells_are_int(family, monkeypatch):
     # inside the I and J routes every series is n!-scaled, so its cells
     # count objects and are kept in int; only the boundary divides by n!
     seen = []
-    for name in ("ps_exp", "ps_bmul", "ps_integrate_z", "ps_ode_solve", "ps_laplace"):
+    for name in ("ps_bmul", "ps_integrate_z", "ps_ode_solve", "ps_laplace"):
         op = getattr(gfcat, name)
-        monkeypatch.setattr(gfcat, name, lambda *args, op=op: seen.append(args) or op(*args))
+        monkeypatch.setattr(gfcat, name, lambda *args, op=op: seen.extend(args) or op(*args))
+    made, rising = [], gfcat._rising
+    monkeypatch.setattr(gfcat, "_rising", lambda *args: made.append(rising(*args)) or made[-1])
     t = Truncation(8, 8, 8)
     for build in (gf_closed, gf_solve):
         build(family, t)
-    scaled = [s for args in seen for s in args]
-    assert len(scaled) >= 3
+    scaled = [s for s in seen if isinstance(s, Series)] + made
+    assert made and len(scaled) >= 3
     assert all(type(c) is int for s in scaled for p in s.cells.values() for c in p)
+
+
+def _log(t, powx):
+    """L(x^powx z) = -log(1 - x^powx z), n!-scaled: the z^k cell is (k-1)!."""
+    return Series(t, {(k, powx * k, 0, 0): [math.factorial(k - 1)] for k in range(1, t.nz + 1)
+                      if t.contains((k, powx * k, 0, 0))})
+
+
+@pytest.mark.parametrize("p", [[0, 1], [1, -1]], ids=["y", "1-y"])
+def test_rising_factorials_are_exp_of_p_log(p):
+    # (1 - x^a z)^(-p) = exp(p L(x^a z)): n!-scaled, its z^k cell is the
+    # rising factorial p(p+1)...(p+k-1), in int; I and J take the
+    # product at a = 0 and a = 1
+    for t in (Truncation(8, 8, 8), Truncation(9, 3, 4), Truncation(6, 6, 0)):
+        factors = []
+        for powx in (0, 1):
+            got = gfcat._rising(t, powx, p)
+            assert got == power_exp(ps_mul_ypoly(_log(t, powx), p)), (t, powx)
+            assert all(type(c) is int for q in got.cells.values() for c in q)
+            factors.append(got)
+        both = ps_mul_ypoly(ps_add(_log(t, 0), _log(t, 1)), p)
+        assert ps_bmul(*factors) == power_exp(both) == gfcat._exp_logs(t, p), t
 
 
 def _walk_heights_printed(t):
@@ -173,8 +200,20 @@ def _plane_leaves_printed(t):
     return ps_mul(ps_monomial(t, (0, 0, 1, 0), [1]), ps_inv(ps_sub(one, ps_mul(yz, r))))
 
 
+def _binary_leaves_printed(t):
+    """B's printed form 2/(2 - 2y + y sqrt(1 - 4z) + y sqrt(1 - 4xz)),
+    with Newton's square root; gf_closed takes sqrt(1 - 4z) as
+    1 - 2zC(z)."""
+    one = ps_one(t)
+    root = newton_sqrt(ps_sub(one, ps_monomial(t, (1, 0, 0, 0), [4])))
+    roots = ps_add(root, ps_subst_scale(root, t, {"z": (1, (1, 1, 0, 0))}))
+    den = ps_add(ps_mul_ypoly(one, [2, -2]), ps_mul_ypoly(roots, [0, 1]))
+    return ps_mul_ypoly(ps_inv(den), [2])
+
+
 # second printed closed forms, kept as references for gf_closed
-PRINTED = {"D": _walk_heights_printed, "P": _plane_leaves_printed}
+PRINTED = {"B": _binary_leaves_printed, "D": _walk_heights_printed,
+           "P": _plane_leaves_printed}
 
 
 @pytest.mark.parametrize("family", sorted(PRINTED))

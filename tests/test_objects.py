@@ -98,7 +98,6 @@ def test_plane_figure_codec():
     t = ((), ((),), ((), ()))
     assert ob.plane_to_text(t) == "(()(())(()()))"
     assert ob.plane_from_text("(()(())(()()))") == t
-    assert ob.plane_leaf_count(t) == 4
     assert ob.plane_node_depths_preorder(t) == [0, 1, 1, 2, 1, 2, 2]
 
 

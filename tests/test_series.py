@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from combstat import series
+from combstat import gfcat, series
 from combstat.exact import Quad2, yp_add, yp_mul
 from combstat.gfcat import FAMILY_IDS, gf_closed, gf_solve
 from combstat.series import (
@@ -19,7 +19,6 @@ from combstat.series import (
     ps_diff_z,
     ps_div_1mx,
     ps_eval_y1,
-    ps_exp,
     ps_integrate_z,
     ps_inv,
     ps_is_zero,
@@ -32,12 +31,12 @@ from combstat.series import (
     ps_retrunc,
     ps_scale,
     ps_shift,
-    ps_sqrt,
     ps_sub,
     ps_subst_scale,
     ps_to_json,
     solve_fixed_point,
 )
+from series_references import newton_sqrt, power_exp
 
 T88 = Truncation(nz=8, nx=8, ny=8)
 
@@ -133,91 +132,67 @@ def test_inv_y_unit_nontrivial():
 
 
 def test_sqrt_one_minus_4z():
-    t = Truncation(4, 0, 0)
-    s = ps_sqrt(1 - zmono(t, 1, (4,)))
-    assert zcoeffs(s, 4) == [[1], [-2], [-2], [-4], [-10]]
-    assert ps_is_zero(ps_sub(ps_mul(s, s), 1 - zmono(t, 1, (4,))))
-    with pytest.raises(ValueError):
-        ps_sqrt(Series(t))
-    with pytest.raises(ValueError):
-        ps_sqrt(2 * ps_one(t))
+    # B's closed form takes sqrt(1 - 4z) as 1 - 2zC(z): it squares to
+    # 1 - 4z and is Newton's root, cell for cell and in int
+    t = Truncation(12, 0, 0)
+    square = 1 - zmono(t, 1, (4,))
+    root = 1 - ps_shift(2 * solve_fixed_point("catalan", t), 1)
+    assert zcoeffs(root, 4) == [[1], [-2], [-2], [-4], [-10]]
+    assert ps_mul(root, root) == square
+    assert _typed(root) == _typed(newton_sqrt(square))
 
 
 def test_sqrt_one_minus_x_squared():
+    # the Newton root that the printed limit laws of the tests are built
+    # on has the binomial series of sqrt(1 - x^2), Fractions and all
     t = Truncation(0, 6, 0)
     x2 = ps_monomial(t, (0, 2, 0, 0), [-1])
-    s = ps_sqrt(1 + x2)
+    s = newton_sqrt(1 + x2)
     assert ps_coeff(s, 0, 0) == [1]
     assert ps_coeff(s, 0, 2) == [Fraction(-1, 2)]
     assert ps_coeff(s, 0, 4) == [Fraction(-1, 8)]
     assert ps_coeff(s, 0, 1) == []
+    assert ps_mul(s, s) == 1 + x2
 
 
 def test_sqrt_quad2_field():
-    # (1-x)(1-rho^2 x) over Q(sqrt 2)
-    rho2 = Quad2(17, -12)
-    t = Truncation(0, 10, 0)
-    x = ps_monomial(t, (0, 1, 0, 0), [1])
-    a = ps_mul(1 - x, 1 - rho2 * x)
-    s = ps_sqrt(a)
-    assert ps_is_zero(ps_sub(ps_mul(s, s), a))
-    assert ps_coeff(s, 0, 1) == [Quad2(-9, 6)]  # -(1+rho^2)/2
-
-
-def test_sqrt_forms_no_series_inverse(monkeypatch):
-    a = 1 - zmono(Truncation(4, 0, 0), 1, (4,))
-
-    def refuse(*args):
-        raise AssertionError("ps_sqrt formed a whole series product or inverse")
-
-    monkeypatch.setattr(series, "ps_inv", refuse)
-    monkeypatch.setattr(series, "ps_mul", refuse)
-    assert zcoeffs(ps_sqrt(a), 4) == [[1], [-2], [-2], [-4], [-10]]
+    # the stored Schroeder law takes sqrt((1-x)(1-rho^2 x)) in w = rho x,
+    # as 1 + w - 4wS(w) = sqrt(1 - 6w + w^2) over int; back in x it is
+    # the root over Q(sqrt 2)
+    t = Truncation(12, 0, 0)
+    w = zmono(t, 1)
+    square = 1 - 6 * w + ps_mul(w, w)
+    root = 1 + w - ps_shift(4 * solve_fixed_point("schroeder", t), 1)
+    assert ps_mul(root, root) == square
+    assert _typed(root) == _typed(newton_sqrt(square))
+    rho = Quad2(3, -2)
+    in_x = ps_subst_scale(root, t, {"z": (rho, (1, 0, 0, 0))})
+    x = zmono(t, 1)
+    assert ps_mul(in_x, in_x) == ps_mul(1 - x, 1 - rho * rho * x)
+    assert ps_coeff(in_x, 1) == [Quad2(-9, 6)]  # -(1+rho^2)/2
 
 
 def test_grade_zero_cells_are_refused():
     # a u-cell of grade 0 (dz + dx + dv = 0) is not a constant either
     t = Truncation(3, 0, 0, u_range=3)
     a = Series(t, cells={(0, 0, 0, 1): [1], (1, 0, 0, 0): [1]})
-    with pytest.raises(ValueError, match="ps_exp needs a series with no grade-0 cell"):
-        ps_exp(a)
-    with pytest.raises(ValueError, match="ps_sqrt needs no grade-0 cell but the constant"):
-        ps_sqrt(ps_add(ps_one(t), a))
-
-
-def test_exp_univariate():
-    t = Truncation(6, 0, 0)
-    e = ps_exp(ps_borel(zmono(t, 1)))
-
-    for k in range(7):
-        assert ps_coeff(ps_laplace(e), k) == [Fraction(1, math.factorial(k))]
-        assert ps_coeff(e, k) == [1]  # n!-scaled
-    with pytest.raises(ValueError):
-        ps_exp(ps_one(t))
-
-
-def test_exp_stays_exact_off_the_integers():
-    # exp(z/2) = sum z^k / (2^k k!)
-    t = Truncation(6, 0, 0)
-    e = ps_exp(ps_borel(zmono(t, 1, (Fraction(1, 2),))))
-    for k in range(7):
-        assert ps_coeff(ps_laplace(e), k) == [Fraction(1, 2 ** k * math.factorial(k))]
-        assert ps_coeff(e, k) == [Fraction(1, 2 ** k)]
-    # exp(2z): each division by the grade lands on an integer, kept int
-    e2 = ps_exp(ps_borel(zmono(t, 1, (2,))))
-    assert all(ps_coeff(e2, k) == [2 ** k] for k in range(7))
-    assert all(type(c) is int for p in e2.cells.values() for c in p)
+    with pytest.raises(ValueError, match="linear solve needs m with no grade-0 part"):
+        ps_linear_solve(ps_one(t), a)
+    with pytest.raises(ValueError, match="linear solve needs m with no grade-0 part"):
+        ps_inv(ps_add(ps_one(t), a))
 
 
 def test_exp_log_roundtrip():
-    # L = -log(1-z) termwise, exp(L) must be 1/(1-z)
+    # L = -log(1-z) termwise, exp(L) must be 1/(1-z): n!-scaled, (k-1)!
+    # in and k! out, which gfcat's rising factorials at p = 1 give in int
     t = Truncation(7, 0, 0)
     log = ps_borel(Series(t, cells={(k, 0, 0, 0): [Fraction(1, k)] for k in range(1, 8)}))
-    assert all(ps_coeff(ps_laplace(ps_exp(log)), k) == [1] for k in range(8))
-    # n!-scaled: (k-1)! in, k! out, int throughout
     assert all(ps_coeff(log, k) == [math.factorial(k - 1)] for k in range(1, 8))
-    assert all(ps_coeff(ps_exp(log), k) == [math.factorial(k)] for k in range(8))
-    assert all(type(c) is int for p in ps_exp(log).cells.values() for c in p)
+    assert all(ps_coeff(ps_laplace(power_exp(log)), k) == [1] for k in range(8))
+    rising = gfcat._rising(t, 0, [1])
+    assert rising == power_exp(log)
+    assert all(ps_coeff(rising, k) == [math.factorial(k)] for k in range(8))
+    assert all(type(c) is int for p in rising.cells.values() for c in p)
 
 
 T_ODE = Truncation(6, 3, 4, nv=1, u_range=6)  # |du| <= dz: nothing clipped in u
@@ -230,10 +205,23 @@ A_ODE = Series(T_ODE, cells={
 
 
 def test_ode_solve_is_exp():
-    # E = exp(a) solves E' = E a' with E = 1 at z = 0 (all n!-scaled)
+    # E = exp(a) solves E' = E a' with E = 1 at z = 0 (all n!-scaled).
+    # For a = c y^j m, m a monomial of z-degree 1, the n!-scaled cell of
+    # exp(a) at m^k is c^k y^(jk); the box clips v past v^1 and y past y^4
+    for key, c, j in (((1, 0, 0, 0), 1, 0), ((1, 1, 0, -1), 2, 1),
+                      ((1, 0, 1, 1), Fraction(1, 3), 0), ((1, 2, 0, 1), -1, 2),
+                      ((1, 0, 0, -1), Fraction(-1, 2), 1)):
+        a = ps_monomial(T_ODE, key, [0] * j + [c])
+        want = {}
+        for k in range(T_ODE.nz + 1):
+            mk = tuple(k * e for e in key)
+            if T_ODE.contains(mk) and j * k <= T_ODE.ny:
+                want[mk] = [0] * (j * k) + [c ** k]
+        got = ps_ode_solve(ps_one(T_ODE), Series(T_ODE), ps_diff_z(a))
+        assert got == Series(T_ODE, want), key
+    # a sum of cells, u and v among them: exp by its power series
     a = ps_borel(A_ODE)
-    got = ps_ode_solve(ps_one(T_ODE), Series(T_ODE), ps_diff_z(a))
-    assert got == ps_exp(a)
+    assert ps_ode_solve(ps_one(T_ODE), Series(T_ODE), ps_diff_z(a)) == power_exp(a)
 
 
 def test_borel_laplace_and_binomial_product():
@@ -556,32 +544,10 @@ def test_kernel_matches_per_pair_products(pair):
     m = Series(t, {k: p for k, p in b.cells.items() if series._grade(k)})
     init = Series(t, {k: p for k, p in a.cells.items() if not k[0]})
     for fn, args in ((ps_mul, (a, b)), (ps_bmul, (a, b)), (ps_linear_solve, (a, m)),
-                     (ps_sqrt, (ps_add(ps_one(t), m),)), (ps_exp, (m,)),
                      (ps_ode_solve, (init, b, m))):
         got = fn(*args)
         _assert_canonical(got)
         assert _typed(got) == _typed(_with_per_pair_kernel(fn, *args))
-
-
-def _newton_sqrt(a):
-    """ps_sqrt by Newton, t <- (t + a/t)/2, one series inverse and one
-    product per pass.  Each pass doubles the correct grade range, so
-    ceil(log2(G+1)) + 1 passes cover grade bound G with margin."""
-    t = a.trunc
-    cur = ps_one(t)
-    for _ in range(t.grade_bound.bit_length() + 1):
-        cur = ps_scale(ps_add(cur, ps_mul(a, ps_inv(cur))), Fraction(1, 2))
-    return cur
-
-
-@settings(max_examples=200, deadline=None)
-@given(_series_pair(exact_u=True))
-def test_sqrt_matches_newton(pair):
-    # slice by slice, the root has Newton's cells and scalar types
-    a = pair[0]
-    square = ps_add(ps_one(a.trunc), Series(
-        a.trunc, {k: p for k, p in a.cells.items() if series._grade(k)}))
-    assert _typed(ps_sqrt(square)) == _typed(_newton_sqrt(square))
 
 
 @pytest.mark.parametrize("eq_id", ["catalan", "ternary", "schroeder", "narayana"])
@@ -619,7 +585,7 @@ def test_kernel_refuses_non_canonical_cells():
     for bad in ([], [1, 0]):
         s = Series(t, cells={(1, 0, 0, 0): bad})
         for build in (lambda: ps_mul(s, one), lambda: ps_mul(one, s),
-                      lambda: ps_bmul(s, one), lambda: ps_exp(s),
+                      lambda: ps_bmul(s, one),
                       lambda: ps_linear_solve(s, z), lambda: ps_linear_solve(one, s)):
             with pytest.raises(ValueError, match="not canonical"):
                 build()
