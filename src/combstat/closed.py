@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from . import gfcat, objects
@@ -535,17 +536,18 @@ def limit_distribution(formula_id: str, r: int, dmax: int, variant: str = "auto"
         raise ValueError("dmax must be nonnegative")
 
     if formula_id == "schroeder-leaf" and r == 0 and variant == "auto":
-        return _column(*_schroeder_r0_law(), [0], dmax)[0]
-
-    n, d, power, rho = _limit_law_data(formula_id, r)
-    return _column(ps_scale(n, rho**r), d, power, [r], dmax)[0]
+        law = _schroeder_r0_law()
+    else:
+        law = _limit_law_data(formula_id, r)
+    return _column(*law, [r], dmax)[0]
 
 
 def _schroeder_r0_law():
-    """(N, D, power) of the printed schroeder-leaf r = 0 law 2 rho d
-    tau^(d-1), tau = sqrt(2) - 1: N/D^2 with N = 2 rho y, D = 1 - tau y."""
+    """(N, D, power, rho) of the printed schroeder-leaf r = 0 law 2 rho d
+    tau^(d-1), tau = sqrt(2) - 1: N/D^2 with N = 2 rho y, D = 1 - tau y,
+    and rho = 1, as the law has only its column 0."""
     t = Truncation(0, 0, 2)
-    return Series(t, {ZERO_KEY: [0, 2 * RHO]}), Series(t, {ZERO_KEY: [1, Quad2(1, -1)]}), 2
+    return Series(t, {ZERO_KEY: [0, 2 * RHO]}), Series(t, {ZERO_KEY: [1, Quad2(1, -1)]}), 2, 1
 
 
 class _Zrt2:
@@ -570,27 +572,29 @@ class _Zrt2:
         return Quad2(Fraction(num.a, norm), Fraction(num.b, norm))
 
 
-def _column(n, d, power, rs, dmax):
-    """The x^r columns of N/D^power for r in rs, as lists of nonzero (d,
-    entry) pairs to y^dmax: one x-order at a time up to the largest r, over
-    Z (Z[sqrt 2] once a cell of N or D holds a Quad2).  N and E = D^power
-    are cleared of their denominators (lcms lN, lE); E's x^0 cell U(y)
-    must be a unit in y, and y = u0 t makes U(u0 t) = u0 V(t) with V
-    monic, so C~_m = u0^(m+1) C_m(u0 t) solves V C~_m = u0^m N_m(u0 t) -
-    sum_j u0^(j-1) E_j(u0 t) C~_(m-j) with no division.  Entry d of column
-    r is C~_(r,d) lE / (lN u0^(r+1+d)), a Quad2 or an exact_int Fraction."""
+def _column(n, d, power, rho, rs, dmax):
+    """The x^r columns of rho^r N/D^power for r in rs, as lists of nonzero
+    (d, entry) pairs to y^dmax: one x-order at a time up to the largest r,
+    over Z (Z[sqrt 2] once a cell of N or D holds a Quad2).  N, E =
+    D^power and rho are cleared of their denominators (lcms lN, lE, lR);
+    E's x^0 cell U(y) must be a unit in y, and y = u0 t makes U(u0 t) =
+    u0 V(t) with V monic, so C~_m = u0^(m+1) C_m(u0 t) solves V C~_m =
+    u0^m N_m(u0 t) - sum_j u0^(j-1) E_j(u0 t) C~_(m-j) with no division.
+    Entry d of column r is C~_(r,d) lE (lR rho)^r / (lN lR^r u0^(r+1+d)),
+    one exact division: a Quad2 or an exact_int Fraction."""
     top = max(rs)
     lift, over = ((_Zrt2, _Zrt2.over) if ps_has_quad2(n, d) else
                   (lambda a, b=0: a, lambda x, g: exact_int(Fraction(x, g))))
 
-    def integral(s):  # the cells x^0..x^top of s times L, lifted, and L
-        cells = [[(x.a, x.b) if isinstance(x, Quad2) else (x, 0) for x in ps_coeff(s, m)]
-                 for m in range(top + 1)]
-        lcm = math.lcm(*(c.denominator for p in cells for x in p for c in x))
+    def integral(cells):  # the scalars of cells times their lcm L, lifted, and L
+        parts = [[(x.a, x.b) if isinstance(x, Quad2) else (x, 0) for x in p] for p in cells]
+        lcm = math.lcm(*(c.denominator for p in parts for x in p for c in x))
         return [[lift(*(c.numerator * (lcm // c.denominator) for c in x)) for x in p]
-                for p in cells], lcm
+                for p in parts], lcm
 
-    (nm, ln), (em, le) = integral(n), integral(functools.reduce(ps_mul, [d] * power))
+    e = functools.reduce(ps_mul, [d] * power)
+    (nm, ln), (em, le) = (integral([ps_coeff(s, m) for m in range(top + 1)]) for s in (n, e))
+    ((rn,),), lr = integral([[rho]])
     if not (em[0] and em[0][0]):
         raise ArithmeticError("the x^0 cell of D^%d is not a unit in y" % power)
     pw = [lift(1)]  # powers of u0
@@ -610,8 +614,13 @@ def _column(n, d, power, rs, dmax):
             for i, c in enumerate(v[:dd], 1):
                 acc[dd] = acc[dd] - c * acc[dd - i]
         cols.append(acc)
-    return [[(deg, over(q * lift(le), pw[r + 1 + deg] * lift(ln)))
-             for deg, q in enumerate(cols[r]) if q] for r in rs]
+    out = []
+    for r in rs:
+        num = functools.reduce(operator.mul, [rn] * r, lift(le))
+        den = lift(ln * lr**r)
+        out.append([(deg, over(q * num, pw[r + 1 + deg] * den))
+                    for deg, q in enumerate(cols[r]) if q])
+    return out
 
 
 def limit_mean_series(formula_id: str, rmax: int) -> list:
@@ -620,16 +629,15 @@ def limit_mean_series(formula_id: str, rmax: int) -> list:
     _check_limit_law(formula_id)
     if rmax < 0:
         raise ValueError("rmax must be nonnegative")
-    n, d, power, rho = _limit_law_data(formula_id, rmax)
-    means = _column_means(n, d, power, range(rmax + 1))
-    return [exact_int(rho**r * mean) for r, mean in enumerate(means)]
+    return _column_means(*_limit_law_data(formula_id, rmax), range(rmax + 1))
 
 
-def _column_means(n, d, power, rs):
-    """The t^1 entries (int 0 if absent) of the x^r columns of N/D^power
-    at y = 1 + t, r in rs: each column's y-derivative at 1, its mean."""
+def _column_means(n, d, power, rho, rs):
+    """The t^1 entries (int 0 if absent) of the x^r columns of
+    rho^r N/D^power at y = 1 + t, r in rs: each column's y-derivative at 1,
+    its mean."""
     n, d = (ps_add(ps_eval_y1(s), ps_mul_ypoly(ps_diff_y1(s), [0, 1])) for s in (n, d))
-    return [dict(col).get(1, 0) for col in _column(n, d, power, rs, 1)]
+    return [dict(col).get(1, 0) for col in _column(n, d, power, rho, rs, 1)]
 
 
 # ----------------------------------------------------------- asymptotics

@@ -83,7 +83,6 @@ class Quad2:
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 2)")
         nrm = self.a * self.a - 2 * self.b * self.b
-        assert nrm != 0  # impossible for rational a, b not both zero
         return Quad2(self.a / nrm, -self.b / nrm)
 
     def __truediv__(self, other):

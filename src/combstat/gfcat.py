@@ -1,18 +1,18 @@
 """Catalog of the multivariate generating functions.
 
-Ten families, each with a functional equation written once in _system
-(a graded linear solve, or for I and J an ODE in z), a closed form, and
-for most a product identity for the y-derivative at y = 1.  No ordinary
-equation forms a series inverse.  The closed forms of Babs, D, W and P
-are their equations solved by one series inverse; those of B, U, A, G,
-I and J are forms of their own, built with no square root or
+Ten families, each with a functional equation S = a0 + S*m written once
+in _system (a graded linear solve, or for I and J an ODE in z), a closed
+form, and for most a product identity for the y-derivative at y = 1.  No
+ordinary equation forms a series inverse.  The closed forms of Babs, D,
+W, P and G are their equations solved by one series inverse; those of
+B, U, A, I and J are forms of their own, built with no square root or
 exponential solver: B's sqrt(1 - 4z) is 1 - 2zC(z), and the
 exponentials of I and J are products of rising factorials (see
-gf_closed).  The equations of B, D, U, W, A and G
-are rational in their base series and are stated in EQUATIONS, which
-also feeds closed's fixed-r limit laws (all but A's, which is still
-served the stored printed law): those are the same equations at the
-base's dominant singularity.  Cells are y-polynomials
+gf_closed).  The equations of B, D, U, W, A and G are rational in their
+base series and are stated in EQUATIONS, which also feeds closed's
+fixed-r limit laws (all but A's, which is still served the stored
+printed law): those are the same equations at the base's dominant
+singularity.  Cells are y-polynomials
 whose coefficient of y^d counts objects whose marked position has
 depth/height d; x marks the position, z the size, v (for P) the leaf
 count, u (for Babs) the signed horizontal offset.
@@ -39,7 +39,6 @@ ids, statistic counted, and kind of generating function:
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -158,13 +157,13 @@ def _shift_v(s: Series, k: int) -> Series:
 def gf_closed(family: str, trunc: Truncation) -> Series:
     """The closed form of a family at the given truncation.
 
-    Babs, D, W and P are served as their functional equation S = a0 +
+    Babs, D, W, P and G are served as their functional equation S = a0 +
     S*m (see _system) solved, a0/(1 - m), which for a0 = 1 is the inverse
-    alone.  Enumeration, gf_solve, the printed forms of D and P and the
-    reflection of U kept in the tests check them.  B, U, A, G, I and J
-    have forms of their own, which gf_solve and gf_residual check against
-    their equations.  B's roots are sqrt(1 - 4z) = 1 - 2zC(z) and its
-    copy at xz.  I is exp(y(L(z) + L(xz))) with L(z) = -log(1 - z), that
+    alone.  Enumeration, gf_solve, the printed forms of D and P, G's
+    equation with its other a0 and the reflection of U kept in the tests
+    check them.  B, U, A, I and J have forms of their own, which gf_solve
+    and gf_residual check against their equations.  B's roots are
+    sqrt(1 - 4z) = 1 - 2zC(z) and its copy at xz.  I is exp(y(L(z) + L(xz))) with L(z) = -log(1 - z), that
     is (1 - z)^(-y) (1 - xz)^(-y), and J's integrand is the same at
     1 - y: n!-scaled, each factor (1 - z)^(-p) has the rising factorial
     p(p+1)...(p+k-1) as its z^k cell (_rising).
@@ -173,9 +172,9 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
     t = trunc
     one = ps_one(t)
 
-    if family in ("Babs", "D", "W", "P"):
-        a0, factors, _ = _system(family, t)
-        inv = ps_inv(ps_sub(one, functools.reduce(ps_mul, factors)))
+    if family in ("Babs", "D", "W", "P", "G"):
+        a0, m, _ = _system(family, t)
+        inv = ps_inv(ps_sub(one, m))
         return inv if a0 == one else ps_mul(a0, inv)
 
     if family == "B":
@@ -202,14 +201,6 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
         r = ps_inv(ps_mul(ps_sub(one, st), ps_sub(one, _sub_x(st, 1))))
         return ps_inv(ps_sub(one, ps_mul_ypoly(ps_sub(r, one), Y)))
 
-    if family == "G":
-        tt = solve_fixed_point("ternary", t)
-        ttx = _sub_x(tt, 1)
-        num = ps_add(tt, ps_mul_ypoly(ps_mul(ps_sub(one, tt), ttx), Y))
-        wings = ps_add(tt, ps_mul(_x(t), ttx))
-        den = ps_sub(one, ps_mul(_z(t, Y), ps_mul(ps_mul(tt, ttx), wings)))
-        return ps_mul(num, ps_inv(den))
-
     if family == "I":
         return ps_laplace(_exp_logs(t, Y))
 
@@ -229,9 +220,10 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
 # passes series; closed passes values at the base's dominant singularity,
 # where the derivative in b gives the fixed-r limit laws (A's law is still
 # the stored printed form).  A's a0 is 1/R in its printed form (see
-# gf_closed), divided through.  Reversing a walk makes down-step r
-# up-step n+1-r, so W(z, x) = x U(xz, 1/x), and U's equation at
-# (xz, 1/x), times x, is W's.
+# gf_closed), divided through; G's is the numerator of its printed form,
+# T + y(1 - T)T(xz), which T = 1 + zT^3 also writes T - yzT^3 T(xz).
+# Reversing a walk makes down-step r up-step n+1-r, so W(z, x) =
+# x U(xz, 1/x), and U's equation at (xz, 1/x), times x, is W's.
 EQUATIONS = {
     "B": ("catalan", lambda one, y, z, x, c, cx, cxx: (one, y * z * (c + x * cx))),
     "D": ("catalan", lambda one, y, z, x, c, cx, cxx: (c, z * x * (y * c + x * cxx))),
@@ -241,7 +233,7 @@ EQUATIONS = {
     "A": ("schroeder", lambda one, y, z, x, s, sx, sxx: (
         a0 := (one - z * s) * (one - x * z * sx), (one + y) * (one - a0))),
     "G": ("ternary", lambda one, y, z, x, t, tx, txx: (
-        t - y * z * t * t * t * tx, y * z * t * tx * (t + x * tx))),
+        t + y * (one - t) * tx, y * z * t * tx * (t + x * tx))),
 }
 
 
@@ -250,11 +242,9 @@ def _system(family: str, t: Truncation):
     gf_residual are both derived from it, and for the families in
     EQUATIONS but A so are closed's limit laws.
 
-    Returns (a0, factors, init), where m is the product of the factors.
-    With init None the equation is S = a0 + S*m; otherwise it is
-    dS/dz = a0 + S*m with S = init at z = 0, over n!-scaled series (the
-    products are ps_bmul).  The residual multiplies S through the factors
-    in order, so a sparse factor goes first."""
+    Returns (a0, m, init).  With init None the equation is S = a0 + S*m;
+    otherwise it is dS/dz = a0 + S*m with S = init at z = 0, over
+    n!-scaled series (the products are ps_bmul)."""
     _check(family, t)
     one = ps_one(t)
 
@@ -263,7 +253,7 @@ def _system(family: str, t: Truncation):
         b = solve_fixed_point(base, t)
         a0, m = equation(one, ps_monomial(t, ZERO_KEY, Y), _z(t, [1]), _x(t),
                          b, _sub_x(b, 1), _sub_x(b, 2))
-        return a0, (m,), None
+        return a0, m, None
 
     if family == "Babs":
         c = solve_fixed_point("catalan", t)
@@ -272,7 +262,7 @@ def _system(family: str, t: Truncation):
             ps_mul(ps_monomial(t, (1, 0, 0, -1), Y), c),
             ps_mul(ps_monomial(t, (1, 1, 0, 1), Y), cx),
         )
-        return one, (m,), None
+        return one, m, None
 
     if family == "P":
         # P = v + yzP/((1 - zN(z, xv))(1 - zN)), where 1/(1 - zN) = N + 1 - v
@@ -280,7 +270,7 @@ def _system(family: str, t: Truncation):
         narx = ps_subst_scale(nar, t, {"v": (1, (0, 1, 1, 0))})
         r1 = ps_add(ps_sub(narx, ps_monomial(t, (0, 1, 1, 0), [1])), one)
         r2 = ps_add(ps_sub(nar, _v(t)), one)
-        return _v(t), (_z(t, Y), ps_mul(r1, r2)), None
+        return _v(t), ps_mul(_z(t, Y), ps_mul(r1, r2)), None
 
     if family in ("I", "J"):
         # d/dz I = y I (F(z) + x F(xz)), I(x,y,0) = 1, and
@@ -289,8 +279,8 @@ def _system(family: str, t: Truncation):
         f = ps_add(_rising(t, 0, [1]), ps_mul(_x(t), _rising(t, 1, [1])))
         m = ps_mul_ypoly(f, Y)
         if family == "I":
-            return Series(t), (m,), one
-        return _exp_logs(t, [1]), (m,), Series(t)
+            return Series(t), m, one
+        return _exp_logs(t, [1]), m, Series(t)
 
     raise AssertionError  # pragma: no cover
 
@@ -298,21 +288,21 @@ def _system(family: str, t: Truncation):
 def gf_solve(family: str, trunc: Truncation) -> Series:
     """Solve the family's functional equation directly -- an expansion
     path independent of the closed form."""
-    a0, factors, init = _system(family, trunc)
+    a0, m, init = _system(family, trunc)
     if init is None:
-        return ps_linear_solve(a0, functools.reduce(ps_mul, factors))
-    return ps_laplace(ps_ode_solve(init, a0, functools.reduce(ps_bmul, factors)))
+        return ps_linear_solve(a0, m)
+    return ps_laplace(ps_ode_solve(init, a0, m))
 
 
 def gf_residual(family: str, s: Series) -> Series:
     """Residual of the family's functional equation at s (zero exactly
     when s satisfies it inside the truncation box; an ODE loses its top
     z-slice to d/dz)."""
-    a0, factors, init = _system(family, s.trunc)
+    a0, m, init = _system(family, s.trunc)
     if init is None:
-        return ps_sub(s, ps_add(a0, functools.reduce(ps_mul, factors, s)))
+        return ps_sub(s, ps_add(a0, ps_mul(s, m)))
     s = ps_borel(s)
-    rhs = ps_add(a0, functools.reduce(ps_bmul, factors, s))
+    rhs = ps_add(a0, ps_bmul(s, m))
     return ps_laplace(_drop_top_z(ps_sub(ps_diff_z(s), rhs)))
 
 
@@ -462,9 +452,3 @@ def _cell_counts(st, s, key):
         counts = {max(d - st.shift, 0): c for d, c in enumerate(p)}
     counts = {d: c for d, c in counts.items() if c}
     return counts, sum(counts.values())
-
-
-def distribution_via_gf(family, statistic, n, r, k=None):
-    """Distribution of the statistic at position r for size n, read off
-    the generating functions: a (dict value -> count, total) pair."""
-    return columns_via_gf(family, statistic, n, [r], k)[r]

@@ -90,22 +90,19 @@ def test_criterion_02_triple_agreement():
         assert ps_is_zero(gfcat.gf_residual(fam, s)), fam
         assert s == gfcat.gf_solve(fam, tt), fam
 
+    # each size is read once by each route: one GF build, one walk
+    sweeps = [(family, statistic, n, list(positions(n)), None)
+              for family, statistic, sizes, positions in TRIPLE_SWEEPS for n in sizes]
+    sweeps += [("plane", "leaf-depth", n, list(range(k)), k) for n in range(8)
+               for k in range(1, max(n, 1) + 1)]  # no plane tree has more leaves than edges
     cols = 0
-    for family, statistic, sizes, positions in TRIPLE_SWEEPS:
-        for n in sizes:
-            for r in positions(n):
-                got = gfcat.distribution_via_gf(family, statistic, n, r)
-                want = objects.distribution(family, statistic, n, r)
-                assert dict(got[0]) == dict(want[0]) and got[1] == want[1], (
-                    family, statistic, n, r)
-                cols += 1
-    for n in range(8):
-        for k in range(1, max(n, 1) + 1):  # no plane tree has more leaves than edges
-            for r in range(k):
-                got = gfcat.distribution_via_gf("plane", "leaf-depth", n, r, k=k)
-                want = objects.distribution("plane", "leaf-depth", n, r, k=k)
-                assert dict(got[0]) == dict(want[0]) and got[1] == want[1], (n, k, r)
-                cols += 1
+    for family, statistic, n, rs, k in sweeps:
+        got = gfcat.columns_via_gf(family, statistic, n, rs, k)
+        want = objects.distribution_columns(family, statistic, n, rs, k)
+        for r in rs:
+            assert dict(got[r][0]) == dict(want[r][0]) and got[r][1] == want[r][1], (
+                family, statistic, n, k, r)
+            cols += 1
     _report(2, "%d systems residual-zero and closed==solved at truncation 20; "
             "%d distribution columns match enumeration" % (len(gfcat.FAMILY_IDS), cols),
             t0, 600)

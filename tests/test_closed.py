@@ -527,17 +527,20 @@ def test_column_matches_dense_reference():
         for dmax in (0, 1, 3, 12, 30):
             cols = []
             for r in rs:
-                n, d, power, _ = closed._limit_law_data(formula_id, r)
-                got = closed._column(n, d, power, [r], dmax)[0]
+                n, d, power, rho = closed._limit_law_data(formula_id, r)
+                got = closed._column(n, d, power, 1, [r], dmax)[0]
                 want = [(deg, p) for deg, p in enumerate(dense[r][: dmax + 1]) if p]
                 assert got == want, (formula_id, r, dmax)
+                # rho^r goes into the one division of each entry
+                assert closed._column(n, d, power, rho, [r], dmax)[0] == \
+                    [(deg, rho**r * p) for deg, p in want], (formula_id, r, dmax)
                 # one type rule: Quad2 over Q(sqrt 2), else int where integral
                 for (_, g), (_, w) in zip(got, want):
                     assert type(g) is (Quad2 if formula_id == "schroeder-leaf"
                                        else type(exact_int(w))), (formula_id, r, dmax, g)
                 cols.append(got)
             # one call returns every column asked for, in the order asked
-            assert closed._column(n12, d12, power, rs[::-1], dmax) == cols[::-1], \
+            assert closed._column(n12, d12, power, 1, rs[::-1], dmax) == cols[::-1], \
                 (formula_id, dmax)
     # the first step's height is 1 for sure: the one integral entry
     assert closed.limit_distribution("dyck-upstep", 1, 3) == [(1, 1)]
@@ -587,7 +590,7 @@ def test_column_refuses_a_denominator_that_is_no_unit_in_y():
     # times y, D's x^0 cell has no y^0 entry left to divide by
     n, d, power, _ = closed._limit_law_data("binary-leaf", 2)
     with pytest.raises(ArithmeticError, match="not a unit in y"):
-        closed._column(n, ps_mul_ypoly(d, [0, 1]), power, [2], 5)
+        closed._column(n, ps_mul_ypoly(d, [0, 1]), power, 1, [2], 5)
 
 
 def test_harmonic_matches_the_plain_sum():

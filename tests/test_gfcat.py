@@ -10,7 +10,6 @@ from combstat.exact import yp_eval1
 from combstat.gfcat import (
     FAMILY_IDS,
     babs_du1_closed,
-    distribution_via_gf,
     egf_cell_counts,
     gf_closed,
     gf_dy1_closed,
@@ -211,9 +210,21 @@ def _binary_leaves_printed(t):
     return ps_mul_ypoly(ps_inv(den), [2])
 
 
-# second printed closed forms, kept as references for gf_closed
+def _noncrossing_depths_cubic(t):
+    """G's equation with a0 = T - yzT^3 T(xz), solved: gf_closed takes the
+    printed numerator T + y(1 - T)T(xz), which T = 1 + zT^3 makes equal."""
+    tt = solve_fixed_point("ternary", t)
+    ttx = ps_subst_scale(tt, t, {"z": (1, (1, 1, 0, 0))})
+    yz, one = ps_monomial(t, (1, 0, 0, 0), [0, 1]), ps_one(t)
+    a0 = ps_sub(tt, ps_mul(yz, ps_mul(ps_mul(tt, ps_mul(tt, tt)), ttx)))
+    wings = ps_add(tt, ps_mul(ps_monomial(t, (0, 1, 0, 0), [1]), ttx))
+    m = ps_mul(yz, ps_mul(ps_mul(tt, ttx), wings))
+    return ps_mul(a0, ps_inv(ps_sub(one, m)))
+
+
+# second closed forms, kept as references for gf_closed
 PRINTED = {"B": _binary_leaves_printed, "D": _walk_heights_printed,
-           "P": _plane_leaves_printed}
+           "P": _plane_leaves_printed, "G": _noncrossing_depths_cubic}
 
 
 @pytest.mark.parametrize("family", sorted(PRINTED))
@@ -256,7 +267,8 @@ def test_small_boxes_clip(family):
 # "small" hashes the builds at nz 0-5, nx {0, 1, 3}, ny {0, 2, 5} in that
 # order.  I and J were recorded at commit 38690cb while they were still
 # built in Fraction cells, the seven ordinary systems at commit 7192411
-# while their algebraic bases were still solved by plain iteration.  The
+# while their algebraic bases were still solved by plain iteration, and W
+# at commit 691e354, while _system still returned a tuple of factors.  The
 # test keeps its first name, under which the I and J cases were recorded.
 EGF_DIGESTS = {
     ("B", (13, 13, 12)): "9480d3da09d101143c5b7e9906a9637a5b7ec9251706f6cba78cdb71892cecc7",
@@ -271,6 +283,9 @@ EGF_DIGESTS = {
     ("U", (13, 13, 12)): "a0aab587326561d869c831fa08a7f044f2321ab75886f6d1d4eaa2f7b36477ce",
     ("U", (20, 20, 19)): "f86e29e099b44a81acc7f546547eb2afee9bc6935ead9fdf84270431d05a3e6d",
     ("U", "small"): "0e574c94ef733fe01fb36749fd3ded45c1c595ab1a78e8665e35a34926647bda",
+    ("W", (13, 13, 12)): "578fbb73accd23897ec8fa47074c602f0a056208243b214555293f35a8de9ae3",
+    ("W", (20, 20, 19)): "f5211a657cd72314a13539223d7c50c43d65fdd32284152fac350ac77ed9775e",
+    ("W", "small"): "c9eddce182a92e08874e63167997a110ab75b18b7485c29b96edaf08bacd7b43",
     ("P", (13, 13, 12)): "d669d66388706273bb49473904c6be0e09e10868828cf87f78241bde07620d0b",
     ("P", (20, 20, 19)): "df562c94eccd8dabf4b3d0cbdfe95b26a79d98f5df7b01040f11cf3fedade2e8",
     ("P", "small"): "92030aa835aae6fa6655a1eb11dfa5db6996a5c08a095e046f6fb21a7da80398",
@@ -464,7 +479,7 @@ ORACLE_CASES = [
 
 @pytest.mark.parametrize("family,statistic,n,r,k", ORACLE_CASES)
 def test_distribution_matches_enumeration(family, statistic, n, r, k):
-    got_counts, got_total = distribution_via_gf(family, statistic, n, r, k=k)
+    got_counts, got_total = gfcat.columns_via_gf(family, statistic, n, [r], k)[r]
     want_counts, want_total = objects.distribution(family, statistic, n, r, k=k)
     assert got_total == want_total
     assert dict(want_counts) == got_counts
@@ -485,7 +500,7 @@ def test_sweep_matches_single_reads(family, statistic, monkeypatch):
     monkeypatch.undo()
     walked = objects.distribution_columns(family, statistic, n, rs, k)
     for r in rs:
-        assert swept[r] == distribution_via_gf(family, statistic, n, r, k=k)
+        assert swept[r] == gfcat.columns_via_gf(family, statistic, n, [r], k)[r]
         assert walked[r] == objects.distribution(family, statistic, n, r, k=k)
         assert dict(walked[r][0]) == swept[r][0]
 
@@ -514,12 +529,12 @@ def test_derived_box_loses_nothing(family, statistic, monkeypatch):
     assert sweep() == derived
 
 
-def test_distribution_via_gf_range_errors():
+def test_columns_via_gf_range_errors():
     with pytest.raises(ValueError):
-        distribution_via_gf("binary", "leaf-depth", 3, 4)
+        gfcat.columns_via_gf("binary", "leaf-depth", 3, [4])
     with pytest.raises(ValueError):
-        distribution_via_gf("dyck", "upstep-height", 3, 0)
+        gfcat.columns_via_gf("dyck", "upstep-height", 3, [0])
     with pytest.raises(ValueError):
-        distribution_via_gf("plane", "leaf-depth", 3, 0)  # k missing
+        gfcat.columns_via_gf("plane", "leaf-depth", 3, [0])  # k missing
     with pytest.raises(ValueError):
-        distribution_via_gf("binary", "node-depth", 3, 0)
+        gfcat.columns_via_gf("binary", "node-depth", 3, [0])
