@@ -420,15 +420,17 @@ def columns_via_gf(family, statistic, n, rs, k=None):
     the generating function: {r: (dict value -> count, total)}.  Every
     series counts its family's smallest object at z^0, so position r is
     the cell z^(n - min_n) x^r (v^k with a leaf count).  The series is
-    built once, in the box of the largest x-degree read, and every
-    column is cut out of it.  Mirrors objects.distribution_columns.
+    built once, by gf_solve (gf_closed for I, whose form is faster), in
+    the box of the largest x-degree read, and every column is cut out
+    of it.  Mirrors objects.distribution_columns.
     """
     objects.check_positions(family, statistic, n, rs, k)
     st = objects.statistic_entry(family, statistic)
     dz = n - objects.FAMILIES[family].min_n
     xs = {r for r in rs if not (st.root and r == 0)}
     if xs:
-        s = gf_closed(st.gf, gf_box(st.gf, dz, max(xs), k or 0))
+        box = gf_box(st.gf, dz, max(xs), k or 0)
+        s = (gf_closed if st.gf == "I" else gf_solve)(st.gf, box)
     out = {}
     for r in rs:
         if r in xs:

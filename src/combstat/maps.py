@@ -16,8 +16,9 @@ Three of the six maps are built from the other three:
   all have two children: a binary tree's leaf becomes ``()`` and its
   node the pair of its children.
 
-The recursions stay in private or inner functions: a tracer that wraps
-the public names would otherwise see one call per tree node.
+The recursions are private module-level functions, so a tracer that
+wraps the public names sees no call per tree node, and no nested
+function that calls itself holds what it builds in a reference cycle.
 """
 
 from __future__ import annotations
@@ -57,35 +58,35 @@ def binary_to_dyck_fl(t) -> str:
     """f_L: U, the left subtree's walk, D, the right subtree's walk, so
     the leftmost leaf's depth is the initial run of up-steps."""
     steps = []
-
-    def walk(node):
-        while node is not None:
-            steps.append("U")
-            walk(node[0])
-            steps.append("D")
-            node = node[1]
-
-    walk(t)
+    _fl_steps(t, steps.append)
     return "".join(steps)
+
+
+def _fl_steps(node, emit):
+    while node is not None:
+        emit("U")
+        _fl_steps(node[0], emit)
+        emit("D")
+        node = node[1]
 
 
 def dyck_to_binary_fl(w: str):
     """Invert f_L.  Words satisfy W ::= "" | U W D W, so the first
     character decides between leaf and node."""
-
-    def parse(i):
-        if i >= len(w) or w[i] == "D":
-            return None, i
-        left, i = parse(i + 1)
-        if i >= len(w) or w[i] != "D":
-            raise ValueError("unbalanced walk")
-        right, i = parse(i + 1)
-        return (left, right), i
-
-    t, i = parse(0)
+    t, i = _fl_parse(w, 0)
     if i != len(w):
         raise ValueError("walk is not in the image of f_L")
     return t
+
+
+def _fl_parse(w, i):
+    if i >= len(w) or w[i] == "D":
+        return None, i
+    left, i = _fl_parse(w, i + 1)
+    if i >= len(w) or w[i] != "D":
+        raise ValueError("unbalanced walk")
+    right, i = _fl_parse(w, i + 1)
+    return (left, right), i
 
 
 def _mirror(t):
@@ -116,19 +117,20 @@ def schroeder_to_dissection(t) -> PolygonSubdivision:
     The root gets the root side, each other internal node a diagonal,
     each leaf a side."""
     diags = set()
-
-    def walk(node, a):  # -> the end b of node's chord (a, b)
-        if not node:
-            return a + 1
-        b = a
-        for child in node:
-            b = walk(child, b)
-        diags.add((a, b))
-        return b
-
-    n = walk(t, 0) - 1
+    n = _chords(t, 0, diags.add) - 1
     diags.discard((0, n + 1))
     return PolygonSubdivision(n, frozenset(diags), "dissection")
+
+
+def _chords(node, a, emit):
+    """Emit the chord (a, b) of node and of each node below it; return b."""
+    if not node:
+        return a + 1
+    b = a
+    for child in node:
+        b = _chords(child, b, emit)
+    emit((a, b))
+    return b
 
 
 def dissection_to_schroeder(sub: PolygonSubdivision):
@@ -138,23 +140,23 @@ def dissection_to_schroeder(sub: PolygonSubdivision):
         ends[a].append(b)
     for row in ends:
         row.sort()
+    return _face_tree(ends, 0, sub.n + 1)
 
-    def build(a, b):
-        """The subtree under the chord (a, b): walk the face on its far
-        side, from each vertex to the farthest one reachable by a chord
-        of the dissection or a side, never the base itself."""
-        if b == a + 1:
-            return ()
-        kids = []
-        cur = a
-        while cur < b:
-            row = ends[cur]
-            nxt = row[bisect_right(row, b - 1 if cur == a else b) - 1]
-            kids.append(build(cur, nxt))
-            cur = nxt
-        return tuple(kids)
 
-    return build(0, sub.n + 1)
+def _face_tree(ends, a, b):
+    """The subtree under the chord (a, b): walk the face on its far
+    side, from each vertex to the farthest one reachable by a chord of
+    the dissection or a side, never the base itself."""
+    if b == a + 1:
+        return ()
+    kids = []
+    cur = a
+    while cur < b:
+        row = ends[cur]
+        nxt = row[bisect_right(row, b - 1 if cur == a else b) - 1]
+        kids.append(_face_tree(ends, cur, nxt))
+        cur = nxt
+    return tuple(kids)
 
 
 # -------------------------------------- binary <-> triangulation

@@ -33,6 +33,7 @@ Representations:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter
@@ -52,21 +53,15 @@ class PolygonSubdivision:
 def _streamed(gen, *top):
     """Stream the objects of the top problem of ``gen(*key, sub)``, an
     enumerator that takes its strictly smaller sub-problems from
-    ``sub(*key)``.  sub builds each once into a memo that lives only for
-    this call.  It is emptied when the stream ends or is closed: sub
-    reaches itself through its closure, so the memo would otherwise wait
-    for the cyclic collector."""
-    memo = {}
+    ``sub(*key)``.  sub builds each once into a memo that is freed with
+    the stream: sub is a partial, not a closure in a reference cycle."""
+    return gen(*top, functools.partial(_memo_sub, gen, {}))
 
-    def sub(*key):
-        if key not in memo:
-            memo[key] = tuple(gen(*key, sub))
-        return memo[key]
 
-    try:
-        yield from gen(*top, sub)
-    finally:
-        memo.clear()
+def _memo_sub(gen, memo, *key):
+    if key not in memo:
+        memo[key] = tuple(gen(*key, functools.partial(_memo_sub, gen, memo)))
+    return memo[key]
 
 
 def _catalan(n: int, join, leaf, sub):
@@ -178,9 +173,16 @@ def perm_to_increasing(perm):
 
 
 def increasing_to_perm(t):
-    if t is None:
-        return ()
-    return increasing_to_perm(t[1]) + (t[0],) + increasing_to_perm(t[2])
+    """The labels in order, by a walk with its own stack: no depth limit."""
+    perm, above = [], []
+    while t is not None or above:
+        while t is not None:
+            above.append(t)
+            t = t[1]
+        t = above.pop()
+        perm.append(t[0])
+        t = t[2]
+    return tuple(perm)
 
 
 def increasing_trees(n: int):
@@ -252,17 +254,21 @@ def count_family(family: str, n: int, budget=None) -> int:
 
 # ----------------------------------------------------------- statistics
 
+# Each walker recurses through a private module-level function: a nested
+# function calling itself is a reference cycle, a public name a tracer call.
+
+def _binary_leaves(node, pos, left, right, emit):
+    """Emit each leaf's position in order; an edge adds left or right."""
+    if node is None:
+        emit(pos)
+    else:
+        _binary_leaves(node[0], pos + left, left, right, emit)
+        _binary_leaves(node[1], pos + right, left, right, emit)
+
+
 def binary_leaf_depths(t):
     out = []
-
-    def walk(node, d):
-        if node is None:
-            out.append(d)
-        else:
-            walk(node[0], d + 1)
-            walk(node[1], d + 1)
-
-    walk(t, 0)
+    _binary_leaves(t, 0, 1, 1, out.append)
     return out
 
 
@@ -270,40 +276,32 @@ def binary_leaf_abscissas(t):
     """Horizontal position of each leaf, root at 0, a left edge moving
     one unit left and a right edge one unit right."""
     out = []
-
-    def walk(node, pos):
-        if node is None:
-            out.append(pos)
-        else:
-            walk(node[0], pos - 1)
-            walk(node[1], pos + 1)
-
-    walk(t, 0)
+    _binary_leaves(t, 0, -1, 1, out.append)
     return out
+
+
+def _plane_leaves(node, d, emit):
+    if not node:
+        emit(d)
+    for child in node:
+        _plane_leaves(child, d + 1, emit)
 
 
 def plane_leaf_depths(t):
     out = []
-
-    def walk(node, d):
-        if not node:
-            out.append(d)
-        for child in node:
-            walk(child, d + 1)
-
-    walk(t, 0)
+    _plane_leaves(t, 0, out.append)
     return out
+
+
+def _plane_nodes(node, d, emit):
+    emit(d)
+    for child in node:
+        _plane_nodes(child, d + 1, emit)
 
 
 def plane_node_depths_preorder(t):
     out = []
-
-    def walk(node, d):
-        out.append(d)
-        for child in node:
-            walk(child, d + 1)
-
-    walk(t, 0)
+    _plane_nodes(t, 0, out.append)
     return out
 
 
@@ -350,45 +348,41 @@ def noncrossing_node_depths(edges):
         adj[b].append(a)
     depth = [-1] * (n + 1)
     depth[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if depth[w] < 0:
-                    depth[w] = depth[v] + 1
-                    nxt.append(w)
-        frontier = nxt
+    order = [0]  # breadth first: the loop reads each vertex appended
+    for v in order:
+        for w in adj[v]:
+            if depth[w] < 0:
+                depth[w] = depth[v] + 1
+                order.append(w)
     if -1 in depth:
         raise ValueError("chord set is not connected")
     return depth
 
 
+def _increasing_leaves(node, d, emit):
+    if node is None:
+        emit(d)
+    else:
+        _increasing_leaves(node[1], d + 1, emit)
+        _increasing_leaves(node[2], d + 1, emit)
+
+
 def increasing_leaf_depths(t):
     out = []
-
-    def walk(node, d):
-        if node is None:
-            out.append(d)
-        else:
-            walk(node[1], d + 1)
-            walk(node[2], d + 1)
-
-    walk(t, 0)
+    _increasing_leaves(t, 0, out.append)
     return out
+
+
+def _internal_inorder(node, d, emit):
+    if node is not None:
+        _internal_inorder(node[1], d + 1, emit)
+        emit(d)
+        _internal_inorder(node[2], d + 1, emit)
 
 
 def increasing_internal_depths_inorder(t):
     out = []
-
-    def walk(node, d):
-        if node is None:
-            return
-        walk(node[1], d + 1)
-        out.append(d)
-        walk(node[2], d + 1)
-
-    walk(t, 0)
+    _internal_inorder(t, 0, out.append)
     return out
 
 
@@ -451,48 +445,50 @@ def binary_to_text(t) -> str:
     return "(%s%s)" % (binary_to_text(t[0]), binary_to_text(t[1]))
 
 
-def binary_from_text(s: str):
-    def parse(i):
-        if i >= len(s):
-            raise ValueError("truncated binary-tree text")
-        if s[i] == ".":
-            return None, i + 1
-        if s[i] != "(":
-            raise ValueError("bad character %r in binary-tree text" % s[i])
-        left, i = parse(i + 1)
-        right, i = parse(i)
-        if i >= len(s) or s[i] != ")":
-            raise ValueError("unbalanced binary-tree text")
-        return (left, right), i + 1
+def _binary_parse(s, i):
+    if i >= len(s):
+        raise ValueError("truncated binary-tree text")
+    if s[i] == ".":
+        return None, i + 1
+    if s[i] != "(":
+        raise ValueError("bad character %r in binary-tree text" % s[i])
+    left, i = _binary_parse(s, i + 1)
+    right, i = _binary_parse(s, i)
+    if i >= len(s) or s[i] != ")":
+        raise ValueError("unbalanced binary-tree text")
+    return (left, right), i + 1
 
-    t, i = parse(0)
+
+def binary_from_text(s: str):
+    t, i = _binary_parse(s, 0)
     if i != len(s):
         raise ValueError("trailing junk in binary-tree text")
     return t
 
 
-def plane_to_text(t) -> str:
-    # recursing through the public name would put one tracer call per node
-    def walk(node):
-        return "(%s)" % "".join(map(walk, node))
+def _plane_text(node):
+    return "(%s)" % "".join(map(_plane_text, node))
 
-    return walk(t)
+
+def plane_to_text(t) -> str:
+    return _plane_text(t)
+
+
+def _plane_parse(s, i):
+    if i >= len(s) or s[i] != "(":
+        raise ValueError("bad plane-tree text")
+    i += 1
+    kids = []
+    while i < len(s) and s[i] == "(":
+        child, i = _plane_parse(s, i)
+        kids.append(child)
+    if i >= len(s) or s[i] != ")":
+        raise ValueError("unbalanced plane-tree text")
+    return tuple(kids), i + 1
 
 
 def plane_from_text(s: str):
-    def parse(i):
-        if i >= len(s) or s[i] != "(":
-            raise ValueError("bad plane-tree text")
-        i += 1
-        kids = []
-        while i < len(s) and s[i] == "(":
-            child, i = parse(i)
-            kids.append(child)
-        if i >= len(s) or s[i] != ")":
-            raise ValueError("unbalanced plane-tree text")
-        return tuple(kids), i + 1
-
-    t, i = parse(0)
+    t, i = _plane_parse(s, 0)
     if i != len(s):
         raise ValueError("trailing junk in plane-tree text")
     return t

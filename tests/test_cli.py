@@ -97,6 +97,17 @@ def test_convert_refuses_input_that_nests_too_deeply(capsys):
         assert captured.out == "" and "nests too deeply" in captured.err
 
 
+def test_convert_reads_a_permutation_too_deep_to_recurse(capsys):
+    # the sorted permutation is a right comb and its reverse a left comb,
+    # each deeper than the interpreter's recursion limit
+    deep = 1200
+    for perm in (range(1, deep + 1), range(deep, 0, -1)):
+        text = ",".join(map(str, perm))
+        for flag in ((), ("--inverse",)):
+            assert run(capsys, "convert", "increasing-to-permutation", text,
+                       *flag) == (0, text), (perm, flag)
+
+
 def test_convert_refuses_a_negative_polygon_size(capsys):
     for name in ("binary-to-triangulation", "schroeder-to-dissection"):
         assert main(["convert", name, "--inverse", "", "--n", "-1"]) == 2, name

@@ -1,3 +1,6 @@
+import gc
+import itertools
+
 import pytest
 
 from combstat import maps as mp
@@ -99,8 +102,6 @@ def test_schroeder_dissection_roundtrip_and_transport(k):
 
 @pytest.mark.parametrize("n", range(6))
 def test_increasing_permutation_roundtrip(n):
-    import itertools
-
     for perm in itertools.permutations(range(1, n + 1)):
         t = ob.perm_to_increasing(perm)
         assert ob.increasing_to_perm(t) == perm
@@ -123,3 +124,30 @@ def test_registry_shape():
     }
     for src, dst, fwd, inv in mp.BIJECTIONS.values():
         assert callable(fwd) and callable(inv)
+
+
+def test_walking_and_converting_leave_no_cyclic_garbage():
+    # a recursion that holds itself in a reference cycle leaves what it
+    # built to the cyclic collector; every walker, map and codec frees
+    # its work by reference counting alone
+    sized = {family: [(n, obj) for n in range(entry.min_n, 6)
+                      for obj in ob.enumerate_family(family, n)]
+             for family, entry in ob.FAMILIES.items() if entry.enumerate}
+    sized["permutation"] = [(n, perm) for n in range(6)
+                            for perm in itertools.permutations(range(1, n + 1))]
+    gc.collect()
+    gc.disable()
+    try:
+        for (family, _), entry in ob.STATISTICS.items():
+            for n, obj in sized[family]:
+                entry.walker(obj)
+        for src, _, fwd, inv in mp.BIJECTIONS.values():
+            for n, obj in sized[src]:
+                inv(fwd(obj))
+        for family, entry in ob.FAMILIES.items():
+            for n, obj in sized[family]:
+                entry.from_text(entry.to_text(obj), n)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
