@@ -406,8 +406,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # exact values print in full: no int-to-str digit limit in this call
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
         cfg = _load_config(args.config)
+        if limit:
+            sys.set_int_max_str_digits(0)
         return args.fn(args, cfg, sys.stdout)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -415,6 +419,9 @@ def main(argv=None):
     except RecursionError:
         print("error: the input nests too deeply", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -117,20 +117,22 @@ def ternary_edge(n: int) -> int:
 _RUN = 32  # consecutive terms 1/i that one leaf of harmonic's splitting adds
 
 
+def _split(a, b):  # the sum of 1/i for 0 < a <= i < b, as (p, q)
+    if b - a <= _RUN:
+        p, q = 0, 1
+        for i in range(a, b):
+            p, q = p * i + q, q * i
+        return p, q
+    (p1, q1), (p2, q2) = _split(a, (a + b) // 2), _split((a + b) // 2, b)
+    return p1 * q2 + p2 * q1, q1 * q2
+
+
 def harmonic(n: int, m: int = 0) -> Fraction:
     """H_n + H_m (H_n alone by default), H_k = 1 + 1/2 + ... + 1/k (0 for
     k <= 0), as 2 H_min(n, m) plus the terms past min(n, m): binary
     splitting into int pairs p/q, each leaf a run of _RUN terms in one loop."""
-    def split(a, b):  # the sum of 1/i for 0 < a <= i < b, as (p, q)
-        if b - a <= _RUN:
-            p, q = 0, 1
-            for i in range(a, b):
-                p, q = p * i + q, q * i
-            return p, q
-        (p1, q1), (p2, q2) = split(a, (a + b) // 2), split((a + b) // 2, b)
-        return p1 * q2 + p2 * q1, q1 * q2
     lo, hi = sorted((max(n, 0), max(m, 0)))
-    (p, q), (p2, q2) = split(1, lo + 1), split(lo + 1, hi + 1)
+    (p, q), (p2, q2) = _split(1, lo + 1), _split(lo + 1, hi + 1)
     return Fraction(2 * p * q2 + p2 * q, q * q2)
 
 

@@ -3,19 +3,16 @@
 Ten families, each with a functional equation S = a0 + S*m written once
 in _system (a graded linear solve, or for I and J an ODE in z), a closed
 form, and for most a product identity for the y-derivative at y = 1.  No
-ordinary equation forms a series inverse.  The closed forms of Babs, D,
-W, P and G are their equations solved by one series inverse; those of
-B, U, A, I and J are forms of their own, built with no square root or
-exponential solver: B's sqrt(1 - 4z) is 1 - 2zC(z), and the
-exponentials of I and J are products of rising factorials (see
-gf_closed).  The equations of B, D, U, W, A and G are rational in their
-base series and are stated in EQUATIONS, which also feeds closed's
-fixed-r limit laws (all but A's, which is still served the stored
-printed law): those are the same equations at the base's dominant
-singularity.  Cells are y-polynomials
-whose coefficient of y^d counts objects whose marked position has
-depth/height d; x marks the position, z the size, v (for P) the leaf
-count, u (for Babs) the signed horizontal offset.
+ordinary equation forms a series inverse.  The closed form of every
+family but A, I and J is its equation solved by one series inverse; A, I
+and J have forms of their own, built with no square root or exponential
+solver (see gf_closed).  The equations of B, D, U, W, A and G are
+rational in their base series and are stated in EQUATIONS, which also
+feeds closed's fixed-r limit laws (all but A's, still the stored printed
+law): the same equations at the base's dominant singularity.  Cells are
+y-polynomials whose coefficient of y^d counts objects whose marked
+position has depth/height d; x marks the position, z the size, v (for P)
+the leaf count, u (for Babs) the signed horizontal offset.
 
 Each pair of objects.STATISTICS names the id it is read off, and the
 read-off is worked out here from that id and the family's smallest size:
@@ -64,7 +61,6 @@ from .series import (
     ps_ode_solve,
     ps_one,
     ps_retrunc,
-    ps_scale,
     ps_shift,
     ps_sub,
     ps_subst_scale,
@@ -155,45 +151,18 @@ def _shift_v(s: Series, k: int) -> Series:
 # -------------------------------------------------------- closed forms
 
 def gf_closed(family: str, trunc: Truncation) -> Series:
-    """The closed form of a family at the given truncation.
-
-    Babs, D, W, P and G are served as their functional equation S = a0 +
-    S*m (see _system) solved, a0/(1 - m), which for a0 = 1 is the inverse
-    alone.  Enumeration, gf_solve, the printed forms of D and P, G's
-    equation with its other a0 and the reflection of U kept in the tests
-    check them.  B, U, A, I and J have forms of their own, which gf_solve
-    and gf_residual check against their equations.  B's roots are
-    sqrt(1 - 4z) = 1 - 2zC(z) and its copy at xz.  I is exp(y(L(z) + L(xz))) with L(z) = -log(1 - z), that
-    is (1 - z)^(-y) (1 - xz)^(-y), and J's integrand is the same at
+    """The closed form of a family at the given truncation: for every
+    family but A, I and J its equation S = a0 + S*m (see _system) solved,
+    a0/(1 - m), which verify checks for B, D, U and W against Lagrange
+    coefficients.  A, I and J have forms of their own, which gf_solve and
+    gf_residual check.  I is exp(y(L(z) + L(xz))) with L(z) = -log(1 - z),
+    that is (1 - z)^(-y) (1 - xz)^(-y), and J's integrand is the same at
     1 - y: n!-scaled, each factor (1 - z)^(-p) has the rising factorial
     p(p+1)...(p+k-1) as its z^k cell (_rising).
     """
     _check(family, trunc)
     t = trunc
     one = ps_one(t)
-
-    if family in ("Babs", "D", "W", "P", "G"):
-        a0, m, _ = _system(family, t)
-        inv = ps_inv(ps_sub(one, m))
-        return inv if a0 == one else ps_mul(a0, inv)
-
-    if family == "B":
-        # 2/(2 - 2y + y sqrt(1-4z) + y sqrt(1-4xz)), sqrt(1-4z) = 1 - 2zC(z)
-        c = solve_fixed_point("catalan", t)
-        root = ps_sub(one, ps_shift(ps_scale(c, 2), 1))
-        rootx = _sub_x(root, 1)
-        den = ps_add(
-            ps_mul_ypoly(one, [2, -2]),
-            ps_mul_ypoly(ps_add(root, rootx), Y),
-        )
-        return ps_mul_ypoly(ps_inv(den), [2])
-
-    if family == "U":
-        c = solve_fixed_point("catalan", t)
-        cx = _sub_x(c, 1)
-        xyz_c2 = ps_mul(ps_mul(_z(t, Y), _x(t)), ps_mul(c, c))
-        den = ps_sub(one, ps_mul(_z(t, Y), ps_mul(_x(t), ps_mul(c, cx))))
-        return ps_mul(ps_mul(xyz_c2, cx), ps_inv(den))
 
     if family == "A":
         # 1/(1 + y(1 - R)), R = 1/((1 - zS(z))(1 - xzS(xz)))
@@ -209,7 +178,9 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
         integral = ps_integrate_z(_exp_logs(t, [1, -1]))
         return ps_laplace(ps_bmul(_exp_logs(t, Y), integral))
 
-    raise AssertionError  # pragma: no cover
+    a0, m, _ = _system(family, t)
+    inv = ps_inv(ps_sub(one, m))
+    return inv if a0 == one else ps_mul(a0, inv)
 
 
 # ------------------------------------------------ functional equations

@@ -6,12 +6,13 @@ on the path that serves a result, and no check relies on ``assert``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closed, gfcat, maps, objects, series
 from .exact import Quad2, render_scalar
-from .series import Truncation, ps_inv, ps_is_zero, ps_monomial, ps_one, ps_shift
+from .series import Truncation, ps_coeff, ps_inv, ps_is_zero, ps_monomial, ps_one, ps_shift
 
 STATUSES = ("PASS", "WARN", "FAIL")
 
@@ -202,6 +203,24 @@ def _fixed_point_residual(eq_id, t):
     return s - (ps_inv(one - z * s) - one + ps_monomial(t, (0, 0, 1, 0), [1]))
 
 
+def _gamma(m, k):
+    """[z^m] C(z)^k: k/(2m + k)·C(2m + k, m), [m = 0] for k = 0, 0 for m < 0."""
+    return k * math.comb(2 * m + k, m) // (2 * m + k) if k > 0 and m >= 0 else int(m == 0)
+
+
+# the coefficient of z^n x^r y^d in a pair's series by Lagrange inversion
+# (Flajolet & Sedgewick, Thm A.2): each [y^d] of a0/(1 - m) is a product
+# of Catalan-power coefficients, as 1/(1 - wC(w)) = C(w)
+_LAGRANGE = {
+    ("binary", "leaf-depth"): lambda n, r, d: sum(
+        math.comb(d, j) * _gamma(r - j, j) * _gamma(n - r - d + j, d - j) for j in range(d + 1)),
+    ("dyck", "vertex-height"): lambda n, r, d: 0 if (r - d) % 2 else (
+        _gamma((r - d) // 2, d + 1) * _gamma(n - (r + d) // 2, d + 1)),
+    ("dyck", "upstep-height"): lambda n, r, d: _gamma(r - d, d) * _gamma(n - r, d + 1),
+    ("dyck", "downstep-height"): lambda n, r, d: _gamma(r - 1, d + 1) * _gamma(n - r - d + 1, d),
+}
+
+
 def _gf(max_n):
     rows = []
     for eq_id in ("catalan", "ternary", "schroeder", "narayana"):
@@ -212,6 +231,15 @@ def _gf(max_n):
         s = gfcat.gf_closed(fam, t)
         rows.append(Row.check("gf-residual", fam, 8, ps_is_zero(gfcat.gf_residual(fam, s))))
         rows.append(Row.check("gf-closed-vs-solve", fam, 8, s == gfcat.gf_solve(fam, t)))
+
+    # each cell z^n x^r y^d of B, D, U and W (n <= 20, d <= n + 1), by no equation
+    for pair, coeff in _LAGRANGE.items():
+        fam = objects.STATISTICS[pair].gf
+        s = gfcat.gf_solve(fam, Truncation(20, 40, 21))
+        bad = next(({"n": n, "r": r, "d": d} for n in range(21)
+                    for r in objects.positions(*pair, n) for d in range(n + 2)
+                    if coeff(n, r, d) != (ps_coeff(s, n, r)[d:] or [0])[0]), None)
+        rows.append(Row.check("gf-vs-lagrange", fam, 20, counterexample=bad))
 
     # every column of each pair at one size, from both routes; the
     # families that enumerate slowest stop at size 5, and no size falls

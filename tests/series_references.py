@@ -1,9 +1,10 @@
 """Reference square roots and exponentials of series, for the tests.
 
 The library takes no square root or exponential by a solver of its own:
-it builds each from a base series (sqrt(1 - 4z) = 1 - 2zC(z)) or from
-rising factorials.  These references take them straight from their
-definitions instead, so a test can check one route against the other.
+it builds each from a base series (the Schroeder law's root
+sqrt(1 - 6w + w^2) = 1 + w - 4wS(w)) or from rising factorials.  These
+references take them straight from their definitions instead, so a test
+can check one route against the other.
 """
 
 from fractions import Fraction

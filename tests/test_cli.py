@@ -9,6 +9,7 @@ import pytest
 
 from combstat import closed, gfcat, maps, objects, series, verify
 from combstat.cli import main
+from combstat.exact import render_scalar
 
 
 def run(capsys, *argv):
@@ -211,11 +212,12 @@ def test_verify_bijections_reports_an_increasing_tree_depth_fault(capsys, monkey
 
 # sha256 of `verify --suite all --max-n 8` in each format, as printed
 # before the suites moved into combstat.verify, plus the gf-residual and
-# gf-closed-vs-solve rows of the down-step system W and the two more
-# passes they add to the summary line
+# gf-closed-vs-solve rows of the down-step system W, the four
+# gf-vs-lagrange rows of B, D, U and W, and the passes they add to the
+# summary line
 VERIFY_ALL_DIGESTS = {
-    "text": "490bed88cfac26b79775ed2fb5a37b89a8f56efdeb6f55874c9fda5f3c588af8",
-    "json": "8e3bf72958bfff020e59fb03a5687451c23f891e0d365c1ac02a3cdf324452df",
+    "text": "c40ec42149ee61959b2e9744761ac5f2619d0703aea3613a3a87e8ce8863d9fb",
+    "json": "b49450a6a9bf877f64b023dc0f0f56f3915fb1a45420226ec7a4ae49f404b7e2",
 }
 
 
@@ -318,7 +320,42 @@ def test_verify_gf_at_the_smallest_sizes(capsys, max_n):
     # leaf count capped by the size, so no check asks for an empty class
     code, out = run(capsys, "verify", "--suite", "gf", "--max-n", max_n)
     assert code == 0
-    assert out.splitlines()[-1] == "passed=37 warned=0 failed=0"
+    assert out.splitlines()[-1] == "passed=41 warned=0 failed=0"
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default int-to-str digit limit, restored after the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+# exact values with more digits than the default limit prints
+BIG_VALUES = {
+    ("count", "binary", "--n", "8000"): lambda: closed.family_count("binary", 8000),
+    ("average", "binary", "leaf-depth", "--n", "20000", "--r", "10000"):
+        lambda: closed.exact_average("binary-leaf", 20000, 10000),
+    ("average", "dyck", "vertex-height", "--n", "9000", "--r", "9000"):
+        lambda: closed.exact_average("dyck-vertex", 9000, 9000),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BIG_VALUES), ids=" ".join)
+def test_exact_values_of_any_size_print(capsys, digit_limit, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == digit_limit
+    sys.set_int_max_str_digits(0)
+    assert len(out) > digit_limit and out == render_scalar(BIG_VALUES[argv]())
+
+
+def test_main_keeps_the_digit_limit_on_errors(capsys, digit_limit):
+    assert run(capsys, "average", "binary", "leaf-depth", "--n", "3")[0] == 2
+    assert sys.get_int_max_str_digits() == digit_limit
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -503,7 +540,7 @@ def test_verify_fails_on_a_perturbed_base(capsys, monkeypatch):
 
 def test_one_equation_feeds_the_solve_and_the_limit_law(capsys, monkeypatch):
     # B's equation, with one coefficient changed, moves both gf_solve
-    # (against B's own closed form) and the limit law derived from it
+    # (against B's Lagrange coefficients) and the limit law derived from it
     def rows(suite):
         out = run(capsys, "verify", "--suite", suite, "--max-n", "4")[1]
         return {tuple(line.split()[1:3]): line.split()[0] for line in out.splitlines()[:-1]}
@@ -513,9 +550,22 @@ def test_one_equation_feeds_the_solve_and_the_limit_law(capsys, monkeypatch):
     monkeypatch.setitem(gfcat.EQUATIONS, "B", (
         base, lambda one, y, z, x, c, cx, cxx: (one, y * z * (c + 2 * x * cx))))
     after = {**rows("gf"), **rows("limits")}
-    for key in (("gf-closed-vs-solve", "B"), ("limit-gf-mean-vs-closed", "binary-leaf")):
+    for key in (("gf-vs-lagrange", "B"), ("limit-gf-mean-vs-closed", "binary-leaf")):
         assert (before[key], after[key]) == ("PASS", "FAIL"), key
     assert after[("limit-gf-mean-vs-closed", "dyck-vertex")] == "PASS"
+
+
+@pytest.mark.parametrize("pair", sorted(verify._LAGRANGE), ids="/".join)
+def test_an_off_lagrange_coefficient_fails_its_row_alone(capsys, monkeypatch, pair):
+    coeff = verify._LAGRANGE[pair]
+    monkeypatch.setitem(verify._LAGRANGE, pair,
+                        lambda n, r, d: coeff(n, r, d) + ((n, d) == (7, 3)))
+    code, out = run(capsys, "verify", "--suite", "gf", "--max-n", "2", "--format", "json")
+    failed = [(row["check_id"], row["family"], row["counterexample"])
+              for row in json.loads(out)["rows"] if row["status"] != "PASS"]
+    fam = objects.STATISTICS[pair].gf
+    r = objects.positions(*pair, 7)[0]  # the first cell the change moves
+    assert code == 1 and failed == [("gf-vs-lagrange", fam, {"n": 7, "r": r, "d": 3})]
 
 
 def test_serving_path_runs_no_cross_check(capsys, monkeypatch):

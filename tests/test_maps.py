@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from combstat import closed
 from combstat import maps as mp
 from combstat import objects as ob
 from combstat import verify
@@ -128,8 +129,9 @@ def test_registry_shape():
 
 def test_walking_and_converting_leave_no_cyclic_garbage():
     # a recursion that holds itself in a reference cycle leaves what it
-    # built to the cyclic collector; every walker, map and codec frees
-    # its work by reference counting alone
+    # built to the cyclic collector; every walker, map and codec, and the
+    # harmonic sums of both increasing-tree averages, free their work by
+    # reference counting alone
     sized = {family: [(n, obj) for n in range(entry.min_n, 6)
                       for obj in ob.enumerate_family(family, n)]
              for family, entry in ob.FAMILIES.items() if entry.enumerate}
@@ -147,6 +149,10 @@ def test_walking_and_converting_leave_no_cyclic_garbage():
         for family, entry in ob.FAMILIES.items():
             for n, obj in sized[family]:
                 entry.from_text(entry.to_text(obj), n)
+        for fid in ("increasing-leaf", "increasing-internal"):
+            for n in (1, 5, 40, 200):
+                for r in ob.positions(*closed.AVG_IDS[fid], n):
+                    closed.exact_average(fid, n, r)
         left = gc.collect()
     finally:
         gc.enable()

@@ -132,8 +132,8 @@ def test_inv_y_unit_nontrivial():
 
 
 def test_sqrt_one_minus_4z():
-    # B's closed form takes sqrt(1 - 4z) as 1 - 2zC(z): it squares to
-    # 1 - 4z and is Newton's root, cell for cell and in int
+    # 1 - 2zC(z) turns B's printed form into B's equation: it squares
+    # to 1 - 4z and is Newton's root, cell for cell and in int
     t = Truncation(12, 0, 0)
     square = 1 - zmono(t, 1, (4,))
     root = 1 - ps_shift(2 * solve_fixed_point("catalan", t), 1)
