@@ -79,6 +79,8 @@ def _format(args, cfg):
 
 def cmd_count(args, cfg, out):
     fam = args.family
+    if args.budget is not None and args.source == "closed":
+        raise ValueError("only --source enum or both enumerates; it alone takes --budget")
     want = closed.family_count(fam, args.n)
     if args.source in ("enum", "both"):
         got = objects.count_family(fam, args.n, budget=_budget(args, cfg, fam))
@@ -99,6 +101,8 @@ def cmd_enumerate(args, cfg, out):
 
 def cmd_distribution(args, cfg, out):
     family, statistic, n, k = args.family, args.statistic, args.n, args.k
+    if args.budget is not None and args.source == "gf":
+        raise ValueError("only --source enum or both enumerates; it alone takes --budget")
     rs = [args.r] if args.r is not None else list(
         objects.positions(family, statistic, n, k))
     if args.source in ("enum", "both"):
@@ -192,6 +196,8 @@ def cmd_average(args, cfg, out):
     if args.method == "asymptotic":
         if st.avg_id is None:
             raise ValueError("no asymptotic form for %s %s" % pair)
+        if args.decimal:
+            raise ValueError("--method asymptotic prints a float; it takes no --decimal")
         print("%.*g" % (digits, closed.asymptotic_average(st.avg_id, args.n, args.r)),
               file=out)
         return 0
@@ -237,6 +243,8 @@ def cmd_limit(args, cfg, out):
         raise ValueError("--r is required (or use --mean)")
     if args.rmax is not None:
         raise ValueError("--rmax bounds the --mean series only")
+    if args.decimal and fmt != "text":
+        raise ValueError("--decimal renders text only, not %s" % fmt)
     dmax = 20 if args.dmax is None else args.dmax
     law = closed.limit_distribution(fid, args.r, dmax, variant=args.variant)
     if fmt == "json":
@@ -273,6 +281,8 @@ def cmd_convert(args, cfg, out):
     src, dst, fwd, inv = maps.BIJECTIONS[args.map]
     if args.inverse:
         src, dst, fwd = dst, src, inv
+    if args.n is not None and src not in ("triangulation", "dissection"):
+        raise ValueError("only a polygon's text needs its size; %s takes no --n" % src)
     obj = objects.FAMILIES[src].from_text(args.text, args.n)
     print(objects.FAMILIES[dst].to_text(fwd(obj)), file=out)
     return 0

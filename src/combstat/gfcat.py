@@ -1,12 +1,11 @@
 """Catalog of the multivariate generating functions.
 
 Ten families, each with a functional equation S = a0 + S*m written once
-in _system (a graded linear solve, or for I and J an ODE in z), a closed
-form, and for most a product identity for the y-derivative at y = 1.  No
-ordinary equation forms a series inverse.  The closed form of every
-family but A, I and J is its equation solved by one series inverse; A, I
-and J have forms of their own, built with no square root or exponential
-solver (see gf_closed).  The equations of B, D, U, W, A and G are
+in _system (a graded linear solve, or for I and J an ODE in z) and a
+closed form.  No ordinary equation forms a series inverse.  The closed
+form of every family but A, I and J is its equation solved by one series
+inverse; A, I and J have forms of their own, built with no square root
+or exponential solver (see gf_closed).  The equations of B, D, U, W, A and G are
 rational in their base series and are stated in EQUATIONS, which also
 feeds closed's fixed-r limit laws (all but A's, still the stored printed
 law): the same equations at the base's dominant singularity.  Cells are
@@ -49,7 +48,6 @@ from .series import (
     ps_bmul,
     ps_borel,
     ps_coeff,
-    ps_div_1mx,
     ps_diff_z,
     ps_integrate_z,
     ps_inv,
@@ -60,7 +58,6 @@ from .series import (
     ps_mul_ypoly,
     ps_ode_solve,
     ps_one,
-    ps_retrunc,
     ps_shift,
     ps_sub,
     ps_subst_scale,
@@ -115,16 +112,6 @@ def _rising(t, powx, p):
     return Series(t, cells=cells)
 
 
-def _log_geom(t, powx):
-    """-log(1 - x^powx z), n!-scaled: the z^k cell is (k-1)!."""
-    cells = {}
-    for k in range(1, t.nz + 1):
-        key = (k, powx * k, 0, 0)
-        if t.contains(key):
-            cells[key] = [math.factorial(k - 1)]
-    return Series(t, cells=cells)
-
-
 def _exp_logs(t, p):
     """exp(p(y) (L(z) + L(xz))) with L(z) = -log(1 - z), n!-scaled: the
     product (1 - z)^(-p) (1 - xz)^(-p)."""
@@ -136,16 +123,6 @@ def _drop_top_z(s: Series) -> Series:
     genuinely loses one order)."""
     nz = s.trunc.nz
     return Series(s.trunc, {k: p for k, p in s.cells.items() if k[0] < nz})
-
-
-def _shift_v(s: Series, k: int) -> Series:
-    """Divide by v^k; every cell must sit at dv >= k."""
-    out = {}
-    for (dz, dx, dv, du), p in s.cells.items():
-        if dv < k:
-            raise ValueError("cell v^%d nonzero, not divisible by v^%d" % (dv, k))
-        out[(dz, dx, dv - k, du)] = p
-    return Series(s.trunc, out)
 
 
 # -------------------------------------------------------- closed forms
@@ -275,88 +252,6 @@ def gf_residual(family: str, s: Series) -> Series:
     s = ps_borel(s)
     rhs = ps_add(a0, ps_bmul(s, m))
     return ps_laplace(_drop_top_z(ps_sub(ps_diff_z(s), rhs)))
-
-
-# --------------------------------------- y-derivative product identities
-
-def gf_x1z_slice(family: str, trunc: Truncation) -> Series:
-    """The y = 1 specialization written as a divided difference, e.g.
-    (C(z) - xC(xz))/(1 - x) for binary trees: the building block of the
-    derivative identities below."""
-    t = trunc
-    if family == "B":
-        c = solve_fixed_point("catalan", t)
-        return ps_div_1mx(ps_sub(c, ps_mul(_x(t), _sub_x(c, 1))))
-    if family == "D":
-        c = solve_fixed_point("catalan", t)
-        return ps_div_1mx(ps_sub(c, ps_mul(_x(t), _sub_x(c, 2))))
-    if family == "U":
-        c = solve_fixed_point("catalan", t)
-        return ps_mul(_x(t), ps_div_1mx(ps_sub(c, _sub_x(c, 1))))
-    if family == "P":
-        nar = solve_fixed_point("narayana", t)
-        narx = ps_subst_scale(nar, t, {"v": (1, (0, 1, 1, 0))})
-        return ps_div_1mx(ps_sub(nar, narx))
-    if family == "A":
-        s = solve_fixed_point("schroeder", t)
-        return ps_div_1mx(ps_sub(s, ps_mul(_x(t), _sub_x(s, 1))))
-    if family == "G":
-        tt = solve_fixed_point("ternary", t)
-        t2 = ps_mul(tt, tt)
-        t2x = _sub_x(t2, 1)
-        return ps_div_1mx(ps_sub(t2, ps_mul(_x(t), t2x)))
-    raise ValueError("no divided-difference slice for family %r" % (family,))
-
-
-def gf_dy1_closed(family: str, trunc: Truncation) -> Series:
-    """d/dy at y = 1 of the family's series, by its product identity
-    (families with one; J has no product form -- differentiate the
-    series itself instead)."""
-    _check(family, trunc)
-    t = trunc
-    one = ps_one(t)
-
-    if family == "B":
-        b1 = gf_x1z_slice("B", t)
-        return ps_mul(b1, ps_sub(b1, one))
-    if family == "D":
-        d1 = gf_x1z_slice("D", t)
-        return ps_mul(ps_mul(_z(t, [1]), _x(t)), ps_mul(d1, d1))
-    if family == "U":
-        c = solve_fixed_point("catalan", t)
-        u1 = gf_x1z_slice("U", t)
-        return ps_mul(u1, ps_add(one, ps_mul(u1, ps_inv(c))))
-    if family == "P":
-        p1 = gf_x1z_slice("P", t)
-        return _shift_v(ps_mul(p1, ps_sub(p1, _v(t))), 1)
-    if family == "A":
-        a1 = gf_x1z_slice("A", t)
-        return ps_mul(a1, ps_sub(a1, one))
-    if family == "G":
-        g1 = gf_x1z_slice("G", t)
-        return ps_mul(ps_mul(_z(t, [1]), _x(t)), ps_mul(g1, g1))
-    if family == "I":
-        ell = ps_add(_log_geom(t, 0), _log_geom(t, 1))
-        return ps_laplace(ps_bmul(ell, _exp_logs(t, [1])))
-    raise ValueError("no product identity for the y-derivative of %r" % (family,))
-
-
-def babs_du1_closed(trunc: Truncation) -> Series:
-    """d/du at u = 1, y = 1 of Babs: the exact closed form
-
-        [x(1-3z-xz)C(xz) - (1-z-3xz)C(z) + (1-x)] / (z (1-x)^2)
-
-    (the apparent poles cancel; the bracket is divisible by z)."""
-    t = Truncation(trunc.nz + 1, trunc.nx, trunc.ny, trunc.nv, trunc.u_range)
-    c = solve_fixed_point("catalan", t)
-    cx = _sub_x(c, 1)
-    p1 = Series(t, cells={(0, 1, 0, 0): [1], (1, 1, 0, 0): [-3], (1, 2, 0, 0): [-1]})
-    p2 = Series(t, cells={(0, 0, 0, 0): [1], (1, 0, 0, 0): [-1], (1, 1, 0, 0): [-3]})
-    numer = ps_add(
-        ps_sub(ps_mul(p1, cx), ps_mul(p2, c)),
-        Series(t, cells={(0, 0, 0, 0): [1], (0, 1, 0, 0): [-1]}),
-    )
-    return ps_retrunc(ps_div_1mx(ps_div_1mx(ps_shift(numer, -1))), trunc)
 
 
 # ------------------------------------------------------ EGF reporting

@@ -44,7 +44,6 @@ z-integral are index shifts); ps_laplace divides by n! again.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -455,23 +454,6 @@ def ps_shift(a: Series, k: int) -> Series:
     return Series(t, out)
 
 
-def ps_div_1mx(a: Series) -> Series:
-    """Multiply by 1/(1-x): a running sum along the x direction."""
-    t = a.trunc
-    cols = defaultdict(dict)
-    for (dz, dx, dv, du), p in a.cells.items():
-        cols[(dz, dv, du)][dx] = p
-    out = {}
-    for (dz, dv, du), col in cols.items():
-        run = []
-        for dx in range(t.nx + 1):
-            if dx in col:
-                run = yp_add(run, col[dx])
-            if run:
-                out[(dz, dx, dv, du)] = run
-    return Series(t, out)
-
-
 # ------------------------------------------------- substitution / views
 
 def ps_subst_scale(a: Series, out_trunc: Truncation, subs) -> Series:
@@ -514,14 +496,6 @@ def ps_subst_scale(a: Series, out_trunc: Truncation, subs) -> Series:
     return Series(out_trunc, out)
 
 
-def ps_retrunc(a: Series, new_trunc: Truncation) -> Series:
-    """Reinterpret under another truncation, clipping what falls out:
-    keys outside the box and y-degrees beyond its ny."""
-    out = {k: yp_trim(p[: new_trunc.ny + 1])
-           for k, p in a.cells.items() if new_trunc.contains(k)}
-    return Series(new_trunc, {k: p for k, p in out.items() if p})
-
-
 def ps_eval_y1(a: Series) -> Series:
     """Set y = 1: every cell collapses to the scalar sum of its ypoly."""
     out = {}
@@ -540,17 +514,6 @@ def ps_diff_y1(a: Series) -> Series:
         s = yp_deriv1(p)
         if s != 0:
             out[k] = [s]
-    return Series(a.trunc, out)
-
-
-def ps_diff_u1(a: Series) -> Series:
-    """(u d/du) then u = 1: each cell scaled by its u-exponent, folded
-    onto du = 0.  With the usual log-derivative reading this is the
-    first moment extractor for the u-marked statistic."""
-    out = {}
-    for (dz, dx, dv, du), p in a.cells.items():
-        if du:
-            _add_into(out, (dz, dx, dv, 0), yp_scale(p, du))
     return Series(a.trunc, out)
 
 

@@ -221,6 +221,26 @@ _LAGRANGE = {
 }
 
 
+# the totals rows reach one size past the largest enumeration budget;
+# plane leaf-depth builds one series per leaf count, so it stops sooner
+_TOTALS_CAP = 12
+_PLANE_TOTALS_CAP = 8
+
+
+def _total_mismatch(pair, st, cap):
+    """The first size, position (and leaf count) where the sum of d·count
+    over a column of columns_via_gf is not the closed total, else None."""
+    for n in range(objects.FAMILIES[pair[0]].min_n, cap + 1):
+        for k in st.leaf_counts(n) if st.leaf_counts else [None]:
+            cols = gfcat.columns_via_gf(*pair, n, objects.positions(*pair, n, k), k)
+            for r, (counts, _) in cols.items():
+                want = (closed.plane_leaf_total(n, k, r) if k
+                        else closed.exact_total(st.avg_id, n, r))
+                if sum(d * c for d, c in counts.items()) != want:
+                    return {"n": n, "r": r} if k is None else {"n": n, "k": k, "r": r}
+    return None
+
+
 def _gf(max_n):
     rows = []
     for eq_id in ("catalan", "ternary", "schroeder", "narayana"):
@@ -240,6 +260,13 @@ def _gf(max_n):
                     for r in objects.positions(*pair, n) for d in range(n + 2)
                     if coeff(n, r, d) != (ps_coeff(s, n, r)[d:] or [0])[0]), None)
         rows.append(Row.check("gf-vs-lagrange", fam, 20, counterexample=bad))
+
+    # the first moment of every served column against its closed total
+    for pair, st in objects.STATISTICS.items():
+        if st.avg_id or st.leaf_counts:
+            cap = _PLANE_TOTALS_CAP if st.leaf_counts else _TOTALS_CAP
+            rows.append(Row.check("gf-total-vs-closed", "%s/%s" % pair, cap,
+                                  counterexample=_total_mismatch(pair, st, cap)))
 
     # every column of each pair at one size, from both routes; the
     # families that enumerate slowest stop at size 5, and no size falls

@@ -1,16 +1,26 @@
-"""Reference square roots and exponentials of series, for the tests.
+"""Reference series operations, for the tests.
 
 The library takes no square root or exponential by a solver of its own:
 it builds each from a base series (the Schroeder law's root
 sqrt(1 - 6w + w^2) = 1 + w - 4wS(w)) or from rising factorials.  These
 references take them straight from their definitions instead, so a test
-can check one route against the other.
+can check one route against the other.  ps_retrunc cuts a smaller box
+out of a larger one, which a test compares with a build in that box.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from combstat.series import ps_add, ps_bmul, ps_inv, ps_mul, ps_one, ps_scale
+from combstat.exact import yp_trim
+from combstat.series import Series, ps_add, ps_bmul, ps_inv, ps_mul, ps_one, ps_scale
+
+
+def ps_retrunc(a, new_trunc):
+    """Reinterpret under another truncation, clipping what falls out:
+    keys outside the box and y-degrees beyond its ny."""
+    out = {k: yp_trim(p[: new_trunc.ny + 1])
+           for k, p in a.cells.items() if new_trunc.contains(k)}
+    return Series(new_trunc, {k: p for k, p in out.items() if p})
 
 
 def newton_sqrt(a):

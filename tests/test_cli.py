@@ -213,11 +213,11 @@ def test_verify_bijections_reports_an_increasing_tree_depth_fault(capsys, monkey
 # sha256 of `verify --suite all --max-n 8` in each format, as printed
 # before the suites moved into combstat.verify, plus the gf-residual and
 # gf-closed-vs-solve rows of the down-step system W, the four
-# gf-vs-lagrange rows of B, D, U and W, and the passes they add to the
-# summary line
+# gf-vs-lagrange rows of B, D, U and W, the ten gf-total-vs-closed rows,
+# and the passes they add to the summary line
 VERIFY_ALL_DIGESTS = {
-    "text": "c40ec42149ee61959b2e9744761ac5f2619d0703aea3613a3a87e8ce8863d9fb",
-    "json": "b49450a6a9bf877f64b023dc0f0f56f3915fb1a45420226ec7a4ae49f404b7e2",
+    "text": "8d92b25b91b4266b4360c3a69bf78a4037df5f48d9e2a9b1f922783131d1dc5f",
+    "json": "0deaf7f71d8c6d9da5375191d592ce3ec122fa7e3efd3d6b2e4438eaddbf568f",
 }
 
 
@@ -320,7 +320,7 @@ def test_verify_gf_at_the_smallest_sizes(capsys, max_n):
     # leaf count capped by the size, so no check asks for an empty class
     code, out = run(capsys, "verify", "--suite", "gf", "--max-n", max_n)
     assert code == 0
-    assert out.splitlines()[-1] == "passed=41 warned=0 failed=0"
+    assert out.splitlines()[-1] == "passed=51 warned=0 failed=0"
 
 
 @pytest.fixture
@@ -430,6 +430,21 @@ def test_usage_errors(capsys, tmp_path):
         (["limit", "binary", "leaf-depth", "--mean", "--r", "3", "--rmax", "1"],
          "it takes no --r"),
         (["limit", "binary", "leaf-depth", "--r", "1", "--rmax", "3"], "--rmax"),
+        # a count by closed form and a column by GF enumerate nothing
+        (["count", "binary", "--n", "3", "--source", "closed", "--budget", "1"],
+         "--budget"),
+        (["distribution", "binary", "leaf-depth", "--n", "3", "--source", "gf",
+          "--budget", "1"], "--budget"),
+        # only a polygon's text leaves its size to --n; an asymptotic
+        # average is a float, and JSON and plot data print every form
+        (["convert", "binary-to-triangulation", "(.(..))", "--n", "9"], "takes no --n"),
+        (["convert", "plane-to-dyck", "UD", "--inverse", "--n", "1"], "takes no --n"),
+        (["average", "binary", "leaf-depth", "--n", "10", "--r", "3",
+          "--method", "asymptotic", "--decimal"], "--decimal"),
+        (["limit", "binary", "leaf-depth", "--r", "1", "--format", "json", "--decimal"],
+         "--decimal"),
+        (["limit", "binary", "leaf-depth", "--r", "1", "--format", "plotdata",
+          "--decimal"], "--decimal"),
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -566,6 +581,31 @@ def test_an_off_lagrange_coefficient_fails_its_row_alone(capsys, monkeypatch, pa
     fam = objects.STATISTICS[pair].gf
     r = objects.positions(*pair, 7)[0]  # the first cell the change moves
     assert code == 1 and failed == [("gf-vs-lagrange", fam, {"n": 7, "r": r, "d": 3})]
+
+
+def test_a_wrong_series_or_total_fails_its_totals_row_alone(capsys, monkeypatch):
+    def failed():
+        out = run(capsys, "verify", "--suite", "gf", "--max-n", "2", "--format", "json")[1]
+        return [(row["check_id"], row["family"], row.get("counterexample"))
+                for row in json.loads(out)["rows"] if row["status"] != "PASS"]
+
+    # W's equation with its y moved off one term: the down-step series is
+    # wrong, which its Lagrange row sees too, and every total but its own holds
+    with monkeypatch.context() as m:
+        base, _ = gfcat.EQUATIONS["W"]
+        m.setitem(gfcat.EQUATIONS, "W", (
+            base, lambda one, y, z, x, c, cx, cxx: (x * y * z * cx * cx, z * (y * cx + cx))))
+        got = failed()
+    assert [row[:2] for row in got if row[0] == "gf-total-vs-closed"] == [
+        ("gf-total-vs-closed", "dyck/downstep-height")]
+    assert [row[:2] for row in got] == [("gf-vs-lagrange", "W"),
+                                        ("gf-total-vs-closed", "dyck/downstep-height")]
+
+    # one closed total off by one, past every enumeration budget
+    total = closed._total
+    monkeypatch.setattr(closed, "_total", lambda fid, n, r, c: total(fid, n, r, c) + (
+        (fid, n, r) == ("noncrossing-node", 9, 4)))
+    assert failed() == [("gf-total-vs-closed", "noncrossing/node-depth", {"n": 9, "r": 4})]
 
 
 def test_serving_path_runs_no_cross_check(capsys, monkeypatch):

@@ -42,12 +42,11 @@ from combstat.series import (
     ps_mul,
     ps_mul_ypoly,
     ps_one,
-    ps_retrunc,
     ps_scale,
     ps_shift,
     ps_sub,
 )
-from series_references import newton_sqrt
+from series_references import newton_sqrt, ps_retrunc
 
 
 def test_sequences():

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -9,13 +8,10 @@ from combstat import gfcat, objects
 from combstat.exact import yp_eval1
 from combstat.gfcat import (
     FAMILY_IDS,
-    babs_du1_closed,
     egf_cell_counts,
     gf_closed,
-    gf_dy1_closed,
     gf_residual,
     gf_solve,
-    gf_x1z_slice,
 )
 from combstat.series import (
     Series,
@@ -23,20 +19,18 @@ from combstat.series import (
     ps_add,
     ps_bmul,
     ps_coeff,
-    ps_diff_y1,
     ps_inv,
     ps_is_zero,
     ps_monomial,
     ps_mul,
     ps_mul_ypoly,
     ps_one,
-    ps_retrunc,
     ps_sub,
     ps_subst_scale,
     ps_to_json,
     solve_fixed_point,
 )
-from series_references import newton_sqrt, power_exp
+from series_references import newton_sqrt, power_exp, ps_retrunc
 
 
 def catalan(n):
@@ -384,83 +378,6 @@ def test_leftmost_leaf_specializations():
         ps_subst_scale(p, tp, {"v": (1, (0, 0, 0, 0))}), t, {"x": (0, (0, 1, 0, 0))}
     )
     assert p0 == chain
-
-
-# ------------------------------------------- y-derivative identities
-
-@pytest.mark.parametrize("family", ["B", "D", "U", "A", "G", "I"])
-def test_dy1_product_identity(family):
-    t = TRUNCS[family]
-    assert gf_dy1_closed(family, t) == ps_diff_y1(gf_closed(family, t))
-
-
-def test_dy1_product_identity_plane():
-    t = Truncation(5, 5, 5, nv=7)
-    termwise = ps_diff_y1(gf_closed("P", t))
-    prod = gf_dy1_closed("P", t)
-    # the v-shift costs the top v slice of the product form
-    for (dz, dx, dv, du), p in termwise.cells.items():
-        if dv <= t.nv - 1:
-            assert ps_coeff(prod, dz, dx, dv, du) == p
-
-
-def test_dy1_no_product_form_for_inorder():
-    with pytest.raises(ValueError):
-        gf_dy1_closed("J", Truncation(4, 4, 4))
-
-
-def test_depth_total_cells():
-    t = Truncation(5, 5, 5)
-    db = gf_dy1_closed("B", t)
-    assert ps_coeff(db, 3, 0) == [9]
-    folded = ps_subst_scale(db, t, {"x": (1, (0, 0, 0, 0))})
-    assert ps_coeff(folded, 5, 0) == [772]
-
-
-def test_slice_coefficients():
-    # (C(z) - xC(xz))/(1-x) carries c_n at every x power up to n
-    t = Truncation(5, 5, 0)
-    b1 = gf_x1z_slice("B", t)
-    for n in range(6):
-        for r in range(n + 1):
-            assert ps_coeff(b1, n, r) == [catalan(n)]
-        assert ps_coeff(b1, n, n + 1) == [] or n == 5
-    d1 = gf_x1z_slice("D", Truncation(4, 8, 0))
-    for n in range(5):
-        for r in range(2 * n + 1):
-            assert ps_coeff(d1, n, r) == [catalan(n)]
-    g1 = gf_x1z_slice("G", Truncation(4, 4, 0))
-    tprime = [1, 2, 7, 30, 143]
-    for n in range(5):
-        for r in range(n + 1):
-            assert ps_coeff(g1, n, r) == [tprime[n]]
-
-
-# --------------------------------------------------- abscissa closed form
-
-def test_abscissa_derivative_closed_form():
-    du = babs_du1_closed(Truncation(8, 8, 0))
-    for n in range(9):
-        for r in range(n + 1):
-            got = ps_coeff(du, n, r)
-            want = Fraction(3 * catalan(n) * (2 * r - n), n + 2)
-            assert want.denominator == 1
-            if want == 0:
-                assert got == []
-            else:
-                assert got == [want]
-
-
-def test_abscissa_derivative_matches_series():
-    t = Truncation(5, 5, 5, u_range=5)
-    b = gf_closed("Babs", t)
-    from combstat.series import ps_diff_u1, ps_eval_y1
-
-    termwise = ps_diff_u1(ps_eval_y1(b))
-    closed = babs_du1_closed(Truncation(5, 5, 0))
-    for n in range(6):
-        for r in range(n + 1):
-            assert ps_coeff(termwise, n, r, 0, 0) == ps_coeff(closed, n, r)
 
 
 # ------------------------------------------- agreement with enumeration

@@ -14,10 +14,8 @@ from combstat.series import (
     ps_bmul,
     ps_borel,
     ps_coeff,
-    ps_diff_u1,
     ps_diff_y1,
     ps_diff_z,
-    ps_div_1mx,
     ps_eval_y1,
     ps_integrate_z,
     ps_inv,
@@ -28,7 +26,6 @@ from combstat.series import (
     ps_mul,
     ps_ode_solve,
     ps_one,
-    ps_retrunc,
     ps_scale,
     ps_shift,
     ps_sub,
@@ -36,7 +33,7 @@ from combstat.series import (
     ps_to_json,
     solve_fixed_point,
 )
-from series_references import newton_sqrt, power_exp
+from series_references import newton_sqrt, power_exp, ps_retrunc
 
 T88 = Truncation(nz=8, nx=8, ny=8)
 
@@ -272,14 +269,6 @@ def test_shift():
         ps_shift(s, -2)
 
 
-def test_div_1mx():
-    t = Truncation(1, 3, 0)
-    s = Series(t, cells={(0, 0, 0, 0): [1], (1, 1, 0, 0): [2]})
-    d = ps_div_1mx(s)
-    assert [ps_coeff(d, 0, j) for j in range(4)] == [[1], [1], [1], [1]]
-    assert [ps_coeff(d, 1, j) for j in range(4)] == [[], [2], [2], [2]]
-
-
 def test_subst_scale_xz():
     tz = Truncation(4, 0, 0)
     c = solve_fixed_point("catalan", tz)
@@ -305,17 +294,6 @@ def test_y_views():
     assert ps_coeff(ps_eval_y1(s), 1) == [5]
     assert ps_coeff(ps_diff_y1(s), 1) == [9]
     assert ps_coeff(ps_diff_y1(s), 2) == []
-
-
-def test_u_views():
-    t = Truncation(2, 0, 0, u_range=2)
-    s = Series(
-        t,
-        cells={(1, 0, 0, -1): [1], (1, 0, 0, 1): [3], (2, 0, 0, 2): [1]},
-    )
-    d = ps_diff_u1(s)
-    assert ps_coeff(d, 1) == [2]  # -1*1 + 1*3
-    assert ps_coeff(d, 2) == [2]
 
 
 def test_fixed_point_catalan():
