@@ -12,6 +12,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -19,7 +20,7 @@ import sys
 
 from . import closed, gfcat, maps, objects, verify
 from .exact import render_decimal, render_scalar
-from .series import Truncation, ps_to_json
+from .series import ps_to_json
 
 
 def _scalar_str(value, decimal, digits):
@@ -265,8 +266,8 @@ def cmd_limit(args, cfg, out):
 
 
 def cmd_expand(args, cfg, out):
-    t = Truncation(args.trunc_z, args.trunc_x, args.trunc_y,
-                   nv=args.trunc_v, u_range=args.u_range)
+    box = gfcat.gf_box(args.id, args.trunc_z, args.trunc_x, args.trunc_v)
+    t = dataclasses.replace(box, ny=args.trunc_y)
     build = gfcat.gf_solve if args.form == "solve" else gfcat.gf_closed
     series = build(args.id, t)
     json.dump(ps_to_json(series), out, indent=2)
@@ -309,9 +310,10 @@ def cmd_verify(args, cfg, out):
                    "passed": passed, "warned": warned, "failed": failed}, out, indent=2)
         out.write("\n")
     else:
+        width = max([20] + [len(row.family) for row in rows])
         for row in rows:
-            line = "%-4s %-28s %-20s n_or_r=%s" % (
-                row.status, row.check_id, row.family, row.n_or_r)
+            line = "%-4s %-28s %-*s n_or_r=%s" % (
+                row.status, row.check_id, width, row.family, row.n_or_r)
             if row.counterexample is not None:
                 line += "  %s" % (row.counterexample,)
             print(line, file=out)
@@ -394,7 +396,6 @@ def build_parser():
     sp.add_argument("--trunc-x", type=int, required=True)
     sp.add_argument("--trunc-y", type=int, required=True)
     sp.add_argument("--trunc-v", type=int, default=0)
-    sp.add_argument("--u-range", type=int, default=0)
     sp.add_argument("--form", choices=("closed", "solve"), default="closed")
 
     sp = add("convert", cmd_convert, help="apply a bijection to one object")

@@ -13,8 +13,7 @@ Three of the six maps are built from the other three:
 * f_R is f_L conjugated by the mirror image: f_R = rc . f_L . mirror,
   where rc reverses a walk and swaps U and D;
 * a triangulation is the dissection of the Schroeder tree whose nodes
-  all have two children: a binary tree's leaf becomes ``()`` and its
-  node the pair of its children.
+  all have two children, and a binary tree is that tree as it is.
 
 The recursions are private module-level functions, so a tracer that
 wraps the public names sees no call per tree node, and no nested
@@ -119,7 +118,7 @@ def schroeder_to_dissection(t) -> PolygonSubdivision:
     diags = set()
     n = _chords(t, 0, diags.add) - 1
     diags.discard((0, n + 1))
-    return PolygonSubdivision(n, frozenset(diags), "dissection")
+    return PolygonSubdivision(n, frozenset(diags))
 
 
 def _chords(node, a, emit):
@@ -161,10 +160,6 @@ def _face_tree(ends, a, b):
 
 # -------------------------------------- binary <-> triangulation
 
-def _binary_to_plane(t):
-    return () if t is None else (_binary_to_plane(t[0]), _binary_to_plane(t[1]))
-
-
 def _plane_to_binary(t):
     if not t:
         return None
@@ -174,9 +169,9 @@ def _plane_to_binary(t):
     return (_plane_to_binary(t[0]), _plane_to_binary(t[1]))
 
 
-def binary_to_triangulation(t) -> PolygonSubdivision:
-    sub = schroeder_to_dissection(_binary_to_plane(t))
-    return PolygonSubdivision(sub.n, sub.diagonals, "triangulation")
+# the chord walk reads a binary tree as it is: a leaf None is falsy like
+# (), and a node (left, right) iterates over its two children
+binary_to_triangulation = schroeder_to_dissection
 
 
 def triangulation_to_binary(sub: PolygonSubdivision):

@@ -26,7 +26,7 @@ Representations:
                        points 0..n; connected and acyclic by construction
 * increasing tree   -- ``(label, left, right)`` with ``None`` leaves;
                        labels increase away from the root
-* polygon subdivision -- PolygonSubdivision(n, diagonals, kind): the
+* polygon subdivision -- PolygonSubdivision(n, diagonals): the
                        (n+2)-gon on vertices 0..n+1; the root side is
                        (n+1, 0) and side r means the edge (r, r+1)
 """
@@ -45,7 +45,6 @@ from typing import Callable
 class PolygonSubdivision:
     n: int
     diagonals: frozenset
-    kind: str  # "triangulation" | "dissection"
 
 
 # ---------------------------------------------------------- enumerators
@@ -189,50 +188,35 @@ def increasing_trees(n: int):
     return map(perm_to_increasing, itertools.permutations(range(1, n + 1)))
 
 
-def _triangulation_diagonals(a: int, b: int, sub):
-    """Triangulations of the sub-polygon on consecutive vertices a..b,
-    as diagonal sets; the base edge (a, b) itself is not recorded."""
+def _polygon_diagonals(a: int, b: int, most: int, sub):
+    """Noncrossing diagonal sets of the sub-polygon on consecutive
+    vertices a..b, by the face that holds the base edge (a, b), which is
+    not recorded (Flajolet & Noy 1999): its other vertices are 1..most of
+    a+1..b-1, fewest first, and each gap between two of them is a
+    diagonal that bases a sub-polygon of its own.  most = 1 holds every
+    face to a triangle."""
     if b - a < 2:
         yield frozenset()
-    for m in range(a + 1, b):
-        extra = set()
-        if m - a >= 2:
-            extra.add((a, m))
-        if b - m >= 2:
-            extra.add((m, b))
-        extra = frozenset(extra)
-        for left in sub(a, m):
-            for right in sub(m, b):
-                yield left | extra | right
-
-
-def triangulations(n: int):
-    for diags in _streamed(_triangulation_diagonals, 0, n + 1):
-        yield PolygonSubdivision(n, diags, "triangulation")
-
-
-def _dissection_diagonals(a: int, b: int, sub):
-    """All dissections (any noncrossing diagonal set) of the sub-polygon
-    a..b, decomposed by the face that contains the base edge (a, b)."""
-    if b - a < 2:
-        yield frozenset()
-    interior = list(range(a + 1, b))
-    for size in range(1, len(interior) + 1):
-        for chosen in itertools.combinations(interior, size):
+    for size in range(1, min(most, b - a - 1) + 1):
+        for chosen in itertools.combinations(range(a + 1, b), size):
             pts = (a,) + chosen + (b,)
-            gaps = [
-                (p, q)
-                for p, q in zip(pts, pts[1:])
-                if q - p >= 2
-            ]
+            gaps = [(p, q) for p, q in zip(pts, pts[1:]) if q - p >= 2]
             base = frozenset(gaps)
-            for combo in itertools.product(*(sub(p, q) for p, q in gaps)):
+            for combo in itertools.product(*(sub(p, q, most) for p, q in gaps)):
                 yield base.union(*combo)
 
 
+def _subdivisions(n: int, most: int):
+    return map(functools.partial(PolygonSubdivision, n),
+               _streamed(_polygon_diagonals, 0, n + 1, most))
+
+
+def triangulations(n: int):
+    return _subdivisions(n, 1)
+
+
 def dissections(n: int):
-    for diags in _streamed(_dissection_diagonals, 0, n + 1):
-        yield PolygonSubdivision(n, diags, "dissection")
+    return _subdivisions(n, n)
 
 
 def enumerate_family(family: str, n: int, budget=None):
@@ -560,7 +544,7 @@ def subdivision_from_text(s: str, n: int, kind: str) -> PolygonSubdivision:
             "a triangulation of the %d-gon needs %d diagonals, got %d"
             % (n + 2, max(n - 1, 0), len(diags))
         )
-    return PolygonSubdivision(n, diags, kind)
+    return PolygonSubdivision(n, diags)
 
 
 def schroeder_from_text(s: str):

@@ -109,7 +109,7 @@ def test_increasing_permutation_roundtrip(n):
 
 
 def test_triangulation_inverse_rejects_garbage():
-    bad = ob.PolygonSubdivision(3, frozenset({(0, 2)}), "triangulation")
+    bad = ob.PolygonSubdivision(3, frozenset({(0, 2)}))
     with pytest.raises(ValueError, match="not a triangle"):
         mp.triangulation_to_binary(bad)
 

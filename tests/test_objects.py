@@ -226,8 +226,20 @@ def test_dissection_enumeration():
     }
 
 
+def test_triangulations_are_the_dissections_with_triangle_faces():
+    # a dissection of the (n+2)-gon with n-1 diagonals has n triangles
+    sizes = []
+    for n in range(9):
+        tri = list(ob.triangulations(n))
+        assert len(set(tri)) == len(tri)
+        assert set(tri) == {sub for sub in ob.dissections(n)
+                            if len(sub.diagonals) == max(n - 1, 0)}
+        sizes.append(len(tri))
+    assert sizes == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+
+
 def test_separating_count_is_statistic_vector():
-    sub = ob.PolygonSubdivision(3, frozenset({(0, 3), (1, 3)}), "triangulation")
+    sub = ob.PolygonSubdivision(3, frozenset({(0, 3), (1, 3)}))
     assert ob.statistic_entry(
         "triangulation", "separating-diagonals"
     ).walker(sub) == [1, 2, 2, 0]
