@@ -266,7 +266,9 @@ def cmd_limit(args, cfg, out):
 
 
 def cmd_expand(args, cfg, out):
-    box = gfcat.gf_box(args.id, args.trunc_z, args.trunc_x, args.trunc_v)
+    if args.trunc_v is not None and args.id != "P":
+        raise ValueError("only P marks a leaf count in v; %s takes no --trunc-v" % args.id)
+    box = gfcat.gf_box(args.id, args.trunc_z, args.trunc_x, args.trunc_v or 0)
     t = dataclasses.replace(box, ny=args.trunc_y)
     build = gfcat.gf_solve if args.form == "solve" else gfcat.gf_closed
     series = build(args.id, t)
@@ -395,7 +397,7 @@ def build_parser():
     sp.add_argument("--trunc-z", type=int, required=True)
     sp.add_argument("--trunc-x", type=int, required=True)
     sp.add_argument("--trunc-y", type=int, required=True)
-    sp.add_argument("--trunc-v", type=int, default=0)
+    sp.add_argument("--trunc-v", type=int, help="v-order, P only")
     sp.add_argument("--form", choices=("closed", "solve"), default="closed")
 
     sp = add("convert", cmd_convert, help="apply a bijection to one object")

@@ -20,7 +20,8 @@ polynomials in y).  Those of B, D, U, W and G are derived from the one
 statement of their equation, gfcat.EQUATIONS: the derivative of
 S = a0/(1 - m) in the base, at the base's dominant singularity (Flajolet
 and Sedgewick, Analytic Combinatorics, Thm VI.1), is N/D^2 with
-N = a0'(1 - m) + a0 m' and D = 1 - m.  Schroeder-leaf's family A has
+N = a0'(1 - m) + a0 m' and D = 1 - m, m the product of the equation's
+factors folded left to right.  Schroeder-leaf's family A has
 an equation there too, but its law and its r = 0 law are still stored:
 the paper's printed forms.  _column is the one expansion
 of every law, over Z (Z[sqrt 2] for a law in Q(sqrt 2)) with one exact
@@ -497,12 +498,12 @@ def _limit_law_data(formula_id, nw):
     rho, tau = _SINGULARITY[base]
     t = Truncation(nw, 0, 2, nv=1)
     b, inv = solve_fixed_point(base, t), scalar_inv(rho)
-    a0, m = equation(
+    a0, *ms = equation(
         ps_one(t), ps_monomial(t, ZERO_KEY, [0, 1]), ps_const(t, rho),
         ps_monomial(t, (1, 0, 0, 0), [inv]),
         Series(t, cells={ZERO_KEY: [tau], (0, 0, 1, 0): [1]}),
         b, ps_subst_scale(b, t, {"z": (inv, (2, 0, 0, 0))}))
-    (a00, a01), (m0, m1) = _dual_parts(a0), _dual_parts(m)
+    (a00, a01), (m0, m1) = _dual_parts(a0), _dual_parts(functools.reduce(ps_mul, ms))
     d = ps_sub(ps_one(m0.trunc), m0)
     ell = math.lcm(*(c.denominator for p in d.cells.values() for c in p))
     n = ps_add(ps_mul(a01, d), ps_mul(a00, m1))

@@ -2,13 +2,17 @@
 
 Ten families, each with a functional equation S = a0 + S*m written once
 in _system (a graded linear solve, or for I and J an ODE in z) and a
-closed form.  No ordinary equation forms a series inverse.  The closed
-form of every family but A, I and J is its equation solved by one series
-inverse; A, I and J have forms of their own, built with no square root
-or exponential solver (see gf_closed).  The equations of B, D, U, W, A and G are
-rational in their base series and are stated in EQUATIONS, which also
-feeds closed's fixed-r limit laws (all but A's, still the stored printed
-law): the same equations at the base's dominant singularity.  Cells are
+closed form.  An equation states a0 and then m as a chain of factors,
+which the solvers consume one at a time, online, and never multiply
+out: P's m is zy r1 r2 and G's yz T T(xz) (T + xT(xz)), every other m
+is one factor.  No ordinary equation forms a series inverse.  The closed
+form of every family but A, I and J is a0 times the solution of
+S = 1 + S*m; A, I and J have forms of their own, built with no square
+root or exponential solver (see gf_closed).  The equations of B, D, U,
+W, A and G are rational in their base series and are stated in
+EQUATIONS, which also feeds closed's fixed-r limit laws (all but A's,
+still the stored printed law): the same equations at the base's
+dominant singularity.  Cells are
 y-polynomials whose coefficient of y^d counts objects whose marked
 position has depth/height d; x marks the position, z the size, v (for P)
 the leaf count, u (for Babs) the signed horizontal offset.
@@ -35,6 +39,7 @@ ids, statistic counted, and kind of generating function:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -130,11 +135,12 @@ def _drop_top_z(s: Series) -> Series:
 def gf_closed(family: str, trunc: Truncation) -> Series:
     """The closed form of a family at the given truncation: for every
     family but A, I and J its equation S = a0 + S*m (see _system) solved,
-    a0/(1 - m), which verify checks for B, D, U and W against Lagrange
-    coefficients.  A, I and J have forms of their own, which gf_solve and
-    gf_residual check.  I is exp(y(L(z) + L(xz))) with L(z) = -log(1 - z),
-    that is (1 - z)^(-y) (1 - xz)^(-y), and J's integrand is the same at
-    1 - y: n!-scaled, each factor (1 - z)^(-p) has the rising factorial
+    a0/(1 - m), with 1/(1 - m) solved against m's factors in turn, which
+    verify checks for B, D, U and W against Lagrange coefficients.  A, I
+    and J have forms of their own, which gf_solve and gf_residual check.
+    I is exp(y(L(z) + L(xz))) with L(z) = -log(1 - z), that is
+    (1 - z)^(-y) (1 - xz)^(-y), and J's integrand is the same at 1 - y:
+    n!-scaled, each factor (1 - z)^(-p) has the rising factorial
     p(p+1)...(p+k-1) as its z^k cell (_rising).
     """
     _check(family, trunc)
@@ -142,21 +148,22 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
     one = ps_one(t)
 
     if family == "A":
-        # 1/(1 + y(1 - R)), R = 1/((1 - zS(z))(1 - xzS(xz)))
-        st = ps_shift(solve_fixed_point("schroeder", t), 1)
-        r = ps_inv(ps_mul(ps_sub(one, st), ps_sub(one, _sub_x(st, 1))))
+        # 1/(1 + y(1 - R)), R = q q(xz) with q = 1/(1 - zS(z))
+        q = ps_inv(ps_sub(one, ps_shift(solve_fixed_point("schroeder", t), 1)))
+        r = ps_mul(q, _sub_x(q, 1))
         return ps_inv(ps_sub(one, ps_mul_ypoly(ps_sub(r, one), Y)))
 
     if family == "I":
         return ps_laplace(_exp_logs(t, Y))
 
     if family == "J":
-        # I times the integral of exp((1 - y)(L(z) + L(xz)))
+        # I times the integral of exp((1 - y)(L(z) + L(xz))), I's two
+        # factors taken one at a time
         integral = ps_integrate_z(_exp_logs(t, [1, -1]))
-        return ps_laplace(ps_bmul(_exp_logs(t, Y), integral))
+        return ps_laplace(ps_bmul(_rising(t, 0, Y), ps_bmul(_rising(t, 1, Y), integral)))
 
-    a0, m, _ = _system(family, t)
-    inv = ps_inv(ps_sub(one, m))
+    a0, ms, _ = _system(family, t)
+    inv = ps_linear_solve(one, *ms)
     return inv if a0 == one else ps_mul(a0, inv)
 
 
@@ -164,10 +171,12 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
 
 # S = a0 + S*m for the families whose equation is rational in their base
 # series b (C, S for A, or T for G), written once: family -> (base, the
-# map from 1, y, z, x and b at z, xz and x^2 z to (a0, m)).  _system
-# passes series; closed passes values at the base's dominant singularity,
-# where the derivative in b gives the fixed-r limit laws (A's law is still
-# the stored printed form).  A's a0 is 1/R in its printed form (see
+# map from 1, y, z, x and b at z, xz and x^2 z to a0 followed by m's
+# factors, the first with no constant cell).  _system passes series, and
+# the solvers take G's four factors one at a time; closed folds them left
+# to right and passes values at the base's dominant singularity, where
+# the derivative in b gives the fixed-r limit laws (A's law is still the
+# stored printed form).  A's a0 is 1/R in its printed form (see
 # gf_closed), divided through; G's is the numerator of its printed form,
 # T + y(1 - T)T(xz), which T = 1 + zT^3 also writes T - yzT^3 T(xz).
 # Reversing a walk makes down-step r up-step n+1-r, so W(z, x) =
@@ -181,7 +190,7 @@ EQUATIONS = {
     "A": ("schroeder", lambda one, y, z, x, s, sx, sxx: (
         a0 := (one - z * s) * (one - x * z * sx), (one + y) * (one - a0))),
     "G": ("ternary", lambda one, y, z, x, t, tx, txx: (
-        t + y * (one - t) * tx, y * z * t * tx * (t + x * tx))),
+        t + y * (one - t) * tx, y * z, t, tx, t + x * tx)),
 }
 
 
@@ -190,18 +199,22 @@ def _system(family: str, t: Truncation):
     gf_residual are both derived from it, and for the families in
     EQUATIONS but A so are closed's limit laws.
 
-    Returns (a0, m, init).  With init None the equation is S = a0 + S*m;
-    otherwise it is dS/dz = a0 + S*m with S = init at z = 0, over
-    n!-scaled series (the products are ps_bmul)."""
+    Returns (a0, ms, init), ms the factors of m, the first with no
+    grade-0 cell.  With init None the equation is S = a0 + S*m, and
+    gf_solve, gf_residual and gf_closed consume the factors one at a
+    time, never forming m itself (for P, 443 cells at T(13,13,13,nv=14)
+    against 92 for each of r1 and r2); otherwise m is one factor and the
+    equation is dS/dz = a0 + S*m with S = init at z = 0, over n!-scaled
+    series (the products are ps_bmul)."""
     _check(family, t)
     one = ps_one(t)
 
     if family in EQUATIONS:
         base, equation = EQUATIONS[family]
         b = solve_fixed_point(base, t)
-        a0, m = equation(one, ps_monomial(t, ZERO_KEY, Y), _z(t, [1]), _x(t),
-                         b, _sub_x(b, 1), _sub_x(b, 2))
-        return a0, m, None
+        a0, *ms = equation(one, ps_monomial(t, ZERO_KEY, Y), _z(t, [1]), _x(t),
+                           b, _sub_x(b, 1), _sub_x(b, 2))
+        return a0, ms, None
 
     if family == "Babs":
         c = solve_fixed_point("catalan", t)
@@ -210,7 +223,7 @@ def _system(family: str, t: Truncation):
             ps_mul(ps_monomial(t, (1, 0, 0, -1), Y), c),
             ps_mul(ps_monomial(t, (1, 1, 0, 1), Y), cx),
         )
-        return one, m, None
+        return one, [m], None
 
     if family == "P":
         # P = v + yzP/((1 - zN(z, xv))(1 - zN)), where 1/(1 - zN) = N + 1 - v
@@ -218,7 +231,7 @@ def _system(family: str, t: Truncation):
         narx = ps_subst_scale(nar, t, {"v": (1, (0, 1, 1, 0))})
         r1 = ps_add(ps_sub(narx, ps_monomial(t, (0, 1, 1, 0), [1])), one)
         r2 = ps_add(ps_sub(nar, _v(t)), one)
-        return _v(t), ps_mul(_z(t, Y), ps_mul(r1, r2)), None
+        return _v(t), [_z(t, Y), r1, r2], None
 
     if family in ("I", "J"):
         # d/dz I = y I (F(z) + x F(xz)), I(x,y,0) = 1, and
@@ -227,8 +240,8 @@ def _system(family: str, t: Truncation):
         f = ps_add(_rising(t, 0, [1]), ps_mul(_x(t), _rising(t, 1, [1])))
         m = ps_mul_ypoly(f, Y)
         if family == "I":
-            return Series(t), m, one
-        return _exp_logs(t, [1]), m, Series(t)
+            return Series(t), [m], one
+        return _exp_logs(t, [1]), [m], Series(t)
 
     raise AssertionError  # pragma: no cover
 
@@ -236,21 +249,21 @@ def _system(family: str, t: Truncation):
 def gf_solve(family: str, trunc: Truncation) -> Series:
     """Solve the family's functional equation directly -- an expansion
     path independent of the closed form."""
-    a0, m, init = _system(family, trunc)
+    a0, ms, init = _system(family, trunc)
     if init is None:
-        return ps_linear_solve(a0, m)
-    return ps_laplace(ps_ode_solve(init, a0, m))
+        return ps_linear_solve(a0, *ms)
+    return ps_laplace(ps_ode_solve(init, a0, *ms))
 
 
 def gf_residual(family: str, s: Series) -> Series:
     """Residual of the family's functional equation at s (zero exactly
     when s satisfies it inside the truncation box; an ODE loses its top
     z-slice to d/dz)."""
-    a0, m, init = _system(family, s.trunc)
+    a0, ms, init = _system(family, s.trunc)
     if init is None:
-        return ps_sub(s, ps_add(a0, ps_mul(s, m)))
+        return ps_sub(s, ps_add(a0, functools.reduce(ps_mul, ms, s)))
     s = ps_borel(s)
-    rhs = ps_add(a0, ps_bmul(s, m))
+    rhs = ps_add(a0, ps_bmul(s, *ms))
     return ps_laplace(_drop_top_z(ps_sub(ps_diff_z(s), rhs)))
 
 

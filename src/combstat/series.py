@@ -29,9 +29,11 @@ u_range >= nz, which is what gfcat requires of Babs.
 The three solvers (ps_linear_solve, ps_ode_solve, solve_fixed_point)
 are online: each fixes one slice (of a grade, or of z) at a time from
 the slices already fixed, forming its products with one kernel,
-_online, so a solve costs about one product.  All the products share
-one kernel, _acc, which multiplies each pair of cells straight into its
-output cell.  No square root or exponential is taken here: gfcat and
+_online, so a solve costs about one product.  ps_linear_solve takes its
+multiplier as a chain of sparse factors and multiplies by them one at
+a time, so it costs about one product per factor and never forms their
+dense product.  All the products share one kernel, _acc, which
+multiplies each pair of cells straight into its output cell.  No square root or exponential is taken here: gfcat and
 closed build each one they need from a base series of
 solve_fixed_point or from rising factorials.
 
@@ -347,20 +349,31 @@ def _cells(slices):
     return dict(cell for layer in slices for cell in layer)
 
 
-def ps_linear_solve(a: Series, m: Series) -> Series:
-    """The unique S with S = a + S*m, for m with no grade-0 cells.
+def ps_linear_solve(a: Series, m: Series, *more: Series) -> Series:
+    """The unique S with S = a + S*m, for m with no grade-0 cells; with
+    more factors, S = a + S*m*f2*...*fk, and only m must lack them.
 
     Solved slice by slice in the grade g = dz+dx+dv: the grade-g slice of
     S*m only involves slices of S below g, so one pass from g = 0 up
-    costs the same as a single multiplication.
+    costs the same as a single multiplication.  The factors are never
+    multiplied out: level 1 is S*m, and level l is level l-1 times the
+    l-th factor, each slice g of it formed online from the slices up to g
+    of the level below.  So a solve costs about one product per factor,
+    against the cells of each, not those of their product.
     """
-    _check_compat(a, m)
+    t = a.trunc
+    for f in (m, *more):
+        _check_compat(a, f)
     if any(not _grade(k) for k in m.cells):
         raise ValueError("linear solve needs m with no grade-0 part")
-    t = a.trunc
-    m_sl, s = _slices(m.cells, t.grade_bound), []
+    f_sl = [_slices(f.cells, t.grade_bound) for f in (m, *more)]
+    s, levels = [], [[] for _ in more]
     for g, cells in enumerate(_slices(a.cells, t.grade_bound)):
-        rhs = _online({k: list(p) for k, p in cells}, m_sl, s, g, t)
+        below = s
+        for f, level in zip(f_sl, levels):
+            level.append(list(_online({}, f, below, g, t).items()))
+            below = level
+        rhs = _online({k: list(p) for k, p in cells}, f_sl[-1], below, g, t)
         s.append(list(rhs.items()))
     return Series(t, _cells(s))
 

@@ -443,6 +443,11 @@ def test_usage_errors(capsys, tmp_path):
          "--decimal"),
         (["limit", "binary", "leaf-depth", "--r", "1", "--format", "plotdata",
           "--decimal"], "--decimal"),
+        # only P has a v, the leaf count
+        (["expand", "B", "--trunc-z", "1", "--trunc-x", "0", "--trunc-y", "1",
+          "--trunc-v", "3"], "takes no --trunc-v"),
+        (["expand", "Babs", "--trunc-z", "1", "--trunc-x", "0", "--trunc-y", "1",
+          "--trunc-v", "0"], "takes no --trunc-v"),
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

@@ -1,10 +1,11 @@
+import functools
 import hashlib
 import json
 import math
 
 import pytest
 
-from combstat import gfcat, objects
+from combstat import gfcat, objects, series
 from combstat.exact import yp_eval1
 from combstat.gfcat import (
     FAMILY_IDS,
@@ -21,6 +22,7 @@ from combstat.series import (
     ps_coeff,
     ps_inv,
     ps_is_zero,
+    ps_linear_solve,
     ps_monomial,
     ps_mul,
     ps_mul_ypoly,
@@ -123,13 +125,39 @@ def test_ordinary_gf_cells_are_int(family):
 @pytest.mark.parametrize("family", ORDINARY)
 def test_ordinary_equations_form_no_series_inverse(family, monkeypatch):
     # each ordinary equation is polynomial in its base series, so neither
-    # solving it nor checking a series against it divides by a series
+    # solving it nor checking a series against it divides by a series, and
+    # nor does a closed form a0/(1 - m), which solves S = 1 + S*m; A's
+    # printed form keeps its inverses
     s = gf_closed(family, TRUNCS[family])
     calls = []
     monkeypatch.setattr(gfcat, "ps_inv", lambda a: calls.append(a) or ps_inv(a))
     gf_solve(family, s.trunc)
     gf_residual(family, s)
+    if family != "A":
+        assert gf_closed(family, s.trunc) == s
     assert not calls
+
+
+def test_factors_are_solved_one_at_a_time(monkeypatch):
+    # P's m = zy r1 r2 has 443 cells at T(13), against 92 for each of r1
+    # and r2: solving against the factors in turn visits fewer than half
+    # the cell pairs of solving against m multiplied out
+    t = Truncation(13, 13, 13, nv=14)
+    a0, ms, _ = gfcat._system("P", t)
+    m = functools.reduce(ps_mul, ms)
+    kernel, visits = series._acc, []
+
+    def counting(out, acells, bcells, box, pascal=None):
+        acells = list(acells)
+        visits.append(len(acells) * len(bcells))
+        return kernel(out, acells, bcells, box, pascal)
+
+    monkeypatch.setattr(series, "_acc", counting)
+    chained = gf_solve("P", t)
+    chain_visits = sum(visits)
+    visits.clear()
+    assert ps_linear_solve(a0, m) == chained
+    assert len(m.cells) == 443 and chain_visits < sum(visits) / 2
 
 
 @pytest.mark.parametrize("family", ["I", "J"])

@@ -177,6 +177,12 @@ def test_grade_zero_cells_are_refused():
         ps_linear_solve(ps_one(t), a)
     with pytest.raises(ValueError, match="linear solve needs m with no grade-0 part"):
         ps_inv(ps_add(ps_one(t), a))
+    # only the first factor of a chain is bound: m*a has no grade-0 cell
+    # when m has none, so a later factor may hold them
+    z = zmono(t, 1)
+    with pytest.raises(ValueError, match="linear solve needs m with no grade-0 part"):
+        ps_linear_solve(ps_one(t), a, z)
+    assert ps_linear_solve(ps_one(t), z, a) == ps_linear_solve(ps_one(t), ps_mul(z, a))
 
 
 def test_exp_log_roundtrip():
@@ -490,8 +496,8 @@ _scalars = {
 
 
 @st.composite
-def _series_pair(draw, exact_u=False):
-    """Two series in one small box, over int, Fraction or Q(sqrt 2) cells
+def _series_tuple(draw, count=2, exact_u=False):
+    """count series in one small box, over int, Fraction or Q(sqrt 2) cells
     with few distinct values (so sums cancel), y-degrees up to ny (so
     products clip) and u at the Laurent edges; or, with exact_u, with
     |du| <= dz <= u_range, so that the box is exact in u."""
@@ -509,23 +515,43 @@ def _series_pair(draw, exact_u=False):
         cells = {k: p for k, p in ((k, yp_add(p, [])) for k, p in cells.items()) if p}
         return Series(t, cells)
 
-    return one(), one()
+    return tuple(one() for _ in range(count))
+
+
+def _graded(s):
+    """s without its grade-0 cells: a multiplier a linear solve takes first."""
+    return Series(s.trunc, {k: p for k, p in s.cells.items() if series._grade(k)})
 
 
 @settings(max_examples=300, deadline=None)
-@given(_series_pair())
+@given(_series_tuple())
 def test_kernel_matches_per_pair_products(pair):
     # the in-place kernel gives the per-pair yp_mul + yp_add sums, scalar
     # types included, in every product and solver built on it
     a, b = pair
     t = a.trunc
-    m = Series(t, {k: p for k, p in b.cells.items() if series._grade(k)})
+    m = _graded(b)
     init = Series(t, {k: p for k, p in a.cells.items() if not k[0]})
     for fn, args in ((ps_mul, (a, b)), (ps_bmul, (a, b)), (ps_linear_solve, (a, m)),
-                     (ps_ode_solve, (init, b, m))):
+                     (ps_linear_solve, (a, m, b, a)), (ps_ode_solve, (init, b, m))):
         got = fn(*args)
         _assert_canonical(got)
         assert _typed(got) == _typed(_with_per_pair_kernel(fn, *args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_tuple(3, exact_u=True))
+def test_factor_chain_solves_as_its_product(triple):
+    # in a box exact in u, solving against m and f one at a time is
+    # solving against their product, which the chain never forms;
+    # on int draws the scalar types agree too
+    a, m, f = triple
+    m = _graded(m)
+    got, want = ps_linear_solve(a, m, f), ps_linear_solve(a, ps_mul(m, f))
+    _assert_canonical(got)
+    assert got == want
+    if all(type(c) is int for s in triple for p in s.cells.values() for c in p):
+        assert _typed(got) == _typed(want)
 
 
 @pytest.mark.parametrize("eq_id", ["catalan", "ternary", "schroeder", "narayana"])
