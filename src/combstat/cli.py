@@ -227,8 +227,10 @@ def cmd_limit(args, cfg, out):
 
     fmt = _format(args, cfg)
     if args.mean:
-        if args.variant != "auto" and fid != "schroeder-leaf":
-            raise ValueError("variants exist only for schroeder-leaf")
+        if args.variant != "auto":
+            raise ValueError("variants exist only for schroeder-leaf"
+                             if fid != "schroeder-leaf" else
+                             "--mean expands the stored law at every r; it takes no --variant")
         if fmt != "text":
             raise ValueError("--mean prints text only, not %s" % fmt)
         if args.dmax is not None:

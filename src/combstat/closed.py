@@ -44,6 +44,7 @@ from .exact import (
     RHO_INV,
     exact_int,
     scalar_inv,
+    yp_shift1,
 )
 from .series import (
     ZERO_KEY,
@@ -51,9 +52,6 @@ from .series import (
     Truncation,
     ps_add,
     ps_coeff,
-    ps_const,
-    ps_diff_y1,
-    ps_eval_y1,
     ps_has_quad2,
     ps_monomial,
     ps_mul,
@@ -349,8 +347,7 @@ def cross_check(formula_id: str, n: int, r: int) -> None:
 
 def plane_leaf_total(n, k, r):
     """Summed depth of leaf r over plane trees of size n with k leaves."""
-    if not (1 <= k <= max(n, 1) and 0 <= r < k):
-        raise ValueError("no plane trees with n=%d, k=%d, r=%d" % (n, k, r))
+    objects.check_positions("plane", "leaf-depth", n, [r], k)
     nn = narayana_number  # N(n, k) counts each leaf's first edge; size 0 has none
     return (nn(n, k) if n else 0) + sum(
         nn(j, i) * nn(n - j, k + 1 - i) * min(r + 1, k - r, i, k + 1 - i)
@@ -499,7 +496,7 @@ def _limit_law_data(formula_id, nw):
     t = Truncation(nw, 0, 2, nv=1)
     b, inv = solve_fixed_point(base, t), scalar_inv(rho)
     a0, *ms = equation(
-        ps_one(t), ps_monomial(t, ZERO_KEY, [0, 1]), ps_const(t, rho),
+        ps_one(t), ps_monomial(t, ZERO_KEY, [0, 1]), ps_monomial(t, ZERO_KEY, [rho]),
         ps_monomial(t, (1, 0, 0, 0), [inv]),
         Series(t, cells={ZERO_KEY: [tau], (0, 0, 1, 0): [1]}),
         b, ps_subst_scale(b, t, {"z": (inv, (2, 0, 0, 0))}))
@@ -639,7 +636,8 @@ def _column_means(n, d, power, rho, rs):
     """The t^1 entries (int 0 if absent) of the x^r columns of
     rho^r N/D^power at y = 1 + t, r in rs: each column's y-derivative at 1,
     its mean."""
-    n, d = (ps_add(ps_eval_y1(s), ps_mul_ypoly(ps_diff_y1(s), [0, 1])) for s in (n, d))
+    n, d = (Series(s.trunc, {k: c for k, p in s.cells.items() if (c := yp_shift1(p, 1))})
+            for s in (n, d))
     return [dict(col).get(1, 0) for col in _column(n, d, power, rho, rs, 1)]
 
 

@@ -15,7 +15,7 @@ scalar and ``render_decimal``, which are for display only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 
 class Quad2:
@@ -146,7 +146,6 @@ class Quad2:
         return render_scalar(self)
 
 
-RT2 = Quad2(0, 1)
 # rho = 3 - 2*sqrt(2), the square of sqrt(2)-1; its inverse is the conjugate.
 RHO = Quad2(3, -2)
 RHO_INV = Quad2(3, 2)
@@ -254,19 +253,8 @@ def yp_inv(p, ny):
     return yp_trim(out)
 
 
-def yp_eval1(p):
-    """p(1) = sum of coefficients."""
-    acc = 0
-    for v in p:
-        acc = acc + v
-    return acc
-
-
-def yp_deriv1(p):
-    """p'(1) = sum k * p_k."""
-    acc = 0
-    for k, v in enumerate(p):
-        if k:
-            acc = acc + k * v
-    return acc
-
+def yp_shift1(p, k):
+    """p(1 + t) to t^k: the t^i entry is sum_d C(d, i) p_d, so entry 0 is
+    p(1), entry 1 is p'(1), and entry i the i-th y-derivative at 1 over i!."""
+    return yp_trim([sum(comb(d, i) * v for d, v in enumerate(p[i:], i))
+                    for i in range(k + 1)])

@@ -44,7 +44,7 @@ import math
 from fractions import Fraction
 
 from . import objects
-from .exact import yp_add, yp_eval1, yp_mul
+from .exact import yp_add, yp_mul
 from .series import (
     ZERO_KEY,
     Series,
@@ -54,7 +54,6 @@ from .series import (
     ps_borel,
     ps_coeff,
     ps_diff_z,
-    ps_integrate_z,
     ps_inv,
     ps_laplace,
     ps_linear_solve,
@@ -158,8 +157,8 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
 
     if family == "J":
         # I times the integral of exp((1 - y)(L(z) + L(xz))), I's two
-        # factors taken one at a time
-        integral = ps_integrate_z(_exp_logs(t, [1, -1]))
+        # factors taken one at a time; n!-scaled, the z-integral is ps_shift by 1
+        integral = ps_shift(_exp_logs(t, [1, -1]), 1)
         return ps_laplace(ps_bmul(_rising(t, 0, Y), ps_bmul(_rising(t, 1, Y), integral)))
 
     a0, ms, _ = _system(family, t)
@@ -327,7 +326,7 @@ def _cell_counts(st, s, key):
     y^d times n!, else the coefficient of y^d (see objects.Statistic)."""
     if st.gf == "Babs":
         u = s.trunc.u_range
-        counts = {du: yp_eval1(ps_coeff(s, *key, du)) for du in range(-u, u + 1)}
+        counts = {du: sum(ps_coeff(s, *key, du)) for du in range(-u, u + 1)}
     else:
         p = egf_cell_counts(s, *key[:2]) if st.gf in ("I", "J") else ps_coeff(s, *key)
         counts = {max(d - st.shift, 0): c for d, c in enumerate(p)}

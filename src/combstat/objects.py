@@ -501,11 +501,11 @@ def pairs_to_text(pairs) -> str:
 def pairs_from_text(s: str):
     if not s:
         return frozenset()
-    out = set()
-    for item in s.split(","):
-        a, _, b = item.partition("-")
-        out.add((int(a), int(b)))
-    return frozenset(out)
+    pairs = [(int(a), int(b)) for a, _, b in (item.partition("-") for item in s.split(","))]
+    out = frozenset(pairs)
+    if len(out) < len(pairs):
+        raise ValueError("%r lists a pair twice" % (s,))
+    return out
 
 
 def permutation_to_text(perm) -> str:

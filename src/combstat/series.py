@@ -33,15 +33,15 @@ _online, so a solve costs about one product.  ps_linear_solve takes its
 multiplier as a chain of sparse factors and multiplies by them one at
 a time, so it costs about one product per factor and never forms their
 dense product.  All the products share one kernel, _acc, which
-multiplies each pair of cells straight into its output cell.  No square root or exponential is taken here: gfcat and
-closed build each one they need from a base series of
-solve_fixed_point or from rising factorials.
+multiplies each pair of cells straight into its output cell.  No square
+root or exponential is taken here: gfcat and closed build each one they
+need from a base series of solve_fixed_point or from rising factorials.
 
 Exponential GFs are handled n!-scaled (ps_borel): the z^n cells carry
 n! times the coefficient, so a series counting labelled objects has int
-cells.  ps_bmul, ps_ode_solve, ps_diff_z and ps_integrate_z work on
-that form (a product is a binomial convolution in z, d/dz and the
-z-integral are index shifts); ps_laplace divides by n! again.
+cells.  ps_bmul, ps_ode_solve and ps_diff_z work on that form (a
+product is a binomial convolution in z, d/dz is an index shift, and so
+is the z-integral, ps_shift by 1); ps_laplace divides by n! again.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ from .exact import (
     exact_int,
     render_scalar,
     yp_add,
-    yp_eval1,
-    yp_deriv1,
     yp_inv,
     yp_mul,
     yp_scale,
@@ -115,17 +113,17 @@ class Series:
     def __add__(self, other):
         if isinstance(other, Series):
             return ps_add(self, other)
-        return ps_add(self, ps_const(self.trunc, other))
+        return ps_add(self, ps_monomial(self.trunc, ZERO_KEY, [other]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Series):
             return ps_sub(self, other)
-        return ps_sub(self, ps_const(self.trunc, other))
+        return ps_sub(self, ps_monomial(self.trunc, ZERO_KEY, [other]))
 
     def __rsub__(self, other):
-        return ps_sub(ps_const(self.trunc, other), self)
+        return ps_sub(ps_monomial(self.trunc, ZERO_KEY, [other]), self)
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -156,12 +154,6 @@ def _check_compat(a: Series, b: Series):
 
 def ps_one(trunc) -> Series:
     return Series(trunc, {ZERO_KEY: [1]})
-
-
-def ps_const(trunc, c) -> Series:
-    if c == 0:
-        return Series(trunc)
-    return Series(trunc, {ZERO_KEY: [c]})
 
 
 def ps_monomial(trunc, key, ypoly) -> Series:
@@ -428,8 +420,8 @@ def ps_inv(a: Series) -> Series:
 
 def ps_borel(a: Series) -> Series:
     """The n!-scaled form of an EGF: the z^n cells times n!.  Counting
-    EGFs have int cells in this form; ps_bmul, ps_ode_solve, ps_diff_z
-    and ps_integrate_z work on it."""
+    EGFs have int cells in this form; ps_bmul, ps_ode_solve and ps_diff_z
+    work on it, and ps_shift by 1 is its z-integral."""
     return Series(a.trunc, {k: yp_scale(p, factorial(k[0])) for k, p in a.cells.items()})
 
 
@@ -443,12 +435,6 @@ def ps_diff_z(a: Series) -> Series:
     """d/dz of an n!-scaled series: every cell moves one z-step down."""
     return Series(a.trunc, {(dz - 1, dx, dv, du): p
                             for (dz, dx, dv, du), p in a.cells.items() if dz})
-
-
-def ps_integrate_z(a: Series) -> Series:
-    """z-antiderivative of an n!-scaled series, zero constant: every cell
-    moves one z-step up, and the top z-slice falls off the edge."""
-    return ps_shift(a, 1)
 
 
 def ps_shift(a: Series, k: int) -> Series:
@@ -467,7 +453,7 @@ def ps_shift(a: Series, k: int) -> Series:
     return Series(t, out)
 
 
-# ------------------------------------------------- substitution / views
+# ---------------------------------------------------------- substitution
 
 def ps_subst_scale(a: Series, out_trunc: Truncation, subs) -> Series:
     """Monomial substitution: each variable goes to scale * monomial.
@@ -507,27 +493,6 @@ def ps_subst_scale(a: Series, out_trunc: Truncation, subs) -> Series:
             continue
         _add_into(out, nk, yp_scale(p, factor))
     return Series(out_trunc, out)
-
-
-def ps_eval_y1(a: Series) -> Series:
-    """Set y = 1: every cell collapses to the scalar sum of its ypoly."""
-    out = {}
-    for k, p in a.cells.items():
-        s = yp_eval1(p)
-        if s != 0:
-            out[k] = [s]
-    return Series(a.trunc, out)
-
-
-def ps_diff_y1(a: Series) -> Series:
-    """d/dy at y = 1: every cell collapses to sum k*p_k.  Exact, since
-    cells are genuine polynomials in y."""
-    out = {}
-    for k, p in a.cells.items():
-        s = yp_deriv1(p)
-        if s != 0:
-            out[k] = [s]
-    return Series(a.trunc, out)
 
 
 # ----------------------------------------------------------- JSON dump

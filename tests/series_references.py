@@ -6,6 +6,8 @@ sqrt(1 - 6w + w^2) = 1 + w - 4wS(w)) or from rising factorials.  These
 references take them straight from their definitions instead, so a test
 can check one route against the other.  ps_retrunc cuts a smaller box
 out of a larger one, which a test compares with a build in that box.
+ps_eval_y1 and ps_diff_y1 read every cell at y = 1 by its sums, not by
+the library's shift y = 1 + t.
 """
 
 from fractions import Fraction
@@ -21,6 +23,17 @@ def ps_retrunc(a, new_trunc):
     out = {k: yp_trim(p[: new_trunc.ny + 1])
            for k, p in a.cells.items() if new_trunc.contains(k)}
     return Series(new_trunc, {k: p for k, p in out.items() if p})
+
+
+def ps_eval_y1(a):
+    """y = 1: every cell collapses to the sum of its entries."""
+    return Series(a.trunc, {k: [s] for k, p in a.cells.items() if (s := sum(p))})
+
+
+def ps_diff_y1(a):
+    """d/dy at y = 1: every cell collapses to the sum of d times entry d."""
+    return Series(a.trunc, {k: [s] for k, p in a.cells.items()
+                            if (s := sum(d * c for d, c in enumerate(p) if d))})
 
 
 def newton_sqrt(a):

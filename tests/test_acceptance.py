@@ -10,8 +10,10 @@ import time
 from fractions import Fraction
 
 from combstat import closed, gfcat, objects, verify
-from combstat.exact import RHO, RT2, Quad2
+from combstat.exact import RHO, Quad2
 from combstat.series import Truncation, ps_coeff, ps_is_zero
+
+RT2 = Quad2(0, 1)
 
 
 def _report(num, detail, t0, budget):

@@ -30,6 +30,25 @@ def test_average_examples(capsys):
     assert (code, out) == (0, "0")
 
 
+def test_average_asymptotic(capsys):
+    assert run(capsys, "average", "binary", "leaf-depth", "--n", "10", "--r", "3",
+               "--method", "asymptotic") == (0, "6.540707049")
+
+
+def test_average_plane_leaf_depth_closed(capsys):
+    # the closed route needs the leaf count k; size 3 has 3 trees with 2 leaves
+    assert run(capsys, "average", "plane", "leaf-depth",
+               "--n", "3", "--k", "2", "--r", "1") == (0, "5/3")
+
+
+def test_average_plane_refuses_a_negative_size(capsys):
+    # no tree of size -1: a usage error, not a division by its count 0
+    assert main(["average", "plane", "leaf-depth", "--n", "-1", "--r", "0",
+                 "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "size -1 out of range" in captured.err
+
+
 def test_average_methods_agree(capsys):
     _, closed_out = run(capsys, "average", "dyck", "upstep-height",
                         "--n", "6", "--r", "3", "--method", "closed")
@@ -53,6 +72,13 @@ def test_distribution_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "family,statistic,n,k,r,d,count,total"
     assert "plane,leaf-depth,3,2,0,1,1,3" in lines
+
+
+def test_distribution_plotdata(capsys):
+    code, out = run(capsys, "distribution", "binary", "leaf-depth",
+                    "--n", "3", "--r", "1", "--format", "plotdata")
+    assert (code, out.splitlines()) == (0, [
+        "# binary leaf-depth n=3  columns: r d probability", "1 2 0.4", "1 3 0.6"])
 
 
 def test_distribution_json(capsys):
@@ -86,6 +112,19 @@ def test_convert(capsys):
     assert (code, out) == (0, "UUDD")
     code, out = run(capsys, "convert", "increasing-to-permutation", "231")
     assert (code, out) == (0, "231")
+
+
+def test_convert_reads_a_schroeder_tree_with_children(capsys):
+    # the root's second child has children of its own: one diagonal
+    assert run(capsys, "convert", "schroeder-to-dissection", "(()(()()))") == (0, "1-3")
+
+
+def test_convert_refuses_a_repeated_pair(capsys):
+    # a diagonal listed twice is refused, not read once
+    assert main(["convert", "binary-to-triangulation", "--inverse", "0-2,0-2",
+                 "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "lists a pair twice" in captured.err
 
 
 def test_convert_refuses_input_that_nests_too_deeply(capsys):
@@ -132,6 +171,13 @@ def test_limit(capsys):
     assert out.splitlines() == ["d=1 1/4", "d=2 3/4"]
     code, out = run(capsys, "limit", "binary", "leaf-depth", "--mean", "--rmax", "3")
     assert out.splitlines()[-1] == "r=3 31/4"
+
+
+def test_limit_plotdata(capsys):
+    code, out = run(capsys, "limit", "binary", "leaf-depth", "--r", "1", "--dmax", "3",
+                    "--format", "plotdata")
+    assert (code, out.splitlines()) == (0, [
+        "# binary-leaf r=1  columns: d probability", "2 0.125", "3 0.1875"])
 
 
 def test_expand(capsys):
@@ -416,6 +462,9 @@ def test_usage_errors(capsys, tmp_path):
          "takes no --r"),
         (["limit", "binary", "leaf-depth", "--mean", "--variant", "verbatim"],
          "variants exist only for schroeder-leaf"),
+        # the mean series has one form per law, whatever the variant
+        (["limit", "schroeder", "leaf-depth", "--mean", "--variant", "verbatim",
+          "--rmax", "2"], "--variant"),
         # the fixed-r limit has no size; only enumeration reads a budget;
         # --dmax bounds a law and --rmax the mean series
         (["average", "binary", "leaf-depth", "--method", "asymptotic-fixed-r",

@@ -30,14 +30,13 @@ from combstat.exact import (
     yp_inv,
     yp_mul,
     yp_scale,
+    yp_shift1,
 )
 from combstat.series import (
     Series,
     Truncation,
     ps_add,
     ps_coeff,
-    ps_diff_y1,
-    ps_eval_y1,
     ps_inv,
     ps_mul,
     ps_mul_ypoly,
@@ -46,7 +45,7 @@ from combstat.series import (
     ps_shift,
     ps_sub,
 )
-from series_references import newton_sqrt, ps_retrunc
+from series_references import newton_sqrt, ps_diff_y1, ps_eval_y1, ps_retrunc
 
 
 def test_sequences():
@@ -188,6 +187,9 @@ def test_range_errors():
         exact_average("nonsense", 3, 0)
     with pytest.raises(ValueError):
         plane_leaf_total(3, 4, 0)
+    # no tree of size -1, whose count 0 an average would divide by
+    with pytest.raises(ValueError, match="size -1 out of range"):
+        plane_leaf_total(-1, 1, 0)
 
 
 # ------------------------------------------------------ size-20 values
@@ -583,6 +585,23 @@ def test_derived_mean_series_match_the_printed_laws():
         for rmax in range(12):
             assert limit_mean_series(formula_id, rmax) == _coeffs(
                 _printed_mean_series(formula_id, rmax), rmax), (formula_id, rmax)
+
+
+def test_shift_to_t2_gives_the_second_factorial_moments():
+    # at y = 1 + t to t^2, entry t^1 of column r is the mean and entry t^2
+    # is E[C(D, 2)]; at r = 2 the latter against the sum of C(d, 2) p(d)
+    # over the law's own column to d = 120
+    for formula_id, want in (("binary-leaf", 22), ("dyck-vertex", Fraction(3, 4)),
+                             ("dyck-upstep", Fraction(3, 4)), ("dyck-downstep", 9),
+                             ("noncrossing-node", Fraction(55, 12))):
+        n, d, power, rho = closed._limit_law_data(formula_id, 2)
+        n, d = (Series(s.trunc, {k: c for k, p in s.cells.items() if (c := yp_shift1(p, 2))})
+                for s in (n, d))
+        col = dict(closed._column(n, d, power, rho, [2], 2)[0])
+        assert col[1] == fixed_r_limit_average(formula_id, 2)
+        assert col[2] == want, formula_id
+        law = limit_distribution(formula_id, 2, 120)
+        assert 0 <= want - sum(math.comb(deg, 2) * p for deg, p in law) < Fraction(1, 10**20)
 
 
 def test_column_refuses_a_denominator_that_is_no_unit_in_y():

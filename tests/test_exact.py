@@ -6,19 +6,19 @@ from hypothesis import given, strategies as st
 from combstat.exact import (
     RHO,
     RHO_INV,
-    RT2,
     Quad2,
     render_decimal,
     render_scalar,
     scalar_inv,
     yp_add,
-    yp_deriv1,
-    yp_eval1,
     yp_inv,
     yp_mul,
     yp_scale,
+    yp_shift1,
     yp_trim,
 )
+
+RT2 = Quad2(0, 1)
 
 
 class TestQuad2:
@@ -138,15 +138,22 @@ def test_yp_inv():
 
 
 def test_yp_eval_deriv():
-    p = [0, 2, 2, 1]  # 2y + 2y^2 + y^3
-    assert yp_eval1(p) == 5
-    assert yp_deriv1(p) == 9
+    p = [0, 2, 2, 1]  # 2y + 2y^2 + y^3 = 5 + 9t + 5t^2 + t^3 at y = 1 + t
+    assert yp_shift1(p, 0) == [5]
+    assert yp_shift1(p, 1) == [5, 9]
+    assert yp_shift1(p, 5) == [5, 9, 5, 1]
+    # 1 - y vanishes at y = 1 with slope -1; a t^k entry that cancels is trimmed
+    assert yp_shift1([1, -1], 0) == []
+    assert yp_shift1([1, -1], 1) == yp_shift1([1, -1, 0, 0], 2) == [0, -1]
+    # entry i keeps the scalar type of the p_d with d >= i
+    assert [type(c) for c in yp_shift1([Quad2(1, 1), Fraction(1, 2)], 1)] == [Quad2, Fraction]
 
 
 @given(
     st.lists(st.integers(min_value=-9, max_value=9), max_size=6),
     st.lists(st.integers(min_value=-9, max_value=9), max_size=6),
+    st.integers(min_value=0, max_value=4),
 )
-def test_yp_mul_eval_commute(p, q):
-    # evaluation at y=1 is a ring homomorphism
-    assert yp_eval1(yp_mul(p, q)) == yp_eval1(p) * yp_eval1(q)
+def test_yp_mul_eval_commute(p, q, k):
+    # the shift y = 1 + t is a ring homomorphism, also truncated at t^k
+    assert yp_shift1(yp_mul(p, q), k) == yp_mul(yp_shift1(p, k), yp_shift1(q, k), k)

@@ -347,6 +347,12 @@ def test_pairs_codec():
     assert ob.pairs_from_text("") == frozenset()
 
 
+def test_pairs_codec_refuses_a_repeated_pair():
+    for text in ("0-2,0-2", "0-1,1-2,0-1"):
+        with pytest.raises(ValueError, match="lists a pair twice"):
+            ob.pairs_from_text(text)
+
+
 def test_subdivision_from_text_validation():
     sub = ob.subdivision_from_text("1-3,1-4", 3, "triangulation")
     assert sub.diagonals == frozenset({(1, 3), (1, 4)})

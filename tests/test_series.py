@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from combstat import gfcat, series
-from combstat.exact import Quad2, yp_add, yp_mul
+from combstat.exact import Quad2, yp_add, yp_mul, yp_shift1
 from combstat.gfcat import FAMILY_IDS, gf_closed, gf_solve
 from combstat.series import (
     Series,
@@ -14,10 +14,7 @@ from combstat.series import (
     ps_bmul,
     ps_borel,
     ps_coeff,
-    ps_diff_y1,
     ps_diff_z,
-    ps_eval_y1,
-    ps_integrate_z,
     ps_inv,
     ps_is_zero,
     ps_laplace,
@@ -33,7 +30,7 @@ from combstat.series import (
     ps_to_json,
     solve_fixed_point,
 )
-from series_references import newton_sqrt, power_exp, ps_retrunc
+from series_references import newton_sqrt, power_exp, ps_diff_y1, ps_eval_y1, ps_retrunc
 
 T88 = Truncation(nz=8, nx=8, ny=8)
 
@@ -240,7 +237,7 @@ def test_ode_solve_without_m_integrates():
     init = Series(T_ODE, cells={(0, 0, 0, 0): [1, 2], (0, 2, 1, -1): [3]})
     drive = ps_add(A_ODE, Series(T_ODE, cells={(0, 1, 0, 0): [5], (6, 0, 0, 0): [7]}))
     got = ps_ode_solve(init, drive, Series(T_ODE))
-    assert got == ps_add(init, ps_integrate_z(drive))
+    assert got == ps_add(init, ps_shift(drive, 1))
 
 
 def test_ode_solve_rejects_z_in_init():
@@ -253,15 +250,15 @@ def test_diff_integrate_z():
     s = Series(t, cells={(k, 0, 0, 0): [k + 1] for k in range(5)})
     d = ps_laplace(ps_diff_z(ps_borel(s)))
     assert zcoeffs(d, 3) == [[2], [6], [12], [20]]
-    back = ps_laplace(ps_integrate_z(ps_borel(d)))
+    back = ps_laplace(ps_shift(ps_borel(d), 1))
     # constant lost, top slice dropped on reintegration stays intact here
     assert zcoeffs(back, 4) == [[], [2], [3], [4], [5]]
-    top = ps_laplace(ps_integrate_z(ps_borel(s)))
+    top = ps_laplace(ps_shift(ps_borel(s), 1))
     assert ps_coeff(top, 4) == [1]  # (dz=3 cell)/4 -> 4/4
     assert (5, 0, 0, 0) not in top.cells
-    # n!-scaled, both are index shifts
+    # n!-scaled, d/dz and the z-integral are index shifts
     assert zcoeffs(ps_diff_z(s), 4) == [[2], [3], [4], [5], []]
-    assert zcoeffs(ps_integrate_z(s), 4) == [[], [1], [2], [3], [4]]
+    assert zcoeffs(ps_shift(s, 1), 4) == [[], [1], [2], [3], [4]]
 
 
 def test_shift():
@@ -295,11 +292,15 @@ def test_subst_scale_collision_accumulates():
 
 
 def test_y_views():
+    # the references' sums at y = 1 against the library's shift y = 1 + t
     t = Truncation(2, 0, 5)
     s = Series(t, cells={(1, 0, 0, 0): [0, 2, 2, 1], (2, 0, 0, 0): [3]})
     assert ps_coeff(ps_eval_y1(s), 1) == [5]
     assert ps_coeff(ps_diff_y1(s), 1) == [9]
     assert ps_coeff(ps_diff_y1(s), 2) == []
+    for key, p in s.cells.items():
+        assert yp_shift1(p, 1) == [ps_coeff(ps_eval_y1(s), *key)[0]] + ps_coeff(
+            ps_diff_y1(s), *key)
 
 
 def test_fixed_point_catalan():

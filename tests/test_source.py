@@ -25,13 +25,34 @@ def _named(node):
         for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
 
 
+def _library():
+    """Each module's parsed source by file name, and how often each name
+    is read in all of them."""
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    return trees, sum((_named(tree) for tree in trees.values()), Counter())
+
+
 def test_every_definition_has_a_user():
     # a top-level function or class that nothing else in the library
     # names is dead code, or a helper of the tests that belongs with them
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    named = sum((_named(tree) for tree in trees.values()), Counter())
+    trees, named = _library()
     unused = ["%s:%s" % (name, node.name)
               for name, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and named[node.name] == _named(node)[node.name]]
     assert trees and not unused, unused
+
+
+def test_every_constant_has_a_reader():
+    # a module-level constant that no other statement of the library reads
+    # is dead too, or a value of the tests; dunders such as __all__ are read
+    # by Python itself
+    trees, named = _library()
+    unread = ["%s:%s" % (name, target.id)
+              for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in ast.walk(ast.Tuple(
+                  node.targets if isinstance(node, ast.Assign) else [node.target]))
+              if isinstance(target, ast.Name) and not target.id.startswith("__")
+              and named[target.id] == _named(node)[target.id]]
+    assert trees and not unread, unread
