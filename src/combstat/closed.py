@@ -43,7 +43,6 @@ from .exact import (
     RHO,
     RHO_INV,
     exact_int,
-    scalar_inv,
     yp_shift1,
 )
 from .series import (
@@ -376,7 +375,7 @@ def uniform_average(formula_id: str, n: int) -> Fraction:
         return Fraction((n + 1) * 4**n, 2 * n * math.comb(2 * n, n)) - Fraction(n + 1, 2 * n)
     if formula_id == "noncrossing-node":
         if n == 0:
-            return Fraction(0)
+            raise ValueError("the one-vertex tree has no non-root vertices")
         tot = sum(
             (i + 1) * (n - i) * ternary_edge(i) * ternary_edge(n - 1 - i)
             for i in range(n)
@@ -494,7 +493,7 @@ def _limit_law_data(formula_id, nw):
     base, equation = gfcat.EQUATIONS[objects.STATISTICS[AVG_IDS[formula_id]].gf]
     rho, tau = _SINGULARITY[base]
     t = Truncation(nw, 0, 2, nv=1)
-    b, inv = solve_fixed_point(base, t), scalar_inv(rho)
+    b, inv = solve_fixed_point(base, t), exact_int(1 / rho)
     a0, *ms = equation(
         ps_one(t), ps_monomial(t, ZERO_KEY, [0, 1]), ps_monomial(t, ZERO_KEY, [rho]),
         ps_monomial(t, (1, 0, 0, 0), [inv]),

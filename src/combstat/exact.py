@@ -3,7 +3,7 @@
 Three layers, all exact:
 
 * rationals -- ``fractions.Fraction``, with integral values kept as
-  ``int`` where an inverse or a scaling allows (``exact_int``);
+  ``int`` where a quotient or a scaling allows (``exact_int``);
 * ``Quad2`` -- the quadratic field Q(sqrt 2), stored as a pair ``a + b*rt2``;
 * dense polynomials in the marker variable ``y`` over either field,
   represented as bare lists (``yp_*`` helpers).
@@ -156,17 +156,9 @@ RHO_INV = Quad2(3, 2)
 # ints and Fractions mix natively; Quad2 interoperates via its dunders.
 
 def exact_int(q):
-    """q as an int if it is an integral Fraction.  Inverses and scalings apply
-    this rule, so an integral result stays an int."""
+    """q as an int if it is an integral Fraction.  Scalings and quotients
+    apply this rule, so an integral result stays an int."""
     return q.numerator if type(q) is Fraction and q.denominator == 1 else q
-
-
-def scalar_inv(s):
-    if isinstance(s, Quad2):
-        return s.inv()
-    if s == 0:
-        raise ZeroDivisionError("inverse of zero")
-    return exact_int(Fraction(1, 1) / s)
 
 
 def render_scalar(s) -> str:
@@ -232,24 +224,6 @@ def yp_mul(p, q, ny=None):
             if i + j > top:
                 break
             out[i + j] = out[i + j] + a * b
-    return yp_trim(out)
-
-
-def yp_inv(p, ny):
-    """Inverse of p as a power series in y, truncated to degree ny.
-
-    Requires an invertible constant coefficient; this is the "y as a
-    truncated variable" mode used by 1/(2-y)^2 style denominators.
-    """
-    if not p or p[0] == 0:
-        raise ZeroDivisionError("ypoly with zero constant term is not a y-unit")
-    c0 = scalar_inv(p[0])
-    out = [c0]
-    for k in range(1, ny + 1):
-        acc = 0
-        for i in range(1, min(k, len(p) - 1) + 1):
-            acc = acc + p[i] * out[k - i]
-        out.append(-c0 * acc if acc != 0 else 0 * c0)
     return yp_trim(out)
 
 

@@ -5,7 +5,8 @@ in _system (a graded linear solve, or for I and J an ODE in z) and a
 closed form.  An equation states a0 and then m as a chain of factors,
 which the solvers consume one at a time, online, and never multiply
 out: P's m is zy r1 r2 and G's yz T T(xz) (T + xT(xz)), every other m
-is one factor.  No ordinary equation forms a series inverse.  The closed
+is one factor.  No equation forms a reciprocal, and where a closed form
+needs one, 1/(1 - m) is the solution of S = 1 + S*m.  The closed
 form of every family but A, I and J is a0 times the solution of
 S = 1 + S*m; A, I and J have forms of their own, built with no square
 root or exponential solver (see gf_closed).  The equations of B, D, U,
@@ -53,8 +54,6 @@ from .series import (
     ps_bmul,
     ps_borel,
     ps_coeff,
-    ps_diff_z,
-    ps_inv,
     ps_laplace,
     ps_linear_solve,
     ps_monomial,
@@ -122,13 +121,6 @@ def _exp_logs(t, p):
     return ps_bmul(_rising(t, 0, p), _rising(t, 1, p))
 
 
-def _drop_top_z(s: Series) -> Series:
-    """Forget the top z-slice (used by the ODE residual, where d/dz
-    genuinely loses one order)."""
-    nz = s.trunc.nz
-    return Series(s.trunc, {k: p for k, p in s.cells.items() if k[0] < nz})
-
-
 # -------------------------------------------------------- closed forms
 
 def gf_closed(family: str, trunc: Truncation) -> Series:
@@ -147,10 +139,11 @@ def gf_closed(family: str, trunc: Truncation) -> Series:
     one = ps_one(t)
 
     if family == "A":
-        # 1/(1 + y(1 - R)), R = q q(xz) with q = 1/(1 - zS(z))
-        q = ps_inv(ps_sub(one, ps_shift(solve_fixed_point("schroeder", t), 1)))
+        # 1/(1 + y(1 - R)), R = q q(xz) with q = 1/(1 - zS(z)): each
+        # reciprocal 1/(1 - m) is the S of S = 1 + S*m
+        q = ps_linear_solve(one, ps_shift(solve_fixed_point("schroeder", t), 1))
         r = ps_mul(q, _sub_x(q, 1))
-        return ps_inv(ps_sub(one, ps_mul_ypoly(ps_sub(r, one), Y)))
+        return ps_linear_solve(one, ps_mul_ypoly(ps_sub(r, one), Y))
 
     if family == "I":
         return ps_laplace(_exp_logs(t, Y))
@@ -255,15 +248,17 @@ def gf_solve(family: str, trunc: Truncation) -> Series:
 
 
 def gf_residual(family: str, s: Series) -> Series:
-    """Residual of the family's functional equation at s (zero exactly
-    when s satisfies it inside the truncation box; an ODE loses its top
-    z-slice to d/dz)."""
+    """Residual of the family's functional equation at s, zero exactly
+    when s satisfies it inside the truncation box: s - (a0 + s*m), or for
+    I and J the integral equation s - (init + the z-integral of
+    a0 + s*m), which also sees the initial value.  n!-scaled, the
+    integral is ps_shift by 1, which drops what passes nz."""
     a0, ms, init = _system(family, s.trunc)
     if init is None:
         return ps_sub(s, ps_add(a0, functools.reduce(ps_mul, ms, s)))
     s = ps_borel(s)
-    rhs = ps_add(a0, ps_bmul(s, *ms))
-    return ps_laplace(_drop_top_z(ps_sub(ps_diff_z(s), rhs)))
+    rhs = ps_add(init, ps_shift(ps_add(a0, ps_bmul(s, *ms)), 1))
+    return ps_laplace(ps_sub(s, rhs))
 
 
 # ------------------------------------------------------ EGF reporting

@@ -32,16 +32,18 @@ the slices already fixed, forming its products with one kernel,
 _online, so a solve costs about one product.  ps_linear_solve takes its
 multiplier as a chain of sparse factors and multiplies by them one at
 a time, so it costs about one product per factor and never forms their
-dense product.  All the products share one kernel, _acc, which
-multiplies each pair of cells straight into its output cell.  No square
-root or exponential is taken here: gfcat and closed build each one they
-need from a base series of solve_fixed_point or from rising factorials.
+dense product.  It is also the only reciprocal: 1/(1 - m) is the S of
+S = 1 + S*m, for m with no grade-0 cell.  All the products share one
+kernel, _acc, which multiplies each pair of cells straight into its
+output cell.  No square root or exponential is taken here: gfcat and
+closed build each one they need from a base series of solve_fixed_point
+or from rising factorials.
 
 Exponential GFs are handled n!-scaled (ps_borel): the z^n cells carry
 n! times the coefficient, so a series counting labelled objects has int
-cells.  ps_bmul, ps_ode_solve and ps_diff_z work on that form (a
-product is a binomial convolution in z, d/dz is an index shift, and so
-is the z-integral, ps_shift by 1); ps_laplace divides by n! again.
+cells.  ps_bmul and ps_ode_solve work on that form (a product is a
+binomial convolution in z, and the z-integral is an index shift,
+ps_shift by 1); ps_laplace divides by n! again.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .exact import (
     exact_int,
     render_scalar,
     yp_add,
-    yp_inv,
     yp_mul,
     yp_scale,
     yp_trim,
@@ -394,34 +395,12 @@ def ps_ode_solve(init: Series, drive: Series, m: Series) -> Series:
     return Series(t, _cells(s))
 
 
-def ps_inv(a: Series) -> Series:
-    """Multiplicative inverse of a truncated series.
-
-    y counts as one more truncated variable: the constant cell (exponent
-    key all-zero) is inverted as a y-series with yp_inv, so its y^0
-    coefficient must be nonzero.  Write a = c0*(1 + n), solve
-    x = 1 - x*n, then multiply by c0^-1.  A y-free c0 has a one-entry
-    inverse, and multiplying by it keeps integral cells int.
-    """
-    c0 = a.cells.get(ZERO_KEY)
-    if not c0:
-        raise ZeroDivisionError("inverse of a series with zero constant term")
-    t = a.trunc
-    c0i = yp_inv(c0, t.ny)
-    n = ps_mul_ypoly(a, c0i)
-    # yp_inv is the exact truncated inverse, so the constant cancels exactly
-    if yp_add(n.cells.pop(ZERO_KEY), [-1]):
-        raise ArithmeticError("series inverse left a constant other than 1")
-    x = ps_linear_solve(ps_one(t), ps_neg(n))
-    return ps_mul_ypoly(x, c0i)
-
-
 # ------------------------------------------------------- calculus in z
 
 def ps_borel(a: Series) -> Series:
     """The n!-scaled form of an EGF: the z^n cells times n!.  Counting
-    EGFs have int cells in this form; ps_bmul, ps_ode_solve and ps_diff_z
-    work on it, and ps_shift by 1 is its z-integral."""
+    EGFs have int cells in this form; ps_bmul and ps_ode_solve work on
+    it, and ps_shift by 1 is its z-integral."""
     return Series(a.trunc, {k: yp_scale(p, factorial(k[0])) for k, p in a.cells.items()})
 
 
@@ -429,12 +408,6 @@ def ps_laplace(a: Series) -> Series:
     """Inverse of ps_borel: one exact division by n! per cell."""
     return Series(a.trunc, {k: yp_scale(p, Fraction(1, factorial(k[0])))
                             for k, p in a.cells.items()})
-
-
-def ps_diff_z(a: Series) -> Series:
-    """d/dz of an n!-scaled series: every cell moves one z-step down."""
-    return Series(a.trunc, {(dz - 1, dx, dv, du): p
-                            for (dz, dx, dv, du), p in a.cells.items() if dz})
 
 
 def ps_shift(a: Series, k: int) -> Series:

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from . import closed, gfcat, maps, objects, series
 from .exact import Quad2, render_scalar
-from .series import Truncation, ps_coeff, ps_inv, ps_is_zero, ps_monomial, ps_one, ps_shift
+from .series import (Truncation, ps_coeff, ps_is_zero, ps_linear_solve, ps_monomial,
+                     ps_one, ps_shift)
 
 STATUSES = ("PASS", "WARN", "FAIL")
 
@@ -189,7 +190,8 @@ def _min_between_counts(perm):
 
 def _fixed_point_residual(eq_id, t):
     """The solved base minus the right side of its printed equation (the
-    solver works with the denominators cleared)."""
+    solver works with the denominators cleared); each 1/(1 - m) there is
+    the solution of S = 1 + S*m."""
     s = series.solve_fixed_point(eq_id, t)
     one, z = ps_one(t), ps_monomial(t, (1, 0, 0, 0), [1])
     if eq_id == "catalan":  # C = 1 + zC^2
@@ -198,9 +200,9 @@ def _fixed_point_residual(eq_id, t):
         return s - (one + z * s * s * s)
     if eq_id == "schroeder":  # St = z + St^2/(1 - St), St = zS
         st = ps_shift(s, 1)
-        return st - (z + st * st * ps_inv(one - st))
+        return st - (z + st * st * ps_linear_solve(one, st))
     # N = 1/(1 - zN) - 1 + v
-    return s - (ps_inv(one - z * s) - one + ps_monomial(t, (0, 0, 1, 0), [1]))
+    return s - (ps_linear_solve(one, z * s) - one + ps_monomial(t, (0, 0, 1, 0), [1]))
 
 
 def _gamma(m, k):

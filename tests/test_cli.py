@@ -546,6 +546,42 @@ def test_usage_errors(capsys, tmp_path):
         assert main(["--config", str(cfg), "limit", "binary", "leaf-depth", "--mean"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err, text
+    # a form, law or flag the pair or the command lacks, a size or bound
+    # out of range, and text that does not parse each exit 2 with a message
+    cfg.write_text("[1]")
+    for argv, message in (
+        # the one-vertex tree has no non-root vertex to average over
+        (["average", "noncrossing", "node-depth", "--uniform", "--n", "0"],
+         "no non-root vertices"),
+        (["average", "binary", "leaf-abscissa", "--uniform", "--n", "3"], "no uniform average"),
+        (["average", "binary", "leaf-depth", "--uniform"], "--uniform needs --n"),
+        (["average", "plane", "node-depth", "--method", "asymptotic-fixed-r", "--r", "1"],
+         "no fixed-r limit"),
+        (["average", "plane", "node-depth", "--n", "3", "--r", "1", "--method", "asymptotic"],
+         "no asymptotic form"),
+        (["average", "plane", "leaf-depth", "--n", "3", "--r", "0"], "needs --k"),
+        (["average", "plane", "node-depth", "--n", "3", "--r", "1"], "no closed form"),
+        (["limit", "plane", "node-depth", "--r", "1"], "no limit law"),
+        (["limit", "binary", "leaf-depth"], "--r is required"),
+        (["limit", "binary", "leaf-depth", "--r", "0", "--dmax", "-1"],
+         "dmax must be nonnegative"),
+        (["average", "increasing", "leaf-depth", "--n", "5", "--r", "0", "--method",
+          "asymptotic"], "0 < r < n"),
+        (["average", "binary", "leaf-depth", "--uniform", "--n", "-1"],
+         "n must be a non-negative integer"),
+        (["convert", "nope", "x"], "unknown map"),
+        (["--config", str(cfg), "count", "binary", "--n", "3"], "config must be a JSON object"),
+        (["convert", "binary-to-triangulation", "(."], "truncated binary-tree text"),
+        (["convert", "binary-to-triangulation", "(.x)"], "bad character 'x'"),
+        (["convert", "binary-to-triangulation", "(..."], "unbalanced binary-tree text"),
+        (["convert", "binary-to-triangulation", "(..)."], "trailing junk in binary-tree text"),
+        (["convert", "plane-to-dyck", "x"], "bad plane-tree text"),
+        (["convert", "plane-to-dyck", "(()"], "unbalanced plane-tree text"),
+        (["convert", "plane-to-dyck", "()()"], "trailing junk in plane-tree text"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, argv
 
 
 def test_config_file(capsys, tmp_path):

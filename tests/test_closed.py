@@ -27,7 +27,6 @@ from combstat.exact import (
     RHO_INV,
     exact_int,
     yp_add,
-    yp_inv,
     yp_mul,
     yp_scale,
     yp_shift1,
@@ -37,7 +36,6 @@ from combstat.series import (
     Truncation,
     ps_add,
     ps_coeff,
-    ps_inv,
     ps_mul,
     ps_mul_ypoly,
     ps_one,
@@ -45,7 +43,7 @@ from combstat.series import (
     ps_shift,
     ps_sub,
 )
-from series_references import newton_sqrt, ps_diff_y1, ps_eval_y1, ps_retrunc
+from series_references import newton_sqrt, ps_diff_y1, ps_eval_y1, ps_inv, ps_retrunc, yp_inv
 
 
 def test_sequences():
@@ -790,6 +788,19 @@ def test_asymptotic_regime():
         exact = float(exact_average(formula_id, 500, r))
         approx = asymptotic_average(formula_id, 500, r)
         assert abs(exact / approx - 1) < 0.05, formula_id
+
+
+@pytest.mark.parametrize("formula_id", sorted(closed.AVG_IDS))
+def test_growing_r_forms_track_the_exact_average(formula_id):
+    # r = alpha*n (2*alpha*n for the 2n-step walks): every form is within
+    # 1.5 of the exact average, where the sqrt(n) and log forms are 12 to
+    # 140 at these sizes, so a doubled constant in any of them is caught
+    scale = 2 if formula_id == "dyck-vertex" else 1
+    for n in (1000, 4000):
+        for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            r = int(scale * alpha * n)
+            exact = float(exact_average(formula_id, n, r))
+            assert abs(exact - asymptotic_average(formula_id, n, r)) <= 1.5, (n, r)
 
 
 def test_asymptotic_increasing():

@@ -9,14 +9,13 @@ from combstat.exact import (
     Quad2,
     render_decimal,
     render_scalar,
-    scalar_inv,
     yp_add,
-    yp_inv,
     yp_mul,
     yp_scale,
     yp_shift1,
     yp_trim,
 )
+from series_references import scalar_inv, yp_inv
 
 RT2 = Quad2(0, 1)
 

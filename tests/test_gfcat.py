@@ -19,19 +19,19 @@ from combstat.series import (
     ps_add,
     ps_bmul,
     ps_coeff,
-    ps_inv,
     ps_is_zero,
     ps_linear_solve,
     ps_monomial,
     ps_mul,
     ps_mul_ypoly,
     ps_one,
+    ps_scale,
     ps_sub,
     ps_subst_scale,
     ps_to_json,
     solve_fixed_point,
 )
-from series_references import newton_sqrt, power_exp, ps_retrunc
+from series_references import newton_sqrt, power_exp, ps_inv, ps_retrunc
 
 
 def catalan(n):
@@ -108,6 +108,14 @@ def test_functional_equation_residual_sees_a_bump(family):
     assert not ps_is_zero(gf_residual(family, bumped))
 
 
+@pytest.mark.parametrize("family", ["I", "J"])
+def test_ode_residual_sees_the_initial_value(family):
+    # the integral equation S = init + int(a0 + S*m) pins S at z = 0: for
+    # I, whose ODE S' = S*m is homogeneous, 2I solves the ODE alone
+    doubled = ps_scale(gf_closed(family, TRUNCS[family]), 2)
+    assert not ps_is_zero(gf_residual(family, doubled))
+
+
 ORDINARY = ["B", "Babs", "D", "U", "W", "P", "A", "G"]
 
 
@@ -123,18 +131,22 @@ def test_ordinary_gf_cells_are_int(family):
 
 @pytest.mark.parametrize("family", ORDINARY)
 def test_ordinary_equations_form_no_series_inverse(family, monkeypatch):
-    # each ordinary equation is polynomial in its base series, so neither
-    # solving it nor checking a series against it divides by a series, and
-    # nor does a closed form a0/(1 - m), which solves S = 1 + S*m; A's
-    # printed form keeps its inverses
+    # each ordinary equation is polynomial in its base series, so checking
+    # a series against it solves nothing and solving it is one linear
+    # solve.  The only reciprocal is a linear solve too, 1/(1 - m) being
+    # the S of S = 1 + S*m: a closed form a0/(1 - m) takes one, and A's
+    # printed form two, q = 1/(1 - zS) and 1/(1 + y(1 - R))
     s = gf_closed(family, TRUNCS[family])
-    calls = []
-    monkeypatch.setattr(gfcat, "ps_inv", lambda a: calls.append(a) or ps_inv(a))
-    gf_solve(family, s.trunc)
+    calls, solve = [], gfcat.ps_linear_solve
+    monkeypatch.setattr(gfcat, "ps_linear_solve",
+                        lambda *args: calls.append(args[0]) or solve(*args))
     gf_residual(family, s)
-    if family != "A":
-        assert gf_closed(family, s.trunc) == s
-    assert not calls
+    assert calls == []
+    gf_solve(family, s.trunc)
+    assert len(calls) == 1
+    calls.clear()
+    assert gf_closed(family, s.trunc) == s
+    assert calls == [ps_one(s.trunc)] * (2 if family == "A" else 1)
 
 
 def test_factors_are_solved_one_at_a_time(monkeypatch):

@@ -14,8 +14,6 @@ from combstat.series import (
     ps_bmul,
     ps_borel,
     ps_coeff,
-    ps_diff_z,
-    ps_inv,
     ps_is_zero,
     ps_laplace,
     ps_linear_solve,
@@ -30,7 +28,14 @@ from combstat.series import (
     ps_to_json,
     solve_fixed_point,
 )
-from series_references import newton_sqrt, power_exp, ps_diff_y1, ps_eval_y1, ps_retrunc
+from series_references import (
+    newton_sqrt,
+    power_exp,
+    ps_diff_y1,
+    ps_eval_y1,
+    ps_inv,
+    ps_retrunc,
+)
 
 T88 = Truncation(nz=8, nx=8, ny=8)
 
@@ -205,7 +210,8 @@ A_ODE = Series(T_ODE, cells={
 
 
 def test_ode_solve_is_exp():
-    # E = exp(a) solves E' = E a' with E = 1 at z = 0 (all n!-scaled).
+    # E = exp(a) solves E' = E a' with E = 1 at z = 0 (all n!-scaled;
+    # a has no z^0 cell, so a' is a one-step shift down in z).
     # For a = c y^j m, m a monomial of z-degree 1, the n!-scaled cell of
     # exp(a) at m^k is c^k y^(jk); the box clips v past v^1 and y past y^4
     for key, c, j in (((1, 0, 0, 0), 1, 0), ((1, 1, 0, -1), 2, 1),
@@ -217,11 +223,11 @@ def test_ode_solve_is_exp():
             mk = tuple(k * e for e in key)
             if T_ODE.contains(mk) and j * k <= T_ODE.ny:
                 want[mk] = [0] * (j * k) + [c ** k]
-        got = ps_ode_solve(ps_one(T_ODE), Series(T_ODE), ps_diff_z(a))
+        got = ps_ode_solve(ps_one(T_ODE), Series(T_ODE), ps_shift(a, -1))
         assert got == Series(T_ODE, want), key
     # a sum of cells, u and v among them: exp by its power series
     a = ps_borel(A_ODE)
-    assert ps_ode_solve(ps_one(T_ODE), Series(T_ODE), ps_diff_z(a)) == power_exp(a)
+    assert ps_ode_solve(ps_one(T_ODE), Series(T_ODE), ps_shift(a, -1)) == power_exp(a)
 
 
 def test_borel_laplace_and_binomial_product():
@@ -248,7 +254,8 @@ def test_ode_solve_rejects_z_in_init():
 def test_diff_integrate_z():
     t = Truncation(4, 0, 2)
     s = Series(t, cells={(k, 0, 0, 0): [k + 1] for k in range(5)})
-    d = ps_laplace(ps_diff_z(ps_borel(s)))
+    # n!-scaled, d/dz of a series with no z^0 cell is ps_shift by -1
+    d = ps_laplace(ps_shift(ps_borel(ps_sub(s, ps_one(t))), -1))
     assert zcoeffs(d, 3) == [[2], [6], [12], [20]]
     back = ps_laplace(ps_shift(ps_borel(d), 1))
     # constant lost, top slice dropped on reintegration stays intact here
@@ -257,7 +264,7 @@ def test_diff_integrate_z():
     assert ps_coeff(top, 4) == [1]  # (dz=3 cell)/4 -> 4/4
     assert (5, 0, 0, 0) not in top.cells
     # n!-scaled, d/dz and the z-integral are index shifts
-    assert zcoeffs(ps_diff_z(s), 4) == [[2], [3], [4], [5], []]
+    assert zcoeffs(ps_shift(ps_sub(s, ps_one(t)), -1), 4) == [[2], [3], [4], [5], []]
     assert zcoeffs(ps_shift(s, 1), 4) == [[], [1], [2], [3], [4]]
 
 

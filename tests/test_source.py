@@ -56,3 +56,20 @@ def test_every_constant_has_a_reader():
               if isinstance(target, ast.Name) and not target.id.startswith("__")
               and named[target.id] == _named(node)[target.id]]
     assert trees and not unread, unread
+
+
+def test_every_import_is_read():
+    # an import that nothing in its module reads keeps a dead definition
+    # alive in test_every_definition_has_a_user, which counts it as a use
+    unread = []
+    for name, tree in _library()[0].items():
+        reads = Counter(n.id for n in ast.walk(tree)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if not reads[bound]:
+                        unread.append("%s:%s" % (name, bound))
+    assert SOURCES and not unread, unread
